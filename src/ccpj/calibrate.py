@@ -14,9 +14,7 @@ fits must not pretend to more accuracy than those headers admit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -28,19 +26,18 @@ from .errors import (
     TooFewPointsError,
     ValidationError,
 )
-from .gait import FRONT, REAR, ActuatorModel, Scenario, SlipModel, steady_cycle_displacement, sweep_period
+from .config import data_dir
+from .gait import (
+    FRONT,
+    REAR,
+    SWEEP_CYCLES,
+    ActuatorModel,
+    Scenario,
+    SlipModel,
+    stroke_arcs,
+    sweep_period,
+)
 from .params import CalibrationTable
-
-
-def data_dir() -> Path:
-    """Directory holding datasets, scenario files, and the default config.
-
-    CCPJ_DATA_DIR overrides the packaged data directory wholesale.
-    """
-    env = os.environ.get("CCPJ_DATA_DIR")
-    if env:
-        return Path(env)
-    return Path(str(resources.files("ccpj").joinpath("data")))
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,7 @@ def fit_stiffness_table(dataset: Dataset) -> CalibrationTable:
     return CalibrationTable.from_points(zip(current, fitted))
 
 
-def stiffness_fit_report(dataset: Dataset) -> CalibrationResult:
+def _stiffness_fit_full(dataset: Dataset) -> tuple[CalibrationTable, CalibrationResult]:
     table = fit_stiffness_table(dataset)
     raw = dataset.column("stiffness_n_m")[np.argsort(dataset.column("current_a"))]
     fitted = np.array(table.stiffnesses)
@@ -222,7 +219,7 @@ def stiffness_fit_report(dataset: Dataset) -> CalibrationResult:
             warnings.append(
                 f"isotonic adjustment at row {i} ({a:+.3g} N/m) exceeds the "
                 f"stated {dataset.uncertainty:.0%} digitization uncertainty")
-    return CalibrationResult(
+    return table, CalibrationResult(
         name="stiffness_table", method="isotonic regression (PAV)",
         dataset=dataset.name,
         parameters={"max_adjustment_n_m": float(np.max(np.abs(adj))),
@@ -230,6 +227,10 @@ def stiffness_fit_report(dataset: Dataset) -> CalibrationResult:
         residual=float(np.sqrt(np.mean(adj ** 2))),
         warnings=tuple(warnings),
     )
+
+
+def stiffness_fit_report(dataset: Dataset) -> CalibrationResult:
+    return _stiffness_fit_full(dataset)[1]
 
 
 def _require_flat_alternating(template: Scenario, what: str):
@@ -241,80 +242,21 @@ def _require_flat_alternating(template: Scenario, what: str):
             f"{what} expects a flat, unloaded, all-legs, in-phase template")
 
 
-SWEEP_CYCLES = 6  # sweep_period runs each period for this many cycles
-
-
-def _stroke_scales(template: Scenario, actuator: ActuatorModel,
-                   periods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cycle ideal stand/sit advances (m) at unit slip, steady state."""
-    from .gait import _beta_caps  # internal reuse: same caps as the simulator
-
-    sc = replace(template, actuator=actuator)
-    s_stand = np.empty_like(periods)
-    s_sit = np.empty_like(periods)
-    cap_f, _ = _beta_caps(sc, 0.0)
-    leg = template.robot.leg.leg_length
-    duty = template.signal.duty
-    for i, period in enumerate(periods):
-        a_top, a_bot = actuator.steady_cycle(float(period), duty)
-        b_top = actuator.window(a_top) * cap_f
-        b_bot = actuator.window(a_bot) * cap_f
-        dcos = math.cos(b_bot) - math.cos(b_top)
-        s_stand[i] = leg * dcos
-        s_sit[i] = (leg / 2.0) * dcos
-    return s_stand, s_sit
-
-
-def _sweep_stroke_arcs(template: Scenario, actuator: ActuatorModel,
-                       periods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ideal unit-slip stroke advances for each of the first SWEEP_CYCLES
-    cycles of every period, shapes (n_periods, SWEEP_CYCLES).
-
-    The activation tops/bottoms approach the steady cycle geometrically
-    from a cold start (a=0), so sweep_period's transient is available in
-    closed form: paired with the re-seat loss, this reproduces the
-    simulator's sweep averages exactly (it is tested to).
-    """
-    from .gait import _beta_caps
-
-    sc = replace(template, actuator=actuator)
-    cap_f, _ = _beta_caps(sc, 0.0)
-    leg = template.robot.leg.leg_length
-    duty = template.signal.duty
-    n = len(periods)
-    arcs_stand = np.empty((n, SWEEP_CYCLES))
-    arcs_sit = np.empty((n, SWEEP_CYCLES))
-    for i, period in enumerate(periods):
-        e_h = math.exp(-duty * period / actuator.tau_heat)
-        e_c = math.exp(-(1.0 - duty) * period / actuator.tau_cool)
-        top_inf = (1.0 - e_h) / (1.0 - e_h * e_c)
-        q = e_h * e_c
-
-        def cosb(a):
-            return math.cos(actuator.window(a) * cap_f)
-
-        bot_prev = 0.0
-        for k in range(1, SWEEP_CYCLES + 1):
-            top_k = top_inf * (1.0 - q ** k)
-            bot_k = top_k * e_c
-            arcs_stand[i, k - 1] = leg * (cosb(bot_prev) - cosb(top_k))
-            arcs_sit[i, k - 1] = (leg / 2.0) * (cosb(bot_k) - cosb(top_k))
-            bot_prev = bot_k
-    return arcs_stand, arcs_sit
-
-
 def _sweep_speeds(template: Scenario, actuator: ActuatorModel,
                   eta0_grid: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """Closed-form sweep_period averages, shape (n_eta, n_periods)."""
-    arcs_stand, arcs_sit = _sweep_stroke_arcs(template, actuator, periods)
+    """Closed-form sweep_period averages, shape (n_eta, n_periods).
+
+    The alternating template re-seats at every hand-off, so each cold-start
+    stroke nets its slipped arc less the re-seat loss: this reproduces the
+    simulator's sweep averages exactly (it is tested to).
+    """
+    stand, sit, _, _ = stroke_arcs(replace(template, actuator=actuator),
+                                   periods, SWEEP_CYCLES)
     ter = template.terrain
-    half = ter.pitch / 2.0 if ter.surface == "ratchet" else 0.0
-    anchor_eff = 1.0
-    if math.isfinite(ter.mu_backward) and ter.mu_backward > 0.0:
-        anchor_eff = 1.0 - ter.mu_forward / ter.mu_backward
-    e = (eta0_grid * anchor_eff)[:, None, None]
-    d = (np.maximum(0.0, e * arcs_stand[None] - half)
-         + np.maximum(0.0, e * arcs_sit[None] - half)).sum(axis=2)
+    half = ter.reseat_loss
+    e = (eta0_grid * ter.anchor_efficiency)[:, None, None]
+    d = (np.maximum(0.0, e * stand[None] - half)
+         + np.maximum(0.0, e * sit[None] - half)).sum(axis=2)
     return d / (SWEEP_CYCLES * periods[None, :])
 
 
@@ -432,24 +374,12 @@ def _invert_cycle_efficiency(speed: float, period: float, s_stand: float,
     d = speed * period
     if d <= 0.0:
         raise ValidationError("operating point with zero speed is uninformative")
-    if half == 0.0:
-        return d / (s_stand + s_sit)
     eta_both = (d + 2.0 * half) / (s_stand + s_sit)
     if eta_both * s_sit >= half - 1e-15:
         return eta_both
-    eta_stand = (d + half) / s_stand
-    if eta_stand * s_sit <= half + 1e-15:
-        return eta_stand
-    # between branches: numerically resolve the kink
-    lo, hi = 0.0, 1.5
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        dm = (max(0.0, mid * s_stand - half) + max(0.0, mid * s_sit - half))
-        if dm < d:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # otherwise the sit stroke stalls under the re-seat loss and only the
+    # stand advances; that branch holds exactly when the one above fails
+    return (d + half) / s_stand
 
 
 def _fit_slip_full(dataset: Dataset, template: Scenario) -> dict:
@@ -462,13 +392,11 @@ def _fit_slip_full(dataset: Dataset, template: Scenario) -> dict:
     if not (template.signal.mask[FRONT] and template.signal.mask[REAR]):
         raise ValidationError("fit_slip expects an all-legs scenario template")
 
-    periods = np.full(1, template.signal.period)
-    s1, s2 = _stroke_scales(template, template.actuator, periods)
-    half = (template.terrain.pitch / 2.0
-            if template.terrain.surface == "ratchet" else 0.0)
+    stand, sit, _, _ = stroke_arcs(template, (template.signal.period,))
     etas = np.array([
         _invert_cycle_efficiency(float(v), template.signal.period,
-                                 float(s1[0]), float(s2[0]), half)
+                                 float(stand[0]), float(sit[0]),
+                                 template.terrain.reseat_loss)
         for v in speeds
     ])
 
@@ -554,8 +482,7 @@ def run_calibration(directory: Path | None = None,
     ds_speed = load_dataset("speed_vs_period", directory)
     ds_ops = load_dataset("operating_points", directory)
 
-    table = fit_stiffness_table(ds_stiff)
-    res_stiff = stiffness_fit_report(ds_stiff)
+    table, res_stiff = _stiffness_fit_full(ds_stiff)
     res_thermal = thermal_fit_report(ds_speed, template)
     actuator = ActuatorModel(tau_heat=res_thermal.parameters["tau_heat_s"],
                              tau_cool=res_thermal.parameters["tau_cool_s"],

@@ -17,12 +17,14 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .gait import ActuatorModel, CurrentHeightMap, Scenario, SlipModel, Terrain
+from .gait import MASKS, ActuatorModel, CurrentHeightMap, Scenario, SlipModel, Terrain
 from .params import BeamParams, CalibrationTable, GaitSignal, RobotParams
 
 SCHEMA_VERSION = 1
 
 # section -> key -> converter tag. Anything not listed here is rejected.
+# Numbers must be finite, except under "float_inf" and in the x-bounds of
+# "regions", where an infinite value means "no limit".
 SCHEMA: dict[str, dict[str, str]] = {
     "meta": {"schema_version": "int", "name": "str"},
     "beam": {
@@ -70,7 +72,7 @@ SCHEMA: dict[str, dict[str, str]] = {
         "ceiling_region_mm": "regions",
         "tunnel_width_mm": "len",
         "mu_forward": "float",
-        "mu_backward": "float",
+        "mu_backward": "float_inf",
     },
     "run": {
         "duration_s": "float",
@@ -81,8 +83,12 @@ SCHEMA: dict[str, dict[str, str]] = {
     },
 }
 
-MASKS = {"all": (True, True), "front_only": (True, False),
-         "rear_only": (False, True)}
+
+def _number(raw: str, allow_inf: bool = False) -> float:
+    value = float(raw)
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        raise ValueError(f"{value} is not allowed here")
+    return value
 
 
 def _convert(tag: str, raw: str, where: str):
@@ -90,26 +96,28 @@ def _convert(tag: str, raw: str, where: str):
         if tag == "int":
             return int(raw)
         if tag == "float":
-            return float(raw)
+            return _number(raw)
+        if tag == "float_inf":
+            return _number(raw, allow_inf=True)
         if tag == "str":
             return raw.strip()
         if tag == "len":
-            return float(raw) * 1e-3
+            return _number(raw) * 1e-3
         if tag == "mass":
-            return float(raw) * 1e-3
+            return _number(raw) * 1e-3
         if tag == "box":
-            parts = [float(p) * 1e-3 for p in raw.split(":")]
+            parts = [_number(p) * 1e-3 for p in raw.split(":")]
             if len(parts) != 3:
                 raise ValueError("need exactly three ':'-separated sizes")
             return tuple(parts)
         if tag == "pair":
             a, b = raw.split(":")
-            return (float(a), float(b))
+            return (_number(a), _number(b))
         if tag == "pairs":
             out = []
             for item in raw.split():
                 a, b = item.split(":")
-                out.append((float(a), float(b)))
+                out.append((_number(a), _number(b)))
             if not out:
                 raise ValueError("empty list")
             return tuple(out)
@@ -117,8 +125,9 @@ def _convert(tag: str, raw: str, where: str):
             out = []
             for item in raw.split():
                 x0, x1, gap = item.split(":")
-                out.append((float(x0) * 1e-3, float(x1) * 1e-3,
-                            float(gap) * 1e-3))
+                out.append((_number(x0, allow_inf=True) * 1e-3,
+                            _number(x1, allow_inf=True) * 1e-3,
+                            _number(gap) * 1e-3))
             return tuple(out)
         if tag == "mask":
             key = raw.strip()
@@ -132,12 +141,20 @@ def _convert(tag: str, raw: str, where: str):
     raise ConfigError(f"{where}: unhandled converter {tag!r}")
 
 
-def default_config_path() -> Path:
-    """Shipped defaults, unless CCPJ_DATA_DIR points somewhere else."""
+def data_dir() -> Path:
+    """Directory holding datasets, scenario files, and the default config.
+
+    CCPJ_DATA_DIR overrides the packaged data directory wholesale.
+    """
     env = os.environ.get("CCPJ_DATA_DIR")
     if env:
-        return Path(env) / "tripodbot.default"
-    return Path(str(resources.files("ccpj").joinpath("data/tripodbot.default")))
+        return Path(env)
+    return Path(str(resources.files("ccpj").joinpath("data")))
+
+
+def default_config_path() -> Path:
+    """Shipped defaults, unless CCPJ_DATA_DIR points somewhere else."""
+    return data_dir() / "tripodbot.default"
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,18 @@ class Terrain:
     def confined(self) -> bool:
         return bool(self.ceiling) or self.tunnel_width is not None
 
+    @property
+    def anchor_efficiency(self) -> float:
+        """Share of each stroke the anchored claw keeps against the other's drag."""
+        if math.isfinite(self.mu_backward) and self.mu_backward > 0.0:
+            return 1.0 - self.mu_forward / self.mu_backward
+        return 1.0
+
+    @property
+    def reseat_loss(self) -> float:
+        """Advance (m) a claw gives back when it re-seats mid-tooth."""
+        return self.pitch / 2.0 if self.surface == "ratchet" else 0.0
+
     def gap_over(self, x_lo: float, x_hi: float) -> float:
         """Smallest ceiling gap (m) over any region overlapping [x_lo, x_hi]."""
         gap = math.inf
@@ -221,6 +233,11 @@ def gait_width(robot: RobotParams, beta: float) -> float:
 def drag_width(robot: RobotParams) -> float:
     """Lateral extent (m) in front-leg-only mode, rear legs trailing folded."""
     return robot.compact_box[1]
+
+
+# Leg masks by name: which of the (front, rear-pair) groups is driven.
+MASKS = {"all": (True, True), "front_only": (True, False),
+         "rear_only": (False, True)}
 
 
 @dataclass(frozen=True)
@@ -262,8 +279,8 @@ class Scenario:
         return CurrentHeightMap.default(self.robot, self.actuator.i_threshold)
 
     def mask_name(self) -> str:
-        return {(True, True): "all", (True, False): "front_only",
-                (False, True): "rear_only"}.get(tuple(self.signal.mask), "none")
+        mask = tuple(self.signal.mask)
+        return next((name for name, m in MASKS.items() if m == mask), "none")
 
 
 FRONT, REAR = 0, 1  # group indices of the canonical front / rear-pair split
@@ -353,9 +370,7 @@ def step(state: GaitState, scenario: Scenario, dt: float | None = None,
     leg = scenario.robot.leg.leg_length
     eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
                                    scenario.robot.total_mass)
-    anchor_eff = 1.0
-    if math.isfinite(ter.mu_backward) and ter.mu_backward > 0.0:
-        anchor_eff = 1.0 - ter.mu_forward / ter.mu_backward
+    anchor_eff = ter.anchor_efficiency
     cap_f, cap_r = _beta_caps(scenario, state.x)
     on_ratchet = ter.surface == "ratchet"
     pitch = ter.pitch
@@ -404,7 +419,7 @@ def step(state: GaitState, scenario: Scenario, dt: float | None = None,
                 else:
                     state.anchor_front = foot
                 reseats = alternating or state.slide_front >= pitch - 1e-12
-                state.pending_loss = pitch / 2.0 if on_ratchet and reseats else 0.0
+                state.pending_loss = ter.reseat_loss if reseats else 0.0
                 state.slide_front = 0.0
             else:
                 foot = state.x - (leg / 2.0) * math.cos(b_old[REAR])
@@ -415,7 +430,7 @@ def step(state: GaitState, scenario: Scenario, dt: float | None = None,
                 else:
                     state.anchor_rear = foot
                 reseats = alternating or state.slide_rear >= pitch - 1e-12
-                state.pending_loss = pitch / 2.0 if on_ratchet and reseats else 0.0
+                state.pending_loss = ter.reseat_loss if reseats else 0.0
                 state.slide_rear = 0.0
             if scenario.slip_noise > 0.0 and rng is not None:
                 state.noise_factor = max(0.0, 1.0 + scenario.slip_noise
@@ -537,6 +552,47 @@ def run(scenario: Scenario) -> SimTrace:
     )
 
 
+def stroke_arcs(scenario: Scenario, periods, cycles: int = 0
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form stroke advances at unit slip, vectorized over periods.
+
+    Returns (stand, sit, beta_top, beta_bot): the ideal stand and sit
+    advances (m) and the front group's band (rad). With cycles=0 these
+    are the periodic steady state, shape (n_periods,). With cycles=k they
+    are each of the first k cycles from a cold start (a=0), shape
+    (n_periods, k): the activation tops approach the steady cycle
+    geometrically, and the first stand starts from the flat posture. The
+    standing-angle caps are taken once, at x=0. Slip, anchor friction and
+    re-seat losses are the caller's; the simulator is the reference this
+    transcription is tested against.
+    """
+    act = scenario.actuator
+    duty = scenario.signal.duty
+    leg = scenario.robot.leg.leg_length
+    cap_f, cap_r = _beta_caps(scenario, 0.0)
+    periods = np.asarray(periods, dtype=float)
+    e_h = np.exp(-duty * periods / act.tau_heat)
+    e_c = np.exp(-(1.0 - duty) * periods / act.tau_cool)
+    top = (1.0 - e_h) / (1.0 - e_h * e_c)
+    if cycles:
+        top = top[:, None] * (1.0 - (e_h * e_c)[:, None] ** np.arange(1, cycles + 1))
+        e_c = e_c[:, None]
+    # ActuatorModel.window of both band edges at once: [top, bottom]
+    band = np.array([top, top * e_c])
+    band = np.minimum(1.0, np.maximum(0.0, (band - act.a_on) / (act.a_sat - act.a_on)))
+    beta_f = band * cap_f
+    cos_f = np.cos(beta_f)
+    cos_r = np.cos(band * cap_r)
+    # each stand rises from the previous cycle's bottom, the first from flat
+    cos_start = cos_f[1]
+    if cycles:
+        cos_start = np.concatenate([np.ones_like(cos_start[:, :1]),
+                                    cos_start[:, :-1]], axis=1)
+    stand = leg * (cos_start - cos_f[0])
+    sit = (leg / 2.0) * (cos_r[1] - cos_r[0])
+    return stand, sit, beta_f[0], beta_f[1]
+
+
 def steady_cycle_displacement(scenario: Scenario) -> tuple[float, float, float]:
     """Closed-form per-cycle displacement of the periodic steady state.
 
@@ -545,63 +601,41 @@ def steady_cycle_displacement(scenario: Scenario) -> tuple[float, float, float]:
     rule, by solving the loss booleans self-consistently.
     """
     sig = scenario.signal
-    act = scenario.actuator
     ter = scenario.terrain
-    leg = scenario.robot.leg.leg_length
     eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
                                    scenario.robot.total_mass)
-    anchor_eff = 1.0
-    if math.isfinite(ter.mu_backward) and ter.mu_backward > 0.0:
-        anchor_eff = 1.0 - ter.mu_forward / ter.mu_backward
-    eta = eta * anchor_eff
-    cap_f, cap_r = _beta_caps(scenario, 0.0)
+    eta *= ter.anchor_efficiency
+    s_stand, s_sit, b_top, b_bot = (
+        float(v[0]) for v in stroke_arcs(scenario, (sig.period,)))
+    half = ter.reseat_loss
 
-    def group_band(g, cap):
-        if not sig.mask[g]:
-            return 0.0, 0.0
-        a_top, a_bot = act.steady_cycle(sig.period, sig.duty)
-        return act.window(a_top) * cap, act.window(a_bot) * cap
+    def net(raw, reseats):
+        return max(0.0, raw - (half if reseats else 0.0))
 
-    bf_top, bf_bot = group_band(FRONT, cap_f)
-    br_top, br_bot = group_band(REAR, cap_r)
-    dcos_f = math.cos(bf_bot) - math.cos(bf_top)
-    dcos_r = math.cos(br_bot) - math.cos(br_top)
-    raw_stand = eta * leg * dcos_f
-    raw_sit = eta * (leg / 2.0) * dcos_r
-
-    if ter.surface != "ratchet":
-        return raw_stand + raw_sit, bf_top, bf_bot
-
-    pitch = ter.pitch
-    half = pitch / 2.0
-    alternating = sig.mask[FRONT] and sig.mask[REAR]
-    if alternating:
-        # every hand-off re-seats the engaging claw half a tooth back
-        d_stand = max(0.0, raw_stand - half)
-        d_sit = max(0.0, raw_sit - half)
-        return d_stand + d_sit, bf_top, bf_bot
-    # drag gait: the loss booleans depend on how far each claw slid, which
-    # depends on the other stroke's net advance; iterate the fixed point.
+    # the alternating gait re-seats at every hand-off. A drag gait's claw
+    # re-seats only after sliding a full tooth, and how far it slid depends
+    # on the other stroke's net advance: iterate the fixed point.
     loss_stand, loss_sit = True, True
-    for _ in range(8):
-        d_stand = max(0.0, raw_stand - (half if loss_stand else 0.0))
-        d_sit = max(0.0, raw_sit - (half if loss_sit else 0.0))
-        slide_front = d_sit + leg * dcos_f  # front foot travels during sit
-        slide_rear = d_stand + (leg / 2.0) * dcos_r
-        new_stand = slide_front >= pitch - 1e-12
-        new_sit = slide_rear >= pitch - 1e-12
-        if (new_stand, new_sit) == (loss_stand, loss_sit):
+    alternating = sig.mask[FRONT] and sig.mask[REAR]
+    for _ in range(0 if alternating else 8):
+        slide_front = net(eta * s_sit, loss_sit) + s_stand  # during sit
+        slide_rear = net(eta * s_stand, loss_stand) + s_sit
+        new = (slide_front >= ter.pitch - 1e-12, slide_rear >= ter.pitch - 1e-12)
+        if new == (loss_stand, loss_sit):
             break
-        loss_stand, loss_sit = new_stand, new_sit
-    d_stand = max(0.0, raw_stand - (half if loss_stand else 0.0))
-    d_sit = max(0.0, raw_sit - (half if loss_sit else 0.0))
-    return d_stand + d_sit, bf_top, bf_bot
+        loss_stand, loss_sit = new
+    d = net(eta * s_stand, loss_stand) + net(eta * s_sit, loss_sit)
+    return d, b_top, b_bot
+
+
+SWEEP_CYCLES = 6  # cycles sweep_period runs at each period
 
 
 def sweep_period(scenario: Scenario, periods) -> list[tuple[float, float]]:
     """Average speed at each actuation period.
 
-    Each point reruns the scenario with period T, duration 6T, dt T/200.
+    Each point reruns the scenario with period T, duration SWEEP_CYCLES*T,
+    dt T/200.
     """
     out = []
     for period in periods:
@@ -610,7 +644,7 @@ def sweep_period(scenario: Scenario, periods) -> list[tuple[float, float]]:
         sc = replace(
             scenario,
             signal=replace(scenario.signal, period=period),
-            duration=6.0 * period,
+            duration=SWEEP_CYCLES * period,
             dt=period / 200.0,
         )
         out.append((period, run(sc).average_speed))

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .gait import (
     LOOKAHEAD,
+    MASKS,
     CurrentHeightMap,
     FeasibilityReport,
     Scenario,
@@ -199,9 +200,6 @@ def max_feasible_current(gap: float, robot: RobotParams,
                                gap_m=gap, height_m=height(lo))
 
 
-MASKS = (("all", (True, True)), ("front_only", (True, False)))
-
-
 @dataclass(frozen=True)
 class MaskChoice:
     """Feasible leg mask picked for a confined scenario."""
@@ -256,7 +254,8 @@ def select_mask(scenario: Scenario) -> MaskChoice:
         raise ValidationError("select_mask needs a ceiling or tunnel")
     failures: dict[str, InfeasibleConfinementError] = {}
     best: MaskChoice | None = None
-    for name, mask in MASKS:
+    for name in ("all", "front_only"):
+        mask = MASKS[name]
         sc = replace(scenario, signal=replace(scenario.signal, mask=mask))
         try:
             trace, report = navigate_confined(sc)

@@ -34,7 +34,7 @@ from ccpj.errors import (
     TooFewPointsError,
     ValidationError,
 )
-from ccpj.gait import ActuatorModel, Scenario, SlipModel, sweep_period
+from ccpj.gait import ActuatorModel, Scenario, SlipModel, Terrain, sweep_period
 from ccpj.params import GaitSignal
 
 # shipped stiffness knots, for comparing against the fitted table
@@ -160,11 +160,14 @@ class TestThermalFit:
         # re-seat losses and all; this is what makes the fit unbiased
         act = ActuatorModel(tau_heat=1.0, tau_cool=0.45)
         periods = np.array([2.0, 3.0, 4.0, 6.0, 9.0])
-        closed = _sweep_speeds(template, act, np.array([0.66]), periods)[0]
-        sc = replace(template, actuator=act,
-                     slip=SlipModel(eta0=0.66, c_slope=0.0, c_load=0.0))
-        sim = np.array([v for _, v in sweep_period(sc, periods)])
-        assert np.max(np.abs(closed - sim)) < 1e-12
+        smooth_friction = replace(template, terrain=Terrain(
+            surface="smooth", mu_forward=0.1, mu_backward=1.0))
+        for tmpl in (template, smooth_friction):
+            closed = _sweep_speeds(tmpl, act, np.array([0.66]), periods)[0]
+            sc = replace(tmpl, actuator=act,
+                         slip=SlipModel(eta0=0.66, c_slope=0.0, c_load=0.0))
+            sim = np.array([v for _, v in sweep_period(sc, periods)])
+            assert np.max(np.abs(closed - sim)) < 1e-12
 
     def test_recovers_known_constants(self, template):
         true = ActuatorModel(tau_heat=1.4, tau_cool=0.6)

@@ -1,12 +1,13 @@
 """End-to-end CLI runs, in process via main(argv)."""
 
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 from ccpj.cli import main
-from ccpj.config import load_config
+from ccpj.config import default_config_path, load_config
 
 FLAT_DIGEST = "c777ff1190f1f0d4e8972b44d870250c98df709b6c2a536eeb8940b7a1fe45b4"
 
@@ -89,6 +90,25 @@ class TestSimulate:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error[2]" in err and "period_s" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("signal", "period_s", "nan"),
+        ("run", "payload_g", "nan"),
+        ("run", "slip_noise", "nan"),
+        ("run", "duration_s", "nan"),
+        ("run", "duration_s", "inf"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "bad.config"
+        period = "" if key == "period_s" else "[signal]\nperiod_s = 4\n"
+        cfg.write_text(f"{period}[{section}]\n{key} = {value}\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: ConfigError:") and key in err
+        # the shipped default keeps its meaningful infinity
+        assert load_config(default_config_path()).get(
+            "terrain", "mu_backward") == math.inf
 
     def test_infeasible_mask_override(self, tmp_path, scenario_path, capsys):
         # tunnel_40x20 ships front_only; forcing both groups exceeds the width

@@ -19,6 +19,7 @@ from ccpj.errors import (
 )
 from ccpj.gait import (
     BRACE_SHARE,
+    MASKS,
     ActuatorModel,
     CurrentHeightMap,
     Scenario,
@@ -251,12 +252,38 @@ class TestFlatRun:
         assert len(text.strip().split("\n")) == 1 + 616  # header + snapshots
 
 
+STEADY_TERRAINS = {
+    "ratchet": Terrain(),
+    "smooth": Terrain(surface="smooth"),
+    "anchor_friction": Terrain(mu_forward=0.1, mu_backward=1.0),
+    # short drag strokes: a claw can slide less than a tooth per cycle
+    "ceiling_20mm": Terrain(ceiling=((-math.inf, math.inf, 20e-3),)),
+}
+STEADY_CASES = (
+    [(mask, surface) for mask in ("all", "front_only", "rear_only")
+     for surface in ("ratchet", "smooth")]
+    + [("all", "anchor_friction"), ("front_only", "ceiling_20mm"),
+       ("rear_only", "ceiling_20mm")]
+)
+
+
+def _steady_case(period, mask, terrain):
+    # the all-leg ratchet cases keep their original period-only ids
+    case_id = (str(period) if (mask, terrain) == ("all", "ratchet")
+               else f"{mask}-{terrain}-{period}")
+    return pytest.param(period, mask, terrain, id=case_id)
+
+
 class TestSteadyCycle:
-    @pytest.mark.parametrize("period", [2.0, 4.0, 7.0])
-    def test_closed_form_matches_simulator(self, period):
+    @pytest.mark.parametrize("period, mask, terrain", [
+        _steady_case(period, mask, terrain)
+        for mask, terrain in STEADY_CASES for period in (2.0, 4.0, 7.0)
+    ])
+    def test_closed_form_matches_simulator(self, period, mask, terrain):
         # 12 cycles: the activation settles geometrically, and the fastest
         # cycle here still leaves a q^11 ~ 5e-13 residual
-        sc = Scenario(signal=GaitSignal(period=period),
+        sc = Scenario(signal=GaitSignal(period=period, mask=MASKS[mask]),
+                      terrain=STEADY_TERRAINS[terrain],
                       duration=12.0 * period, dt=period / 200.0)
         trace = run(sc)
         n = 200  # steps per cycle at this dt
