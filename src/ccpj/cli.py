@@ -111,7 +111,12 @@ def _parse_range(spec: str | None, default: str) -> tuple[float, float, float]:
         a, b, step = (float(p) for p in parts)
     except ValueError as err:
         raise ConfigError(f"--range must be numeric a:b:step: {err}") from err
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise ConfigError(f"--range must be finite, got {text!r}")
     return a, b, step
+
+
+MAX_SWEEP_POINTS = 1000  # most values one --range may expand to
 
 
 def _range_values(spec: str | None, default: str) -> list[float]:
@@ -119,6 +124,9 @@ def _range_values(spec: str | None, default: str) -> list[float]:
     if step <= 0.0 or b < a:
         raise ConfigError(
             f"empty sweep range {a}:{b}:{step} (need step > 0 and b >= a)")
+    if (b - a) / step + 1.0 > MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep range {a}:{b}:{step} has more than {MAX_SWEEP_POINTS} points")
     values = []
     k = 0
     while a + k * step <= b + step * 1e-9:

@@ -7,10 +7,19 @@ stand-advance increment); cooling softens them and the robot sits down
 follows a first-order thermal lag through an activation window, and every
 increment is scaled by a slip efficiency degraded by slope and payload.
 
-Integration is exact: activation advances by closed-form exponentials,
-steps are split internally at square-wave switch times, and displacement
-increments telescope on cos(beta), so results do not depend on dt beyond
-trace resolution.
+Integration is per stroke. Each dt step is split at every driven group's
+square-wave edges, and the whole sub-step grid is built at once. Over
+each constant-current run the activation is a closed-form exponential;
+band angles, stroke direction and displacement increments follow as
+arrays, and the increments telescope on cos(beta), so results do not
+depend on dt beyond trace resolution. A short loop over strokes, two per
+cycle, does what is sequential at each anchor hand-off: the lattice
+snap, the re-seat decision, the pending half-pitch loss, the slide sums
+and the slip-noise draw. The standing-angle caps depend on x only through
+the ceiling gap ahead of the body, and x never decreases: the caps are
+held until the first trace row whose position changes that gap, and
+integration re-enters from that row, so caps change only at step
+boundaries.
 
 Ratchet anchoring: anchor positions are bookkept on the tooth lattice
 (floor-snapped relative to each foot's starting tooth). In the alternating
@@ -67,7 +76,7 @@ class ActuatorModel:
     a_sat: float = 0.80
 
     def __post_init__(self):
-        if self.tau_heat <= 0.0 or self.tau_cool <= 0.0:
+        if not (self.tau_heat > 0.0 and self.tau_cool > 0.0):
             raise OutOfRangeError("tau", min(self.tau_heat, self.tau_cool), 0.0, math.inf)
         if not (0.0 <= self.a_on < self.a_sat <= 1.0):
             raise ValidationError(
@@ -80,9 +89,9 @@ class ActuatorModel:
         tau = self.tau_heat if target == 1.0 else self.tau_cool
         return target + (a - target) * math.exp(-dt / tau)
 
-    def window(self, a: float) -> float:
-        """Stroke fraction in [0,1] for a lag state."""
-        return min(1.0, max(0.0, (a - self.a_on) / (self.a_sat - self.a_on)))
+    def window(self, a):
+        """Stroke fraction in [0,1] for a lag state (elementwise on arrays)."""
+        return np.minimum(1.0, np.maximum(0.0, (a - self.a_on) / (self.a_sat - self.a_on)))
 
     def steady_cycle(self, period: float, duty: float) -> tuple[float, float]:
         """(a_top, a_bot) of the periodic steady state under the square wave."""
@@ -206,13 +215,15 @@ class Terrain:
         """Advance (m) a claw gives back when it re-seats mid-tooth."""
         return self.pitch / 2.0 if self.surface == "ratchet" else 0.0
 
-    def gap_over(self, x_lo: float, x_hi: float) -> float:
-        """Smallest ceiling gap (m) over any region overlapping [x_lo, x_hi]."""
-        gap = math.inf
+    def gap_over(self, x_lo, x_hi):
+        """Smallest ceiling gap (m) over any region overlapping [x_lo, x_hi].
+
+        Elementwise when the bounds are arrays; a float for scalar bounds.
+        """
+        gap = np.full(np.shape(x_lo), math.inf)
         for x0, x1, g in self.ceiling:
-            if x1 >= x_lo and x0 <= x_hi:
-                gap = min(gap, g)
-        return gap
+            gap = np.where((x1 >= x_lo) & (x0 <= x_hi), np.minimum(gap, g), gap)
+        return float(gap) if gap.ndim == 0 else gap
 
     def min_gap(self) -> float:
         return min((g for _, _, g in self.ceiling), default=math.inf)
@@ -240,6 +251,11 @@ MASKS = {"all": (True, True), "front_only": (True, False),
          "rear_only": (False, True)}
 
 
+# Most dt steps one run may take: 666x the longest shipped run, and small
+# enough that the run's arrays are bounded before any is allocated.
+MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything one simulation run needs."""
@@ -258,17 +274,24 @@ class Scenario:
     slip_noise: float = 0.0  # std of per-engagement efficiency noise
 
     def __post_init__(self):
-        if self.dt > self.signal.period / 100.0 + _EPS_T:
+        # written as not (ok) so that NaN fails every check
+        if not (0.0 < self.dt <= self.signal.period / 100.0 + _EPS_T):
             raise ValidationError(
-                f"dt={self.dt!r} must be <= period/100 = {self.signal.period / 100.0!r}"
+                f"dt={self.dt!r} must be > 0 and <= period/100 = "
+                f"{self.signal.period / 100.0!r}"
             )
-        if self.duration <= self.signal.period:
+        if not (self.duration > self.signal.period):
             raise ValidationError(
                 f"duration={self.duration!r} must exceed one period {self.signal.period!r}"
             )
-        if self.payload_mass < 0.0:
+        if self.duration / self.dt - 1e-9 > MAX_STEPS:
+            raise ValidationError(
+                f"duration/dt = {self.duration / self.dt:.6g} steps exceeds "
+                f"the cap of {MAX_STEPS}"
+            )
+        if not (self.payload_mass >= 0.0):
             raise OutOfRangeError("payload_mass", self.payload_mass, 0.0, math.inf)
-        if self.slip_noise < 0.0:
+        if not (self.slip_noise >= 0.0):
             raise OutOfRangeError("slip_noise", self.slip_noise, 0.0, math.inf)
         if self.signal.groups != ((0,), (1, 2)):
             raise ValidationError("simulator expects the front / rear-pair grouping")
@@ -285,34 +308,13 @@ class Scenario:
 
 FRONT, REAR = 0, 1  # group indices of the canonical front / rear-pair split
 
-
-@dataclass
-class GaitState:
-    """Mutable integrator state between steps."""
-
-    t: float = 0.0
-    x: float = 0.0  # body position, m
-    a: tuple[float, float] = (0.0, 0.0)  # lag state per group
-    phase: str = "sit"
-    pending_loss: float = 0.0  # re-grip loss not yet eaten, m
-    slide_front: float = 0.0  # front foot travel since last engagement, m
-    slide_rear: float = 0.0
-    anchor_front: float = 0.0  # recorded anchor positions, m
-    anchor_rear: float = 0.0
-    anchor_front_0: float = 0.0  # starting teeth, lattice origins
-    anchor_rear_0: float = 0.0
-    noise_factor: float = 1.0
-
-
-def _initial_state(scenario: Scenario) -> GaitState:
-    leg = scenario.robot.leg.leg_length
-    st = GaitState()
-    st.anchor_front = st.anchor_front_0 = leg  # foot of the flat front leg
-    st.anchor_rear = st.anchor_rear_0 = -leg / 2.0
-    return st
-
-
 LOOKAHEAD = 50e-3  # m, how far ahead of its reach the robot starts ducking
+
+
+def _gap_at(scenario: Scenario, x):
+    """Ceiling gap (m) over the envelope ahead of a body at x (elementwise)."""
+    leg = scenario.robot.leg.leg_length
+    return scenario.terrain.gap_over(x - leg / 2.0, x + leg + LOOKAHEAD)
 
 
 def _beta_caps(scenario: Scenario, x: float) -> tuple[float, float]:
@@ -324,8 +326,8 @@ def _beta_caps(scenario: Scenario, x: float) -> tuple[float, float]:
     """
     hmap = scenario.resolved_height_map()
     leg = scenario.robot.leg.leg_length
-    gap = scenario.terrain.gap_over(x - leg / 2.0, x + leg + LOOKAHEAD)
-    if gap is not math.inf and gap < scenario.robot.height_offset - 1e-12:
+    gap = _gap_at(scenario, x)
+    if gap < scenario.robot.height_offset - 1e-12:
         raise InfeasibleConfinementError(
             "gap below the fully-flat body height",
             required_mm=scenario.robot.height_offset * 1e3,
@@ -344,125 +346,75 @@ def _beta_caps(scenario: Scenario, x: float) -> tuple[float, float]:
     return caps[0], caps[1]
 
 
-def _next_switch(signal: GaitSignal, t: float, group: int) -> float:
-    """First square-wave edge of a group strictly after time t."""
-    u = (t / signal.period - signal.phase[group]) % 1.0
-    best = math.inf
-    for b in (signal.duty, 1.0):
-        d = b - u
-        if d <= 1e-9:
-            d += 1.0
-        best = min(best, d)
-    return t + best * signal.period
+def _switch_after(signal: GaitSignal, t: np.ndarray, group: int) -> np.ndarray:
+    """First square-wave edge of a group strictly after each time in t.
 
-
-def step(state: GaitState, scenario: Scenario, dt: float | None = None,
-         rng: np.random.Generator | None = None) -> GaitState:
-    """Advance the gait by one time step, splitting at signal edges inside.
-
-    Returns the same (mutated) state object for chaining.
+    An edge less than 1e-9 periods ahead counts as passed, so a sub-step
+    that ends on an edge does not split there again.
     """
-    if dt is None:
-        dt = scenario.dt
-    sig = scenario.signal
-    act = scenario.actuator
-    ter = scenario.terrain
-    leg = scenario.robot.leg.leg_length
-    eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
-                                   scenario.robot.total_mass)
-    anchor_eff = ter.anchor_efficiency
-    cap_f, cap_r = _beta_caps(scenario, state.x)
-    on_ratchet = ter.surface == "ratchet"
-    pitch = ter.pitch
+    u = np.remainder(t / signal.period - signal.phase[group], 1.0)
+    ahead = [np.where(edge - u <= 1e-9, edge - u + 1.0, edge - u)
+             for edge in (signal.duty, 1.0)]
+    return t + np.minimum(*ahead) * signal.period
 
-    t_end = state.t + dt
-    s0 = state.t
-    a = list(state.a)
-    while s0 < t_end - _EPS_T:
+
+def _substep_grid(scenario: Scenario):
+    """Trace times and the sub-step grid between them.
+
+    Row k >= 1 of the trace closes the dt step ending at
+    min(duration, k*dt). Each step is split at every driven group's
+    square-wave edges inside it, and a remainder shorter than 1e-12 s is
+    dropped. Returns (t, s0, s1, row_at): the row times, the start and end
+    of every sub-step in time order, and for each row the number of
+    sub-steps before it.
+    """
+    sig = scenario.signal
+    n = int(math.ceil(scenario.duration / scenario.dt - 1e-9))
+    t = np.minimum(scenario.duration, np.arange(1, n + 1) * scenario.dt)
+    step, s0, t_end = np.arange(n), np.concatenate(([0.0], t[:-1])), t
+    pieces = [(step[:0], s0[:0], s0[:0])]
+    live = s0 < t_end - _EPS_T
+    while live.any():
+        step, s0, t_end = step[live], s0[live], t_end[live]
         s1 = t_end
         for g in (FRONT, REAR):
             if sig.mask[g]:
-                s1 = min(s1, _next_switch(sig, s0, g))
-        s1 = min(s1, t_end)
-        mid = 0.5 * (s0 + s1)
-        b_old = [0.0, 0.0]
-        b_new = [0.0, 0.0]
-        for g, cap in ((FRONT, cap_f), (REAR, cap_r)):
-            cur = sig.current_at(mid, g)
-            a_new = act.advance(a[g], cur, s1 - s0)
-            b_old[g] = act.window(a[g]) * cap
-            b_new[g] = act.window(a_new) * cap
-            a[g] = a_new
-
-        dbf = b_new[FRONT] - b_old[FRONT]
-        dbr = b_new[REAR] - b_old[REAR]
-        direction = dbf if abs(dbf) > 1e-15 else dbr
-        if direction > 1e-15:
-            new_phase = "stand"
-        elif direction < -1e-15:
-            new_phase = "sit"
-        else:
-            new_phase = state.phase
-
-        if new_phase != state.phase:
-            # anchor hand-off: the engaging claw bites the lattice. In the
-            # alternating gait every hand-off re-seats a fully unloaded claw
-            # mid-tooth (half-pitch loss); a drag gait's claw stays loaded
-            # and only re-seats after sliding a full tooth.
-            alternating = sig.mask[FRONT] and sig.mask[REAR]
-            if new_phase == "stand":
-                foot = state.x + leg * math.cos(b_old[FRONT])
-                if on_ratchet:
-                    state.anchor_front = (state.anchor_front_0 + pitch
-                                          * math.floor((foot - state.anchor_front_0)
-                                                       / pitch))
-                else:
-                    state.anchor_front = foot
-                reseats = alternating or state.slide_front >= pitch - 1e-12
-                state.pending_loss = ter.reseat_loss if reseats else 0.0
-                state.slide_front = 0.0
-            else:
-                foot = state.x - (leg / 2.0) * math.cos(b_old[REAR])
-                if on_ratchet:
-                    state.anchor_rear = (state.anchor_rear_0 + pitch
-                                         * math.floor((foot - state.anchor_rear_0)
-                                                      / pitch))
-                else:
-                    state.anchor_rear = foot
-                reseats = alternating or state.slide_rear >= pitch - 1e-12
-                state.pending_loss = ter.reseat_loss if reseats else 0.0
-                state.slide_rear = 0.0
-            if scenario.slip_noise > 0.0 and rng is not None:
-                state.noise_factor = max(0.0, 1.0 + scenario.slip_noise
-                                         * float(rng.standard_normal()))
-            state.phase = new_phase
-
-        if state.phase == "stand":
-            raw = max(0.0, leg * (math.cos(b_old[FRONT]) - math.cos(b_new[FRONT])))
-        else:
-            raw = max(0.0, (leg / 2.0) * (math.cos(b_new[REAR]) - math.cos(b_old[REAR])))
-        raw *= eta * anchor_eff * state.noise_factor
-        net = max(0.0, raw - state.pending_loss)
-        state.pending_loss = max(0.0, state.pending_loss - raw)
-        x_new = state.x + net
-
-        # kinematic foot travel, for the re-grip rule at the next hand-off
-        if state.phase == "stand":
-            state.slide_rear += abs(
-                (x_new - (leg / 2.0) * math.cos(b_new[REAR]))
-                - (state.x - (leg / 2.0) * math.cos(b_old[REAR]))
-            )
-        else:
-            state.slide_front += abs(
-                (x_new + leg * math.cos(b_new[FRONT]))
-                - (state.x + leg * math.cos(b_old[FRONT]))
-            )
-        state.x = x_new
+                s1 = np.minimum(s1, _switch_after(sig, s0, g))
+        pieces.append((step, s0, s1))
         s0 = s1
+        live = s0 < t_end - _EPS_T
+    step, s0, s1 = (np.concatenate(column) for column in zip(*pieces))
+    order = np.argsort(step, kind="stable")
+    row_at = np.searchsorted(step[order], np.arange(n + 1))
+    return np.concatenate(([0.0], t)), s0[order], s1[order], row_at
 
-    state.t = t_end
-    state.a = (a[FRONT], a[REAR])
-    return state
+
+def _activation(scenario: Scenario, s0: np.ndarray, s1: np.ndarray,
+                group: int) -> np.ndarray:
+    """Lag state of a group at every sub-step boundary, from a cold start.
+
+    Over each constant-current run the state relaxes in closed form,
+    target + (a_start - target) * prod(exp(-h/tau)), the product taken in
+    time order. math.exp is taken once per distinct sub-step length.
+    """
+    act, sig = scenario.actuator, scenario.signal
+    high = np.zeros(len(s0), dtype=bool)
+    if sig.mask[group]:
+        u = np.remainder(0.5 * (s0 + s1) / sig.period - sig.phase[group], 1.0)
+        high = u < sig.duty
+    heat = np.where(high, sig.i_high, sig.i_low) >= act.i_threshold - 1e-12
+    lengths, which = np.unique(s1 - s0, return_inverse=True)
+    decay = np.where(
+        heat,
+        np.array([math.exp(-h / act.tau_heat) for h in lengths.tolist()])[which],
+        np.array([math.exp(-h / act.tau_cool) for h in lengths.tolist()])[which])
+    a = np.zeros(len(s0) + 1)
+    cuts = (np.flatnonzero(heat[1:] != heat[:-1]) + 1).tolist()
+    for i0, i1 in zip([0, *cuts], [*cuts, len(s0)]):
+        target = 1.0 if heat[i0] else 0.0
+        rest = np.multiply.accumulate(np.concatenate(([a[i0] - target], decay[i0:i1])))
+        a[i0 + 1:i1 + 1] = target + rest[1:]
+    return a
 
 
 @dataclass(frozen=True)
@@ -509,46 +461,138 @@ class SimTrace:
 
 
 def run(scenario: Scenario) -> SimTrace:
-    """Simulate the full scenario. Deterministic for a given (scenario, seed)."""
-    st = _initial_state(scenario)
+    """Simulate the full scenario. Deterministic for a given (scenario, seed).
+
+    Activation and band angles are evaluated over the whole sub-step grid
+    at once; one Python iteration per stroke does the hand-off bookkeeping.
+    Under a ceiling the caps hold until the first row whose position
+    changes the gap, and integration re-enters from that row.
+    """
+    sig, ter, act = scenario.signal, scenario.terrain, scenario.actuator
+    leg = scenario.robot.leg.leg_length
+    t, s0, s1, row_at = _substep_grid(scenario)
+    a_f = _activation(scenario, s0, s1, FRONT)
+    a_r = (a_f if (sig.mask[FRONT], sig.phase[FRONT]) == (sig.mask[REAR], sig.phase[REAR])
+           else _activation(scenario, s0, s1, REAR))
+    w_f, w_r = act.window(a_f), act.window(a_r)
+    eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
+                                   scenario.robot.total_mass)
+    anchor_eff = ter.anchor_efficiency
+    alternating = sig.mask[FRONT] and sig.mask[REAR]
     rng = (np.random.default_rng(scenario.seed)
            if scenario.slip_noise > 0.0 else None)
-    n_steps = int(math.ceil(scenario.duration / scenario.dt - 1e-9))
-    rows = []
-    act = scenario.actuator
 
-    def snapshot(prev_x: float):
-        cap_f, cap_r = _beta_caps(scenario, st.x)
-        bf = act.window(st.a[FRONT]) * cap_f
-        br = act.window(st.a[REAR]) * cap_r
-        h = standing_height(scenario.robot.leg.leg_length, max(bf, br),
-                            scenario.robot.height_offset)
-        moving = st.x > prev_x + 1e-15
-        anch_f = 0 if (st.phase == "sit" and moving) else 1
-        anch_r = 0 if (st.phase == "stand" and moving) else 1
-        rows.append((st.t, st.x, bf, br, st.a[FRONT], st.a[REAR],
-                     anch_f, anch_r, h, st.anchor_front, st.anchor_rear))
+    def seat(foot, origin):
+        """Anchor of a claw engaging at foot, floor-snapped to its lattice."""
+        if ter.surface != "ratchet":
+            return foot
+        return origin + ter.pitch * math.floor((foot - origin) / ter.pitch)
 
-    snapshot(prev_x=st.x)
-    try:
-        for k in range(n_steps):
-            t_target = min(scenario.duration, (k + 1) * scenario.dt)
-            prev_x = st.x
-            step(st, scenario, dt=t_target - st.t, rng=rng)
-            snapshot(prev_x)
-    except InfeasibleConfinementError as err:
-        raise InfeasibleConfinementError(
-            f"t={st.t:.3f} s: {err.args[0]}", err.required_mm, err.available_mm
-        ) from err
-    cols = list(zip(*rows))
+    x = np.zeros(len(s0) + 1)  # body position at every sub-step boundary
+    stand = np.zeros(len(s0), dtype=bool)  # stroke phase of every sub-step
+    caps = []  # (first row, cap_f, cap_r) of each constant-caps segment
+    handoffs = []  # (sub-step, anchor_front, anchor_rear) at each hand-off
+    anchor_f0, anchor_r0 = leg, -leg / 2.0  # flat feet: the lattice origins
+    anchor_f, anchor_r = anchor_f0, anchor_r0
+    phase, pending, slide_f, slide_r, noise = False, 0.0, 0.0, 0.0, 1.0
+    row = 0
+    while row is not None:
+        b = row_at[row]
+        try:
+            cap_f, cap_r = _beta_caps(scenario, x[b])
+        except InfeasibleConfinementError as err:
+            if row == 0:  # the starting posture: no time stamp
+                raise
+            raise InfeasibleConfinementError(
+                f"t={t[row]:.3f} s: {err.args[0]}", err.required_mm, err.available_mm
+            ) from err
+        caps.append((row, cap_f, cap_r))
+        gap = _gap_at(scenario, x[b])
+        bf, br = w_f[b:] * cap_f, w_r[b:] * cap_r
+        cos_f, cos_r = np.cos(bf), np.cos(br)
+        dbf, dbr = np.diff(bf), np.diff(br)
+        # the stroke follows the front band, or the rear one where the
+        # front holds still; a sub-step where neither moves keeps the phase
+        direction = np.where(np.abs(dbf) > 1e-15, dbf, dbr)
+        sets = np.abs(direction) > 1e-15
+        last = np.maximum.accumulate(np.where(sets, np.arange(len(sets)), -1))
+        seg_stand = np.where(last >= 0, direction[last] > 0.0, phase)
+        flips = np.flatnonzero(seg_stand != np.concatenate(([phase], seg_stand[:-1])))
+        raw = np.where(seg_stand,
+                       np.maximum(0.0, leg * (cos_f[:-1] - cos_f[1:])),
+                       np.maximum(0.0, (leg / 2.0) * (cos_r[1:] - cos_r[:-1])))
+
+        row = None
+        edges = [0, *flips.tolist(), len(raw)]
+        for j in range(len(edges) - 1):
+            i0, i1 = edges[j], edges[j + 1]
+            if i1 == i0:
+                continue
+            x0 = x[b + i0]
+            if j > 0:
+                # anchor hand-off: the engaging claw bites the lattice. In
+                # the alternating gait every hand-off re-seats a fully
+                # unloaded claw mid-tooth (half-pitch loss); a drag gait's
+                # claw stays loaded and only re-seats after sliding a tooth.
+                phase = bool(seg_stand[i0])
+                if phase:
+                    anchor_f = seat(x0 + leg * cos_f[i0], anchor_f0)
+                    reseats = alternating or slide_f >= ter.pitch - 1e-12
+                    slide_f = 0.0
+                else:
+                    anchor_r = seat(x0 - (leg / 2.0) * cos_r[i0], anchor_r0)
+                    reseats = alternating or slide_r >= ter.pitch - 1e-12
+                    slide_r = 0.0
+                pending = ter.reseat_loss if reseats else 0.0
+                if rng is not None:
+                    noise = max(0.0, 1.0 + scenario.slip_noise
+                                * float(rng.standard_normal()))
+                handoffs.append((b + i0, anchor_f, anchor_r))
+
+            stroke = raw[i0:i1] * (eta * anchor_eff * noise)
+            left = np.maximum(0.0, np.subtract.accumulate(
+                np.concatenate(([pending], stroke))))
+            xs = np.add.accumulate(np.concatenate(
+                ([x0], np.maximum(0.0, stroke - left[:-1]))))
+            x[b + i0:b + i1 + 1] = xs
+            stand[b + i0:b + i1] = phase
+            # kinematic travel of the unloaded foot, for the re-seat rule
+            slide = None
+            if not alternating:
+                foot = (xs - (leg / 2.0) * cos_r[i0:i1 + 1] if phase
+                        else xs + leg * cos_f[i0:i1 + 1])
+                slide = np.add.accumulate(np.concatenate(
+                    ([slide_r if phase else slide_f], np.abs(np.diff(foot)))))
+
+            q = i1 - i0
+            if ter.ceiling:
+                r0, r1 = np.searchsorted(row_at, (b + i0, b + i1), side="right")
+                moved = np.flatnonzero(_gap_at(scenario, x[row_at[r0:r1]]) != gap)
+                if moved.size:
+                    row = r0 + int(moved[0])
+                    q = row_at[row] - b - i0
+            pending = left[q]
+            if slide is not None:
+                slide_r, slide_f = (slide[q], slide_f) if phase else (slide_r, slide[q])
+            if row is not None:
+                break
+
+    xr = x[row_at]
+    seg = np.searchsorted([c[0] for c in caps], np.arange(len(t)), side="right") - 1
+    beta_f = w_f[row_at] * np.array([c[1] for c in caps])[seg]
+    beta_r = w_r[row_at] * np.array([c[2] for c in caps])[seg]
+    stand_row = np.concatenate(([False], stand))[row_at]
+    moving = np.concatenate(([False], xr[1:] > xr[:-1] + 1e-15))
+    seen = np.searchsorted([h[0] for h in handoffs], row_at)
     return SimTrace(
-        t=np.array(cols[0]), x=np.array(cols[1]),
-        beta_front=np.array(cols[2]), beta_rear=np.array(cols[3]),
-        activation_front=np.array(cols[4]), activation_rear=np.array(cols[5]),
-        anchored_front=np.array(cols[6]), anchored_rear=np.array(cols[7]),
-        height=np.array(cols[8]),
-        anchor_front_x=np.array(cols[9]), anchor_rear_x=np.array(cols[10]),
-        anchor_front_0=st.anchor_front_0, anchor_rear_0=st.anchor_rear_0,
+        t=t, x=xr, beta_front=beta_f, beta_rear=beta_r,
+        activation_front=a_f[row_at], activation_rear=a_r[row_at],
+        anchored_front=np.where(~stand_row & moving, 0, 1),
+        anchored_rear=np.where(stand_row & moving, 0, 1),
+        height=leg * np.sin(np.maximum(beta_f, beta_r)) + scenario.robot.height_offset,
+        anchor_front_x=np.array([anchor_f0, *(h[1] for h in handoffs)])[seen],
+        anchor_rear_x=np.array([anchor_r0, *(h[2] for h in handoffs)])[seen],
+        anchor_front_0=anchor_f0, anchor_rear_0=anchor_r0,
     )
 
 
@@ -577,9 +621,7 @@ def stroke_arcs(scenario: Scenario, periods, cycles: int = 0
     if cycles:
         top = top[:, None] * (1.0 - (e_h * e_c)[:, None] ** np.arange(1, cycles + 1))
         e_c = e_c[:, None]
-    # ActuatorModel.window of both band edges at once: [top, bottom]
-    band = np.array([top, top * e_c])
-    band = np.minimum(1.0, np.maximum(0.0, (band - act.a_on) / (act.a_sat - act.a_on)))
+    band = act.window(np.array([top, top * e_c]))  # [top, bottom]
     beta_f = band * cap_f
     cos_f = np.cos(beta_f)
     cos_r = np.cos(band * cap_r)

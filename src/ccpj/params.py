@@ -179,7 +179,7 @@ class GaitSignal:
     phase: tuple[float, ...] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.period <= 0.0:
+        if not (self.period > 0.0):  # NaN fails too
             raise ZeroDimensionError("period", self.period)
         if not (0.0 < self.duty < 1.0):
             raise OutOfRangeError("duty", self.duty, 0.0, 1.0)

@@ -110,6 +110,15 @@ class TestSimulate:
         assert load_config(default_config_path()).get(
             "terrain", "mu_backward") == math.inf
 
+    def test_step_cap_rejected(self, tmp_path, capsys):
+        # 2.5e13 steps: refused when the scenario is built, never run
+        cfg = tmp_path / "long.config"
+        cfg.write_text("[signal]\nperiod_s = 4\n[run]\nduration_s = 1e12\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: ValidationError:") and "cap" in err
+
     def test_infeasible_mask_override(self, tmp_path, scenario_path, capsys):
         # tunnel_40x20 ships front_only; forcing both groups exceeds the width
         out = tmp_path / "out"
@@ -159,6 +168,23 @@ class TestSweep:
                      "--config", str(scenario_path("flat_ratchet_T4")),
                      "--out", str(tmp_path)]) == 2
         assert "empty sweep range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, spec, message", [
+        ("sweep", "nan:5:1", "finite"),
+        ("sweep", "3:inf:1", "finite"),
+        ("sweep", "3:5:-inf", "finite"),
+        ("optimize", "3:5:nan", "finite"),
+        ("sweep", "2:10:0.001", "more than 1000 points"),
+        ("sweep", "0:1e308:1e-300", "more than 1000 points"),
+    ])
+    def test_unbounded_range_rejected(self, tmp_path, scenario_path, capsys,
+                                      command, spec, message):
+        # rejected before any run starts: no traceback, no endless sweep
+        assert main([command, "--param", "period", "--range", spec,
+                     "--config", str(scenario_path("flat_ratchet_T4")),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: ConfigError:") and message in err
 
     def test_bad_param(self, tmp_path, scenario_path, capsys):
         assert main(["sweep", "--param", "voltage",

@@ -20,6 +20,7 @@ from ccpj.errors import (
 from ccpj.gait import (
     BRACE_SHARE,
     MASKS,
+    MAX_STEPS,
     ActuatorModel,
     CurrentHeightMap,
     Scenario,
@@ -187,6 +188,31 @@ class TestScenarioValidation:
     def test_payload_non_negative(self):
         with pytest.raises(OutOfRangeError):
             Scenario(signal=GaitSignal(period=4.0), payload_mass=-1e-3)
+
+    def test_step_cap(self):
+        # checked on construction: nothing is allocated or run
+        Scenario(signal=GaitSignal(period=4.0), duration=MAX_STEPS * 0.04)
+        with pytest.raises(ValidationError, match="cap"):
+            Scenario(signal=GaitSignal(period=4.0), duration=(MAX_STEPS + 1) * 0.04)
+        with pytest.raises(ValidationError, match="cap"):
+            Scenario(signal=GaitSignal(period=4.0), duration=1e12)
+
+    @pytest.mark.parametrize("field", ["dt", "duration", "payload_mass", "slip_noise"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValidationError):
+            Scenario(signal=GaitSignal(period=4.0), **{field: math.nan})
+
+    def test_non_positive_dt_rejected(self):
+        with pytest.raises(ValidationError):
+            Scenario(signal=GaitSignal(period=4.0), dt=0.0)
+
+    def test_nan_time_constants_and_period_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            ActuatorModel(tau_heat=math.nan)
+        with pytest.raises(OutOfRangeError):
+            ActuatorModel(tau_cool=math.nan)
+        with pytest.raises(ValidationError):
+            GaitSignal(period=math.nan)
 
     def test_canonical_grouping_required(self):
         sig = GaitSignal(period=4.0, groups=((0, 1), (2,)))
