@@ -34,6 +34,7 @@ from .gait import (
     ActuatorModel,
     Scenario,
     SlipModel,
+    Terrain,
     stroke_arcs,
     sweep_period,
 )
@@ -242,29 +243,68 @@ def _require_flat_alternating(template: Scenario, what: str):
             f"{what} expects a flat, unloaded, all-legs, in-phase template")
 
 
-def _sweep_speeds(template: Scenario, actuator: ActuatorModel,
-                  eta0_grid: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """Closed-form sweep_period averages, shape (n_eta, n_periods).
+def _arc_speeds(terrain: Terrain, stand: np.ndarray, sit: np.ndarray,
+                eta0_grid: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """Sweep averages from unit-slip cold-start arcs, shape (n_eta, n_periods).
 
     The alternating template re-seats at every hand-off, so each cold-start
     stroke nets its slipped arc less the re-seat loss: this reproduces the
     simulator's sweep averages exactly (it is tested to).
     """
-    stand, sit, _, _ = stroke_arcs(replace(template, actuator=actuator),
-                                   periods, SWEEP_CYCLES)
-    ter = template.terrain
-    half = ter.reseat_loss
-    e = (eta0_grid * ter.anchor_efficiency)[:, None, None]
+    half = terrain.reseat_loss
+    e = (eta0_grid * terrain.anchor_efficiency)[:, None, None]
     d = (np.maximum(0.0, e * stand[None] - half)
          + np.maximum(0.0, e * sit[None] - half)).sum(axis=2)
     return d / (SWEEP_CYCLES * periods[None, :])
 
 
+def _sweep_speeds(template: Scenario, actuator: ActuatorModel,
+                  eta0_grid: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """Closed-form sweep_period averages, shape (n_eta, n_periods)."""
+    stand, sit, _, _ = stroke_arcs(replace(template, actuator=actuator),
+                                   periods, SWEEP_CYCLES)
+    return _arc_speeds(template.terrain, stand, sit, eta0_grid, periods)
+
+
+ETA0_GRID = np.linspace(0.0, 1.0, 2001)  # slip scales the profile chooses from
+
+
 def _profile_eta0(template: Scenario, actuator: ActuatorModel,
                   periods: np.ndarray, speeds: np.ndarray) -> tuple[float, float]:
-    """Best slip scale for a candidate actuator; returns (eta0, sse)."""
-    etas = np.linspace(0.0, 1.0, 2001)
-    v = _sweep_speeds(template, actuator, etas, periods)
+    """Best slip scale for a candidate actuator; returns (eta0, sse).
+
+    The answer is the argmin of the sweep SSE over ETA0_GRID, ties going to
+    the smallest eta, found without evaluating the whole grid. A stroke with
+    slope r = e*s > 0 in eta (e the anchor efficiency, s its unit-slip arc)
+    nets max(0, r*eta - half), which is linear past its knot half/r, so the
+    SSE is a convex quadratic between consecutive knots. Over one such
+    interval the grid minimum lies on one of the two grid points that
+    bracket the interval's vertex clipped into it. Those points and eta = 0
+    (the flat stretch before the first knot) are evaluated with
+    _arc_speeds' own arithmetic, in ascending order, so the values and the
+    tie-break are the full grid's bit for bit.
+    """
+    ter = template.terrain
+    stand, sit, _, _ = stroke_arcs(replace(template, actuator=actuator),
+                                   periods, SWEEP_CYCLES)
+    rate = ter.anchor_efficiency * np.concatenate([stand, sit], axis=1)
+    advances = rate > 0.0  # the other strokes stall at every eta
+    period_of, _ = np.nonzero(advances)
+    rate = rate[advances]
+    knot = ter.reseat_loss / rate
+    order = np.argsort(knot, kind="stable")
+    knot = knot[order]
+    # after the first j+1 knots every period's residual is alpha*eta + beta
+    live = np.eye(len(periods))[period_of[order]]
+    scale = SWEEP_CYCLES * periods
+    alpha = np.cumsum(live * rate[order, None], axis=0) / scale
+    beta = -ter.reseat_loss * np.cumsum(live, axis=0) / scale - speeds
+    vertex = -np.sum(alpha * beta, axis=1) / np.sum(alpha * alpha, axis=1)
+    at = np.clip(vertex, knot, np.append(knot[1:], np.inf))
+    at = np.clip(at, 0.0, 1.0) * (len(ETA0_GRID) - 1)
+    idx = np.unique(np.concatenate([[0.0], np.floor(at), np.ceil(at)]).astype(int))
+    etas = ETA0_GRID[idx]
+    v = _arc_speeds(ter, stand, sit, etas, periods)
     sse = np.sum((v - speeds[None, :]) ** 2, axis=1)
     k = int(np.argmin(sse))
     return float(etas[k]), float(sse[k])
@@ -338,10 +378,13 @@ def fit_thermal(dataset: Dataset, template: Scenario,
                 peak_window: tuple[float, float] = SPEED_PEAK_WINDOW) -> ActuatorModel:
     """Actuator lag constants from the speed-vs-period curve.
 
-    Grid search over (tau_heat, tau_cool) with the overall slip scale
-    profiled out per candidate, refined by grid shrinking. The objective
-    is an exact closed-form transcription of the simulator's period
-    sweep, so data the simulator generated is recovered without bias.
+    Grid search over (tau_heat, tau_cool), refined by grid shrinking (711
+    candidates). Each candidate's overall slip scale is profiled out: the
+    best of ETA0_GRID's 2001 points, found exactly from the few grid
+    points that can hold the minimum of the piecewise-quadratic SSE
+    (see _profile_eta0). The objective is an exact closed-form
+    transcription of the simulator's period sweep, so data the simulator
+    generated is recovered without bias.
     Raises NoFeasibleFit when the fitted curve's peak falls outside the
     expected period window.
     """

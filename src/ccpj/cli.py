@@ -88,8 +88,21 @@ def _emit(args, text: str):
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:  # a file at or above the path, or no permission
+        raise ConfigError(
+            f"--out {out} is not a writable directory: {err.strerror or err}"
+        ) from err
     return out
+
+
+def _write(path: Path, text: str):
+    """Write one artifact; an unwritable path is a bad --out, not a crash."""
+    try:
+        path.write_text(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _load(args) -> tuple[EffectiveConfig, Scenario]:
@@ -165,19 +178,19 @@ def cmd_simulate(args) -> int:
         report = RunReport(name=cfg.name, digest=cfg.digest,
                            metrics={"feasible": "no"},
                            error=f"{type(err).__name__}: {_single_line(err)}")
-        (out / f"{cfg.name}_report.txt").write_text(report.render())
+        _write(out / f"{cfg.name}_report.txt", report.render())
         raise
     csv_name = f"{cfg.name}_trace.csv"
-    (out / csv_name).write_text(trace.to_csv())
+    _write(out / csv_name, trace.to_csv())
     svg_name = f"{cfg.name}_displacement.svg"
-    (out / svg_name).write_text(line_plot(
+    _write(out / svg_name, line_plot(
         [("x", list(trace.t), [x * 1e3 for x in trace.x])],
         xlabel="time (s)", ylabel="displacement (mm)",
         title=f"{cfg.name}: displacement vs time"))
     report = RunReport(name=cfg.name, digest=cfg.digest,
                        metrics=_trace_metrics(trace, feas),
                        artifacts=[csv_name, svg_name])
-    (out / f"{cfg.name}_report.txt").write_text(report.render())
+    _write(out / f"{cfg.name}_report.txt", report.render())
     _emit(args, report.render().rstrip())
     return EXIT_OK
 
@@ -227,7 +240,7 @@ def cmd_sweep(args) -> int:
     csv_name = f"{cfg.name}_sweep_{args.param}.csv"
     lines = [f"{col},speed_mm_s"]
     lines += [f"{v:.6g},{s * 1e3:.6f}" for v, s in zip(values, speeds)]
-    (out / csv_name).write_text("\n".join(lines) + "\n")
+    _write(out / csv_name, "\n".join(lines) + "\n")
 
     marker = None
     k_best = max(range(len(values)), key=lambda i: speeds[i])
@@ -235,7 +248,7 @@ def cmd_sweep(args) -> int:
         marker = (values[k_best], speeds[k_best] * 1e3,
                   f"max at {values[k_best]:.6g} s")
     svg_name = f"{cfg.name}_sweep_{args.param}.svg"
-    (out / svg_name).write_text(line_plot(
+    _write(out / svg_name, line_plot(
         [("speed", values, [s * 1e3 for s in speeds])],
         xlabel=col, ylabel="speed (mm/s)",
         title=f"{cfg.name}: speed vs {args.param}", marker=marker))
@@ -246,7 +259,7 @@ def cmd_sweep(args) -> int:
                  f"best_{col}": values[k_best],
                  "best_speed_mm_s": speeds[k_best] * 1e3},
         artifacts=[csv_name, svg_name])
-    (out / f"{cfg.name}_sweep_{args.param}_report.txt").write_text(report.render())
+    _write(out / f"{cfg.name}_sweep_{args.param}_report.txt", report.render())
     _emit(args, report.render().rstrip())
     return EXIT_OK
 
@@ -279,7 +292,7 @@ def cmd_calibrate(args) -> int:
     })
 
     summary = "\n".join(r.summary() for r in result["results"])
-    (out / "calibration_report.txt").write_text(summary + "\n")
+    _write(out / "calibration_report.txt", summary + "\n")
     _emit(args, summary)
     return EXIT_OK
 
@@ -315,8 +328,8 @@ def cmd_optimize(args) -> int:
         lines.append(choice.summary())
     report = RunReport(name=cfg.name, digest=cfg.digest,
                        metrics={"result": "; ".join(lines)})
-    (out / f"{cfg.name}_optimize_{args.param}_report.txt").write_text(
-        report.render())
+    _write(out / f"{cfg.name}_optimize_{args.param}_report.txt",
+           report.render())
     _emit(args, "\n".join(lines))
     return EXIT_OK
 

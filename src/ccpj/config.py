@@ -374,4 +374,7 @@ def write_config(path: str | Path, sections: dict[str, dict[str, str]]):
     unknown = set(sections) - set(SCHEMA)
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
-    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        path.write_text("\n".join(lines), encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err

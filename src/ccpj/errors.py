@@ -101,6 +101,7 @@ class InfeasibleConfinementError(CcpjError):
     """No gait mode can pass the requested confinement."""
 
     def __init__(self, message: str, required_mm: float, available_mm: float):
+        self.reason = message  # without the (needs, has) suffix
         self.required_mm = required_mm
         self.available_mm = available_mm
         super().__init__(
@@ -126,9 +127,10 @@ class AllMasksInfeasibleError(InfeasibleConfinementError):
         avail = tightest.available_mm if tightest is not None else 0.0
         reasons = "; ".join(f"{mask}: {err}" for mask, err in self.failures.items())
         # bypass the parent __init__ message format, keep its fields
+        self.reason = f"no leg mask fits the confinement ({reasons})"
         self.required_mm = req
         self.available_mm = avail
-        CcpjError.__init__(self, f"no leg mask fits the confinement ({reasons})")
+        CcpjError.__init__(self, self.reason)
 
 
 class EmptyDatasetError(ValidationError):

@@ -504,7 +504,7 @@ def run(scenario: Scenario) -> SimTrace:
             if row == 0:  # the starting posture: no time stamp
                 raise
             raise InfeasibleConfinementError(
-                f"t={t[row]:.3f} s: {err.args[0]}", err.required_mm, err.available_mm
+                f"t={t[row]:.3f} s: {err.reason}", err.required_mm, err.available_mm
             ) from err
         caps.append((row, cap_f, cap_r))
         gap = _gap_at(scenario, x[b])

@@ -199,7 +199,7 @@ def run(scenario: Scenario) -> SimTrace:
             snapshot(prev_x)
     except InfeasibleConfinementError as err:
         raise InfeasibleConfinementError(
-            f"t={st.t:.3f} s: {err.args[0]}", err.required_mm, err.available_mm
+            f"t={st.t:.3f} s: {err.reason}", err.required_mm, err.available_mm
         ) from err
     cols = list(zip(*rows))
     return SimTrace(

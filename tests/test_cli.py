@@ -225,6 +225,44 @@ class TestCalibrate:
         assert "stiffness_vs_current" in err
 
 
+
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 with one line, no traceback."""
+
+    def _argv(self, command, scenario_path):
+        if command == "calibrate":
+            return ["calibrate"]
+        return [command, "--config", str(scenario_path("flat_ratchet_T4"))]
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate"])
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_out_is_or_is_under_a_file(self, tmp_path, scenario_path, capsys,
+                                       command, where):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker if where == "file" else blocker / "out"
+        assert main([*self._argv(command, scenario_path), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: ConfigError: --out ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command, artifact", [
+        ("simulate", "flat_ratchet_T4_trace.csv"),
+        ("calibrate", "calibrated.config"),
+        ("calibrate", "calibration_report.txt"),
+    ])
+    def test_artifact_path_is_a_directory(self, tmp_path, scenario_path,
+                                          capsys, command, artifact):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        assert main([*self._argv(command, scenario_path), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: ConfigError: cannot write ")
+        assert artifact in err
+
 class TestOptimize:
     def test_period(self, tmp_path, scenario_path, capsys):
         out = tmp_path / "out"

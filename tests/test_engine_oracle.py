@@ -159,6 +159,7 @@ def test_infeasible_gap_raises_at_same_time(monkeypatch, x0):
     with pytest.raises(InfeasibleConfinementError) as got:
         run(sc)
     assert str(got.value) == str(want.value)
+    assert str(got.value).count("(needs ") == 1
     assert got.value.required_mm == want.value.required_mm
     assert got.value.available_mm == want.value.available_mm
 

@@ -10,6 +10,7 @@ Regenerate with `PYTHONPATH=src python tests/test_golden.py`.
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -24,8 +25,9 @@ GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 SCENARIOS = ("flat_ratchet_T4", "gate_20mm", "gate_40mm", "payload_5g",
              "slope_15", "tunnel_40x20")
 
-# case id -> (argv after the subcommand, scenario name)
+# case id -> (argv after the subcommand, scenario name or None for no --config)
 CASES = {
+    "calibrate": (["calibrate"], None),
     **{f"simulate.{name}": (["simulate"], name) for name in SCENARIOS},
     "sweep.period": (["sweep", "--param", "period"], "flat_ratchet_T4"),
     "sweep.current": (["sweep", "--param", "current"], "flat_ratchet_T4"),
@@ -38,8 +40,9 @@ CASES = {
 def case_digests(case: str, out: Path) -> dict[str, str]:
     """Run one case into `out` and hash every artifact it writes."""
     argv, name = CASES[case]
-    config = data_dir() / "scenarios" / f"{name}.scenario"
-    code = main([*argv, "--config", str(config), "--out", str(out), "--quiet"])
+    if name is not None:
+        argv = [*argv, "--config", str(data_dir() / "scenarios" / f"{name}.scenario")]
+    code = main([*argv, "--out", str(out), "--quiet"])
     assert code == 0, f"{case} exited {code}"
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())}
@@ -57,6 +60,7 @@ def test_artifacts_match_golden_digests(tmp_path, case):
 
 
 if __name__ == "__main__":
+    os.environ.pop("CCPJ_DATA_DIR", None)
     record = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
