@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergenceError, OutOfRangeError, ValidationError
-from .params import BeamParams, CalibrationTable, validate_table
+from .params import BeamParams, CalibrationTable
 
 GRAVITY = 9.81  # m/s^2
 
@@ -39,7 +39,6 @@ def stiffness_at(current: float, table: CalibrationTable) -> float:
     Exact at table knots. No extrapolation: currents outside the table
     range raise OutOfRangeError.
     """
-    validate_table(table)
     cur = np.asarray(table.currents)
     if current < cur[0] - 1e-12 or current > cur[-1] + 1e-12:
         raise OutOfRangeError("current_a", current, cur[0], cur[-1])
@@ -106,9 +105,6 @@ class BeamShape:
     @property
     def n_segments(self) -> int:
         return len(self.joint_angles) + 1
-
-    def is_straight(self) -> bool:
-        return all(th == 0.0 for th in self.joint_angles)
 
 
 def node_positions(shape: BeamShape, segment_length: float) -> np.ndarray:
@@ -235,7 +231,9 @@ class _EnergyModel:
         return np.concatenate(pts), np.concatenate(forces), np.concatenate(cuts)
 
     def energy(self, x):
-        theta, nodes, centers = self.geometry(x)
+        return self._energy(*self.geometry(x))
+
+    def _energy(self, theta, nodes, centers):
         e = 0.5 * self.kappa * float(np.dot(theta, theta))
         e += self.gravity * float(np.dot(self.masses, centers[:, 1]))
         for node, fx, fy in self.point_loads:
@@ -246,7 +244,7 @@ class _EnergyModel:
 
     def energy_grad_hess(self, x, want_hess=True):
         theta, nodes, centers = self.geometry(x)
-        e = self.energy(x)
+        e = self._energy(theta, nodes, centers)
         grad = np.zeros(self.n_dof)
         grad[self._joint_slice] += self.kappa * theta
 

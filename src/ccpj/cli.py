@@ -306,8 +306,7 @@ def cmd_optimize(args) -> int:
     lines = []
     if args.param == "period":
         lo, hi, tol = _parse_range(args.range, "2:10:0.05")
-        spec = SearchSpec(objective="max-speed", variable="period",
-                          lo=lo, hi=hi, tolerance=tol)
+        spec = SearchSpec(lo=lo, hi=hi, tolerance=tol)
         t_star, v_star = optimize_period(spec, sc)
         lines.append(f"optimize_period: period_s={t_star:.6g}, "
                      f"speed_mm_s={v_star * 1e3:.6g}")
@@ -341,8 +340,7 @@ def cmd_report(args) -> int:
         return code
     cfg, sc = _load(args)
     if not sc.terrain.confined:
-        sweep_args = argparse.Namespace(**{**vars(args), "param": "period",
-                                           "range": args.range or "2:10:0.5"})
+        sweep_args = argparse.Namespace(**{**vars(args), "param": "period"})
         return cmd_sweep(sweep_args)
     return EXIT_OK
 

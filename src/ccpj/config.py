@@ -36,7 +36,6 @@ SCHEMA: dict[str, dict[str, str]] = {
         "span_3pb_mm": "len",
     },
     "robot": {
-        "n_legs": "int",
         "leg_tilt_deploy_deg": "float",
         "total_mass_g": "mass",
         "freestanding_height_mm": "len",
@@ -67,7 +66,6 @@ SCHEMA: dict[str, dict[str, str]] = {
         "slope_deg": "float",
         "surface": "str",
         "pitch_mm": "len",
-        "tooth_height_mm": "len",
         "ceiling_gap_mm": "len",
         "ceiling_region_mm": "regions",
         "tunnel_width_mm": "len",
@@ -229,6 +227,9 @@ def load_config(path: str | Path, *, include_defaults: bool = True
             f"{SCHEMA_VERSION})")
 
     name = values.get(("meta", "name")) or path.stem
+    if any(c in name for c in "/\\\0"):
+        # artifacts are named after the scenario: keep them inside --out
+        raise ConfigError(f"{path}: name {name!r} must be a plain file name")
     lines = sorted(f"{sect}.{key}={val}" for (sect, key), val in raw.items())
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return EffectiveConfig(name=name, path=str(path), values=values,
@@ -258,7 +259,6 @@ def build_robot(cfg: EffectiveConfig) -> RobotParams:
         offset = free - leg.leg_length * math.sin(math.radians(tilt))
     return RobotParams(
         leg=leg,
-        n_legs=cfg.get("robot", "n_legs", d.n_legs),
         leg_tilt_deploy=tilt,
         total_mass=cfg.get("robot", "total_mass_g", d.total_mass),
         height_offset=offset,
@@ -326,7 +326,6 @@ def build_terrain(cfg: EffectiveConfig) -> Terrain:
         slope=math.radians(cfg.get("terrain", "slope_deg", 0.0)),
         surface=cfg.get("terrain", "surface", d.surface),
         pitch=cfg.get("terrain", "pitch_mm", d.pitch),
-        tooth_height=cfg.get("terrain", "tooth_height_mm", d.tooth_height),
         ceiling=tuple(ceiling),
         tunnel_width=cfg.get("terrain", "tunnel_width_mm", d.tunnel_width),
         mu_forward=cfg.get("terrain", "mu_forward", d.mu_forward),

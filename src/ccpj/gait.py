@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import BETA_MAX, beta_for_height, standing_height
-from .params import BeamParams, CalibrationTable, GaitSignal, RobotParams
+from .params import N_LEGS, BeamParams, CalibrationTable, GaitSignal, RobotParams
 
 # Rear-pair azimuthal splay of the tripod: the two rear legs fan out
 # symmetrically at this angle from the body axis.
@@ -92,13 +92,6 @@ class ActuatorModel:
     def window(self, a):
         """Stroke fraction in [0,1] for a lag state (elementwise on arrays)."""
         return np.minimum(1.0, np.maximum(0.0, (a - self.a_on) / (self.a_sat - self.a_on)))
-
-    def steady_cycle(self, period: float, duty: float) -> tuple[float, float]:
-        """(a_top, a_bot) of the periodic steady state under the square wave."""
-        e_h = math.exp(-duty * period / self.tau_heat)
-        e_c = math.exp(-(1.0 - duty) * period / self.tau_cool)
-        a_top = (1.0 - e_h) / (1.0 - e_h * e_c)
-        return a_top, a_top * e_c
 
 
 @dataclass(frozen=True)
@@ -159,6 +152,11 @@ class CurrentHeightMap:
         return float(np.interp(i_high, cur, beta))
 
 
+# Finest ratchet pitch accepted (m), 1/3000 of the shipped teeth. Far finer
+# pitches overflow the lattice index (foot - origin) / pitch.
+MIN_PITCH = 1e-6
+
+
 @dataclass(frozen=True)
 class Terrain:
     """Ground and confinement description.
@@ -172,7 +170,6 @@ class Terrain:
     slope: float = 0.0  # rad
     surface: str = "ratchet"
     pitch: float = 3e-3  # m, ratchet tooth spacing
-    tooth_height: float = 0.5e-3  # m
     ceiling: tuple[tuple[float, float, float], ...] = ()
     tunnel_width: float | None = None
     mu_forward: float = 0.0
@@ -181,11 +178,8 @@ class Terrain:
     def __post_init__(self):
         if self.surface not in ("smooth", "ratchet"):
             raise ValidationError(f"unknown surface {self.surface!r}")
-        if self.surface == "ratchet":
-            if self.pitch <= 0.0:
-                raise OutOfRangeError("pitch", self.pitch, 0.0, math.inf)
-            if self.tooth_height < 0.0:
-                raise OutOfRangeError("tooth_height", self.tooth_height, 0.0, math.inf)
+        if self.surface == "ratchet" and not (self.pitch >= MIN_PITCH):
+            raise OutOfRangeError("pitch", self.pitch, MIN_PITCH, math.inf)
         for x0, x1, gap in self.ceiling:
             if gap <= 0.0:
                 raise OutOfRangeError("ceiling gap", gap, 0.0, math.inf)
@@ -271,7 +265,7 @@ class Scenario:
     duration: float = 24.6  # s
     dt: float = 0.04  # s
     seed: int = 0
-    slip_noise: float = 0.0  # std of per-engagement efficiency noise
+    slip_noise: float = 0.0  # std of per-engagement efficiency noise, <= 1
 
     def __post_init__(self):
         # written as not (ok) so that NaN fails every check
@@ -291,10 +285,12 @@ class Scenario:
             )
         if not (self.payload_mass >= 0.0):
             raise OutOfRangeError("payload_mass", self.payload_mass, 0.0, math.inf)
-        if not (self.slip_noise >= 0.0):
-            raise OutOfRangeError("slip_noise", self.slip_noise, 0.0, math.inf)
-        if self.signal.groups != ((0,), (1, 2)):
-            raise ValidationError("simulator expects the front / rear-pair grouping")
+        # a spread beyond the whole nominal efficiency is no longer noise,
+        # and a large one overflows the run to inf
+        if not (0.0 <= self.slip_noise <= 1.0):
+            raise OutOfRangeError("slip_noise", self.slip_noise, 0.0, 1.0)
+        if self.seed < 0:
+            raise OutOfRangeError("seed", self.seed, 0, math.inf)
 
     def resolved_height_map(self) -> CurrentHeightMap:
         if self.height_map is not None:
@@ -306,7 +302,7 @@ class Scenario:
         return next((name for name, m in MASKS.items() if m == mask), "none")
 
 
-FRONT, REAR = 0, 1  # group indices of the canonical front / rear-pair split
+FRONT, REAR = 0, 1  # group indices: the front leg, the rear pair
 
 LOOKAHEAD = 50e-3  # m, how far ahead of its reach the robot starts ducking
 
@@ -397,12 +393,9 @@ def _activation(scenario: Scenario, s0: np.ndarray, s1: np.ndarray,
     target + (a_start - target) * prod(exp(-h/tau)), the product taken in
     time order. math.exp is taken once per distinct sub-step length.
     """
-    act, sig = scenario.actuator, scenario.signal
-    high = np.zeros(len(s0), dtype=bool)
-    if sig.mask[group]:
-        u = np.remainder(0.5 * (s0 + s1) / sig.period - sig.phase[group], 1.0)
-        high = u < sig.duty
-    heat = np.where(high, sig.i_high, sig.i_low) >= act.i_threshold - 1e-12
+    act = scenario.actuator
+    current = scenario.signal.current_at(0.5 * (s0 + s1), group)
+    heat = current >= act.i_threshold - 1e-12
     lengths, which = np.unique(s1 - s0, return_inverse=True)
     decay = np.where(
         heat,
@@ -824,7 +817,7 @@ def static_load_check(current: float, load_mass: float, robot: RobotParams,
     flex = FlexuralModel.from_current(current, table, robot.leg)
     tilt = math.radians(robot.leg_tilt_deploy)
 
-    force = (robot.body_mass + load_mass) * 9.81 / robot.n_legs
+    force = (robot.body_mass + load_mass) * 9.81 / N_LEGS
     transverse = force * math.cos(tilt)
     res = equilibrium_shape(
         robot.leg, flex,

@@ -29,31 +29,20 @@ from .gait import (
     sweep_period,
 )
 from .kinematics import standing_height
-from .params import CalibrationTable, RobotParams, validate_table
+from .params import CalibrationTable, RobotParams
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-OBJECTIVES = ("max-speed", "min-transit-time")
-VARIABLES = ("period", "current", "mask")
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """What to optimize, over which variable, to what resolution."""
+    """Period bracket [lo, hi] (s) and resolution of the speed search."""
 
-    objective: str = "max-speed"
-    variable: str = "period"
     lo: float = 2.0
     hi: float = 10.0
     tolerance: float = 0.05
 
     def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValidationError(
-                f"objective {self.objective!r} not one of {OBJECTIVES}")
-        if self.variable not in VARIABLES:
-            raise ValidationError(
-                f"variable {self.variable!r} not one of {VARIABLES}")
         if not self.hi > self.lo:
             raise ValidationError(
                 f"degenerate bounds [{self.lo!r}, {self.hi!r}]")
@@ -122,10 +111,6 @@ def optimize_period(spec: SearchSpec, scenario: Scenario,
     NotUnimodal. `objective` overrides the simulated speed, for search
     verification against closed forms.
     """
-    if spec.variable != "period":
-        raise ValidationError(
-            f"optimize_period got a spec over {spec.variable!r}")
-
     if objective is None:
         def objective(period: float) -> float:
             return sweep_period(scenario, [period])[0][1]
@@ -173,7 +158,6 @@ def max_feasible_current(gap: float, robot: RobotParams,
         raise OutOfRangeError("gap", gap, 0.0, math.inf)
     if resolution <= 0.0:
         raise OutOfRangeError("resolution", resolution, 0.0, math.inf)
-    validate_table(table)
     hmap = height_map if height_map is not None else CurrentHeightMap.default(
         robot, i_threshold)
     leg = robot.leg.leg_length

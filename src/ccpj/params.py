@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     NonMonotoneCurrentError,
     NonMonotoneStiffnessError,
@@ -23,18 +25,8 @@ from .errors import (
 # so a violation is a user error we reject rather than clamp.
 MAX_CURRENT_A = 0.5
 
-
-@dataclass(frozen=True)
-class Current:
-    """Commanded actuator current in amperes. 0 <= value <= 0.5 A."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v) or v < 0.0 or v > MAX_CURRENT_A:
-            raise OutOfRangeError("current_a", v, 0.0, MAX_CURRENT_A)
-        object.__setattr__(self, "value", v)
+# The TripodBot: one front leg and a rear pair.
+N_LEGS = 3
 
 
 @dataclass(frozen=True)
@@ -43,16 +35,34 @@ class CalibrationTable:
 
     currents strictly increasing (A), stiffnesses non-negative and
     non-decreasing (N/m), at least two rows. Queries interpolate linearly
-    between knots and never extrapolate.
+    between knots and never extrapolate. A table is valid by construction.
+
+    Raises
+    ------
+    TooFewPointsError, NonMonotoneCurrentError, NonMonotoneStiffnessError
+        Each carries the offending row index.
     """
 
     points: tuple[tuple[float, float], ...]
 
+    def __post_init__(self):
+        pts = self.points
+        if len(pts) < 2:
+            raise TooFewPointsError(len(pts), 2, what="calibration table")
+        for idx, (cur, stiff) in enumerate(pts):
+            if not (math.isfinite(cur) and math.isfinite(stiff)):
+                raise ValidationError(f"non-finite entry at row {idx}")
+            if stiff < 0.0:
+                raise NonMonotoneStiffnessError(idx, stiff)
+            if idx > 0:
+                if cur <= pts[idx - 1][0]:
+                    raise NonMonotoneCurrentError(idx, cur)
+                if stiff < pts[idx - 1][1]:
+                    raise NonMonotoneStiffnessError(idx, stiff)
+
     @classmethod
     def from_points(cls, points) -> "CalibrationTable":
-        table = cls(tuple((float(i), float(k)) for i, k in points))
-        validate_table(table)
-        return table
+        return cls(tuple((float(i), float(k)) for i, k in points))
 
     @property
     def currents(self) -> tuple[float, ...]:
@@ -61,30 +71,6 @@ class CalibrationTable:
     @property
     def stiffnesses(self) -> tuple[float, ...]:
         return tuple(p[1] for p in self.points)
-
-
-def validate_table(table: CalibrationTable) -> CalibrationTable:
-    """Check all CalibrationTable invariants, raising on the first violation.
-
-    Raises
-    ------
-    TooFewPointsError, NonMonotoneCurrentError, NonMonotoneStiffnessError
-        Each carries the offending row index.
-    """
-    pts = table.points
-    if len(pts) < 2:
-        raise TooFewPointsError(len(pts), 2, what="calibration table")
-    for idx, (cur, stiff) in enumerate(pts):
-        if not (math.isfinite(cur) and math.isfinite(stiff)):
-            raise ValidationError(f"non-finite entry at row {idx}")
-        if stiff < 0.0:
-            raise NonMonotoneStiffnessError(idx, stiff)
-        if idx > 0:
-            if cur <= pts[idx - 1][0]:
-                raise NonMonotoneCurrentError(idx, cur)
-            if stiff < pts[idx - 1][1]:
-                raise NonMonotoneStiffnessError(idx, stiff)
-    return table
 
 
 @dataclass(frozen=True)
@@ -129,12 +115,11 @@ class BeamParams:
 class RobotParams:
     """Tripod robot geometry and masses.
 
-    body_mass is derived (total minus three legs) unless total_mass is
-    overridden; the build gives only total and per-beam masses.
+    body_mass is derived (total minus the N_LEGS legs) unless total_mass
+    is overridden; the build gives only total and per-beam masses.
     """
 
     leg: BeamParams = field(default_factory=BeamParams)
-    n_legs: int = 3
     leg_tilt_deploy: float = 60.0  # degrees, fully-stood contact angle
     total_mass: float = 2.1e-3  # kg
     height_offset: float = 63.5e-3 - 65e-3 * math.sin(math.radians(60.0))  # m
@@ -144,37 +129,34 @@ class RobotParams:
     deployed_box: tuple[float, float, float] = (105e-3, 120e-3, 64e-3)
 
     def __post_init__(self):
-        if self.n_legs != 3:
-            raise OutOfRangeError("n_legs", self.n_legs, 3, 3)
         if not (0.0 < self.leg_tilt_deploy <= 60.0):
             raise OutOfRangeError("leg_tilt_deploy", self.leg_tilt_deploy, 0.0, 60.0)
-        if self.total_mass <= self.n_legs * self.leg.beam_mass:
+        if self.total_mass <= N_LEGS * self.leg.beam_mass:
             raise ValidationError(
                 f"total_mass={self.total_mass!r} kg does not cover "
-                f"{self.n_legs} legs at {self.leg.beam_mass!r} kg each"
+                f"{N_LEGS} legs at {self.leg.beam_mass!r} kg each"
             )
 
     @property
     def body_mass(self) -> float:
         """Mass of everything that is not a leg (kg)."""
-        return self.total_mass - self.n_legs * self.leg.beam_mass
+        return self.total_mass - N_LEGS * self.leg.beam_mass
 
 
 @dataclass(frozen=True)
 class GaitSignal:
     """Square-wave current control, one wave per leg group.
 
-    Legs are indexed 0 = front, 1-2 = rear pair. groups partitions the
-    three legs; mask enables/disables each group; phase shifts each group's
-    wave by a fraction of the period. High current is applied during the
-    first `duty` fraction of each (shifted) period.
+    Group 0 is the front leg, group 1 the rear pair. mask enables/disables
+    each group; phase shifts each group's wave by a fraction of the
+    period. High current is applied during the first `duty` fraction of
+    each (shifted) period. Both currents lie in [0, MAX_CURRENT_A].
     """
 
     period: float  # s
     duty: float = 0.5
     i_high: float = 0.4  # A
     i_low: float = 0.0  # A
-    groups: tuple[tuple[int, ...], ...] = ((0,), (1, 2))
     mask: tuple[bool, ...] = (True, True)
     phase: tuple[float, ...] = (0.0, 0.0)
 
@@ -183,33 +165,30 @@ class GaitSignal:
             raise ZeroDimensionError("period", self.period)
         if not (0.0 < self.duty < 1.0):
             raise OutOfRangeError("duty", self.duty, 0.0, 1.0)
-        Current(self.i_high)
-        Current(self.i_low)
+        for current in (self.i_high, self.i_low):
+            if not (0.0 <= current <= MAX_CURRENT_A):  # NaN fails too
+                raise OutOfRangeError("current_a", float(current), 0.0, MAX_CURRENT_A)
         if self.i_low >= self.i_high:
             raise ValidationError(
                 f"i_low={self.i_low!r} must be below i_high={self.i_high!r}"
             )
-        flat = sorted(leg for grp in self.groups for leg in grp)
-        if flat != [0, 1, 2]:
-            raise ValidationError(f"groups {self.groups!r} must partition legs 0,1,2")
-        if len(self.mask) != len(self.groups) or len(self.phase) != len(self.groups):
+        if len(self.mask) != 2 or len(self.phase) != 2:
             raise ValidationError("mask and phase must have one entry per group")
         for ph in self.phase:
             if not (0.0 <= ph < 1.0):
                 raise OutOfRangeError("phase", ph, 0.0, 1.0)
 
-    def group_of(self, leg: int) -> int:
-        for gi, grp in enumerate(self.groups):
-            if leg in grp:
-                return gi
-        raise ValidationError(f"leg index {leg} not in any group")
+    def current_at(self, t, group: int):
+        """Commanded current (A) for a group at times t >= 0.
 
-    def current_at(self, t: float, group: int) -> float:
-        """Commanded current (A) for a group at time t >= 0."""
-        if not self.mask[group]:
-            return self.i_low
-        u = (t / self.period - self.phase[group]) % 1.0
-        return self.i_high if u < self.duty else self.i_low
+        Elementwise when t is an array; a float for a scalar t.
+        """
+        if self.mask[group]:
+            u = np.remainder(np.asarray(t) / self.period - self.phase[group], 1.0)
+            current = np.where(u < self.duty, self.i_high, self.i_low)
+        else:
+            current = np.full(np.shape(t), self.i_low)
+        return float(current) if current.ndim == 0 else current
 
 
 def compaction_ratio(params: RobotParams) -> float:

@@ -136,6 +136,8 @@ class TestEquilibrium:
                 fd[i] = (model.energy(x + dx) - model.energy(x - dx)) / (2 * eps)
             scale = max(1.0, float(np.max(np.abs(grad))))
             assert float(np.max(np.abs(grad - fd))) / scale < 1e-6
+            # one energy sum: the Newton step and the line search agree bitwise
+            assert model.energy_grad_hess(x)[0] == model.energy(x)
 
     def test_energy_history_non_increasing(self, table):
         params = BeamParams()

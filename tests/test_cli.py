@@ -2,14 +2,22 @@
 
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccpj.cli import main
-from ccpj.config import default_config_path, load_config
+from ccpj.config import (
+    MASKS,
+    SCHEMA,
+    build_scenario,
+    default_config_path,
+    load_config,
+)
 
-FLAT_DIGEST = "c777ff1190f1f0d4e8972b44d870250c98df709b6c2a536eeb8940b7a1fe45b4"
+FLAT_DIGEST = "bfea5bc0a3bea5519f7e2e1d66f1651c2968a291fdc3dfe996ee734f3937809e"
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +117,43 @@ class TestSimulate:
         # the shipped default keeps its meaningful infinity
         assert load_config(default_config_path()).get(
             "terrain", "mu_backward") == math.inf
+
+    @pytest.mark.parametrize("section, key", [("robot", "n_legs"),
+                                              ("terrain", "tooth_height_mm")])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, section, key):
+        cfg = tmp_path / "old.config"
+        cfg.write_text(f"[signal]\nperiod_s = 4\n[{section}]\n{key} = 3\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: ConfigError:")
+        assert f"unknown key {key!r} in [{section}]" in err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # the noise generator would otherwise fail mid-run with a traceback
+        cfg = tmp_path / "seed.config"
+        cfg.write_text("[signal]\nperiod_s = 4\n[run]\nseed = -1\nslip_noise = 0.1\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: OutOfRangeError: seed=-1")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("terrain", "pitch_mm", "1e-320"),  # lattice index overflows
+        ("run", "slip_noise", "1e308"),  # noise factor overflows
+        ("meta", "name", "a\0b"),
+        ("meta", "name", "../escaped"),
+    ])
+    def test_overflowing_or_unsafe_value_rejected(self, tmp_path, capsys,
+                                                  section, key, value):
+        cfg = tmp_path / "bad.config"
+        run = "" if section == "run" else "[run]\n"
+        cfg.write_text(f"[signal]\nperiod_s = 4\n[{section}]\n{key} = {value}\n"
+                       f"{run}seed = 1\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("ccpj: error[2]: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.config"]
 
     def test_step_cap_rejected(self, tmp_path, capsys):
         # 2.5e13 steps: refused when the scenario is built, never run
@@ -323,6 +368,13 @@ class TestReport:
             "flat_ratchet_T4_trace.csv",
         ]
 
+    def test_default_period_range(self, tmp_path, scenario_path):
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(scenario_path("flat_ratchet_T4")),
+                     "--out", str(out), "--quiet"]) == 0
+        rpt = (out / "flat_ratchet_T4_sweep_period_report.txt").read_text()
+        assert report_metric(rpt, "points") == 17  # 2:10:0.5
+
     def test_confined_skips_sweep(self, tmp_path, scenario_path):
         out = tmp_path / "out"
         assert main(["report", "--config", str(scenario_path("gate_40mm")),
@@ -330,3 +382,78 @@ class TestReport:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["gate_40mm_displacement.svg", "gate_40mm_report.txt",
                          "gate_40mm_trace.csv"]
+
+
+# Value strings for the property below: free text, numbers of every kind
+# (extremes, subnormals, non-finite), and values of the shape each key's
+# converter expects, so that a good share of the draws parse and run.
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["0", "-0", "1e-320", "5e-324", "1e308", "inf", "-inf", "nan"]),
+)
+SMALL = st.one_of(st.floats(0.0, 10.0), st.floats(-100.0, 100.0)).map(repr)
+
+
+def _joined(part, n):
+    return st.lists(part, min_size=n, max_size=n).map(":".join)
+
+
+ANY_TEXT = st.one_of(
+    st.text(max_size=12),
+    NUMBER_TEXT,
+    _joined(NUMBER_TEXT, 2),
+    _joined(NUMBER_TEXT, 3),
+    st.lists(_joined(NUMBER_TEXT, 3), min_size=1, max_size=2).map(" ".join),
+)
+SHAPED_TEXT = {
+    "int": st.integers(-5, 40).map(str),
+    "float": SMALL, "float_inf": SMALL, "len": SMALL, "mass": SMALL,
+    "str": st.sampled_from(["smooth", "ratchet", "ice", "flat"]),
+    "mask": st.sampled_from([*MASKS, "both"]),
+    "pair": _joined(st.floats(0.0, 1.0).map(repr), 2),
+    "box": _joined(SMALL, 3),
+    "pairs": st.lists(_joined(SMALL, 2), min_size=1, max_size=4).map(" ".join),
+    "regions": st.lists(_joined(SMALL, 3), min_size=1, max_size=2).map(" ".join),
+}
+SCHEMA_ENTRIES = st.sampled_from(
+    [(section, key) for section, keys in SCHEMA.items() for key in keys]
+).flatmap(lambda e: st.tuples(
+    st.just(e), st.one_of(SHAPED_TEXT[SCHEMA[e[0]][e[1]]], ANY_TEXT)))
+
+REPORT_TEXT = {"name", "digest", "status", "error", "artifact", "feasible",
+               "mask", "all_legs_feasible"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(drawn=SCHEMA_ENTRIES,
+       seed=st.one_of(st.integers(0, 2**70), st.integers(-3, 3)),
+       slip_noise=st.one_of(st.sampled_from(["0", "0.05"]),
+                            st.floats(0.0, 1.0).map(repr), NUMBER_TEXT))
+def test_any_value_exits_cleanly(drawn, seed, slip_noise):
+    """Any value on any key: a clean exit code, and finite metrics on success."""
+    (section, key), value = drawn
+    sections = {"signal": {"period_s": "4.0"},
+                "run": {"seed": str(seed), "slip_noise": slip_noise}}
+    sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                   for name, body in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "flat.scenario"
+        cfg.write_text(text, encoding="utf-8")
+        out = Path(tmp) / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            return
+        terrain = build_scenario(load_config(cfg)).terrain
+        unbounded_gap = terrain.tunnel_width is not None and not terrain.ceiling
+        (report,) = out.glob("*_report.txt")
+        for line in report.read_text().splitlines():
+            name, _, val = line.partition(" = ")
+            if name in REPORT_TEXT:
+                continue
+            if name == "min_gap_mm":
+                assert math.isinf(float(val)) == unbounded_gap, line
+            else:
+                assert math.isfinite(float(val)), line

@@ -32,6 +32,7 @@ from ccpj.gait import (
     run,
     static_load_check,
     steady_cycle_displacement,
+    stroke_arcs,
     sweep_period,
 )
 from ccpj.kinematics import StrokeGeometry, cycle_speed, standing_height
@@ -84,14 +85,21 @@ class TestActuatorModel:
         mid = 0.5 * (act.a_on + act.a_sat)
         assert act.window(mid) == pytest.approx(0.5, rel=1e-12)
 
-    def test_steady_cycle_is_fixed_point(self):
-        act = ActuatorModel()
-        for period, duty in [(2.0, 0.5), (4.0, 0.5), (7.0, 0.3)]:
-            a_top, a_bot = act.steady_cycle(period, duty)
-            assert act.advance(a_bot, 0.4, duty * period) \
-                == pytest.approx(a_top, rel=1e-12)
-            assert act.advance(a_top, 0.0, (1.0 - duty) * period) \
-                == pytest.approx(a_bot, rel=1e-12)
+    def test_steady_cycle_is_fixed_point(self, make_scenario):
+        # stroke_arcs' steady band is where repeated heat/cool cycles settle
+        cap = math.radians(60.0)  # full deployment at 0.4 A, no ceiling
+        for period, duty in [(2.0, 0.5), (4.0, 0.5), (7.0, 0.3), (1.0, 0.8)]:
+            sc = make_scenario(period=period, signal_kwargs={"duty": duty},
+                               dt=period / 200.0)
+            act = sc.actuator
+            a_bot = 0.0
+            for _ in range(200):
+                a_top = act.advance(a_bot, 0.4, duty * period)
+                a_bot = act.advance(a_top, 0.0, (1.0 - duty) * period)
+            _, _, b_top, b_bot = stroke_arcs(sc, [period])
+            assert b_top[0] == pytest.approx(act.window(a_top) * cap, rel=1e-12)
+            assert b_bot[0] == pytest.approx(act.window(a_bot) * cap, rel=1e-12,
+                                             abs=1e-15)
             assert 0.0 < a_bot < a_top < 1.0
 
 
@@ -148,7 +156,7 @@ class TestTerrain:
         with pytest.raises(OutOfRangeError):
             Terrain(pitch=0.0)
         with pytest.raises(OutOfRangeError):
-            Terrain(tooth_height=-1e-3)
+            Terrain(pitch=1e-7)
         with pytest.raises(ValidationError):
             Terrain(ceiling=((0.2, 0.1, 0.04),))
         with pytest.raises(OutOfRangeError):
@@ -202,6 +210,17 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             Scenario(signal=GaitSignal(period=4.0), **{field: math.nan})
 
+    def test_slip_noise_at_most_one(self):
+        Scenario(signal=GaitSignal(period=4.0), slip_noise=1.0)
+        with pytest.raises(OutOfRangeError, match="slip_noise"):
+            Scenario(signal=GaitSignal(period=4.0), slip_noise=1.5)
+
+    def test_negative_seed_rejected(self):
+        for noise in (0.0, 0.1):
+            with pytest.raises(OutOfRangeError, match="seed"):
+                Scenario(signal=GaitSignal(period=4.0), seed=-1, slip_noise=noise)
+        Scenario(signal=GaitSignal(period=4.0), seed=0, slip_noise=0.1)
+
     def test_non_positive_dt_rejected(self):
         with pytest.raises(ValidationError):
             Scenario(signal=GaitSignal(period=4.0), dt=0.0)
@@ -213,11 +232,6 @@ class TestScenarioValidation:
             ActuatorModel(tau_cool=math.nan)
         with pytest.raises(ValidationError):
             GaitSignal(period=math.nan)
-
-    def test_canonical_grouping_required(self):
-        sig = GaitSignal(period=4.0, groups=((0, 1), (2,)))
-        with pytest.raises(ValidationError):
-            Scenario(signal=sig)
 
     def test_mask_names(self):
         for mask, name in [((True, True), "all"), ((True, False), "front_only"),

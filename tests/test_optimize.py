@@ -30,13 +30,9 @@ from ccpj.params import GaitSignal
 class TestSearchSpec:
     def test_defaults(self):
         spec = SearchSpec()
-        assert spec.objective == "max-speed" and spec.variable == "period"
+        assert (spec.lo, spec.hi, spec.tolerance) == (2.0, 10.0, 0.05)
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            SearchSpec(objective="min-energy")
-        with pytest.raises(ValidationError):
-            SearchSpec(variable="duty")
         with pytest.raises(ValidationError):
             SearchSpec(lo=5.0, hi=5.0)
         with pytest.raises(OutOfRangeError):
@@ -101,10 +97,6 @@ class TestOptimizePeriod:
         spec = SearchSpec(lo=2.0, hi=10.0, tolerance=0.5)
         _, speed = optimize_period(spec, quiet)
         assert speed == 0.0
-
-    def test_wrong_variable_rejected(self, flat_scenario):
-        with pytest.raises(ValidationError):
-            optimize_period(SearchSpec(variable="current"), flat_scenario)
 
 
 class TestMaxFeasibleCurrent:
