@@ -142,15 +142,6 @@ def is_deployed(shape: BeamShape, params: BeamParams, tol_frac: float = 0.02) ->
     return max_chord_deviation(shape, params.bead_thickness) < tol_frac * params.leg_length
 
 
-def shape_to_csv(shape: BeamShape, segment_length: float) -> str:
-    """Node coordinates as CSV text: arc_length_m, x_m, y_m."""
-    nodes = node_positions(shape, segment_length)
-    lines = ["arc_length_m,x_m,y_m"]
-    for i, (x, y) in enumerate(nodes):
-        lines.append(f"{i * segment_length:.9f},{x:.9f},{y:.9f}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class LoadCase:
     """Loads on the chain: gravity plus constant point forces at nodes."""

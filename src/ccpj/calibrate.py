@@ -35,6 +35,7 @@ from .gait import (
     Scenario,
     SlipModel,
     Terrain,
+    _stroke_arcs,
     stroke_arcs,
     sweep_period,
 )
@@ -247,14 +248,17 @@ def _arc_speeds(terrain: Terrain, stand: np.ndarray, sit: np.ndarray,
                 eta0_grid: np.ndarray, periods: np.ndarray) -> np.ndarray:
     """Sweep averages from unit-slip cold-start arcs, shape (n_eta, n_periods).
 
-    The alternating template re-seats at every hand-off, so each cold-start
-    stroke nets its slipped arc less the re-seat loss: this reproduces the
-    simulator's sweep averages exactly (it is tested to).
+    stand and sit are either shared by every slip scale, shape
+    (n_periods, cycles), or one set per slip scale, shape
+    (n_eta, n_periods, cycles). The alternating template re-seats at every
+    hand-off, so each cold-start stroke nets its slipped arc less the
+    re-seat loss: this reproduces the simulator's sweep averages exactly
+    (it is tested to).
     """
     half = terrain.reseat_loss
     e = (eta0_grid * terrain.anchor_efficiency)[:, None, None]
-    d = (np.maximum(0.0, e * stand[None] - half)
-         + np.maximum(0.0, e * sit[None] - half)).sum(axis=2)
+    d = (np.maximum(0.0, e * stand - half)
+         + np.maximum(0.0, e * sit - half)).sum(axis=-1)
     return d / (SWEEP_CYCLES * periods[None, :])
 
 
@@ -269,49 +273,99 @@ def _sweep_speeds(template: Scenario, actuator: ActuatorModel,
 ETA0_GRID = np.linspace(0.0, 1.0, 2001)  # slip scales the profile chooses from
 
 
-def _profile_eta0(template: Scenario, actuator: ActuatorModel,
-                  periods: np.ndarray, speeds: np.ndarray) -> tuple[float, float]:
-    """Best slip scale for a candidate actuator; returns (eta0, sse).
+def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
+                  speeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best slip scale for each candidate actuator; returns (eta0, sse).
 
-    The answer is the argmin of the sweep SSE over ETA0_GRID, ties going to
-    the smallest eta, found without evaluating the whole grid. A stroke with
-    slope r = e*s > 0 in eta (e the anchor efficiency, s its unit-slip arc)
-    nets max(0, r*eta - half), which is linear past its knot half/r, so the
-    SSE is a convex quadratic between consecutive knots. Over one such
-    interval the grid minimum lies on one of the two grid points that
-    bracket the interval's vertex clipped into it. Those points and eta = 0
-    (the flat stretch before the first knot) are evaluated with
-    _arc_speeds' own arithmetic, in ascending order, so the values and the
-    tie-break are the full grid's bit for bit.
+    The candidates are the template's actuator with the lag constants
+    tau_heat and tau_cool, broadcast to one axis of length n; both results
+    have shape (n,). Each answer is the argmin of that candidate's sweep
+    SSE over ETA0_GRID, ties going to the smallest eta, found without
+    evaluating the whole grid. A stroke with slope r = e*s > 0 in eta (e
+    the anchor efficiency, s its unit-slip arc) nets max(0, r*eta - half),
+    which is linear past its knot half/r, so the SSE is a convex quadratic
+    between consecutive knots. Over one such interval the grid minimum
+    lies on one of the two grid points that bracket the interval's vertex
+    clipped into it. Those points and eta = 0 (the flat stretch before the
+    first knot) are evaluated with _arc_speeds' own arithmetic, in
+    ascending order, so the values and the tie-break are the full grid's
+    bit for bit. A stroke that stalls at every eta gets knot +inf: it
+    sorts after every advancing stroke under the stable sort, is never
+    live in the cumulative sums, and its interval contributes only eta = 0.
     """
     ter = template.terrain
-    stand, sit, _, _ = stroke_arcs(replace(template, actuator=actuator),
-                                   periods, SWEEP_CYCLES)
-    rate = ter.anchor_efficiency * np.concatenate([stand, sit], axis=1)
+    half = ter.reseat_loss
+    stand, sit, _, _ = _stroke_arcs(template, np.reshape(tau_heat, (-1, 1)),
+                                    np.reshape(tau_cool, (-1, 1)), periods,
+                                    SWEEP_CYCLES)
+    n, n_periods = stand.shape[:2]
+    rate = ter.anchor_efficiency * np.concatenate([stand, sit], axis=2)
+    rate = rate.reshape(n, -1)
     advances = rate > 0.0  # the other strokes stall at every eta
-    period_of, _ = np.nonzero(advances)
-    rate = rate[advances]
-    knot = ter.reseat_loss / rate
-    order = np.argsort(knot, kind="stable")
-    knot = knot[order]
+    knot = np.divide(half, rate, out=np.full_like(rate, np.inf), where=advances)
+    order = np.argsort(knot, axis=1, kind="stable")
+    rows = np.arange(n)[:, None]
+    knot, rate, advances = knot[rows, order], rate[rows, order], advances[rows, order]
     # after the first j+1 knots every period's residual is alpha*eta + beta
-    live = np.eye(len(periods))[period_of[order]]
+    period_of = order // (2 * SWEEP_CYCLES)  # strokes per period
+    live = ((period_of[..., None] == np.arange(n_periods))
+            & advances[..., None]).astype(float)
     scale = SWEEP_CYCLES * periods
-    alpha = np.cumsum(live * rate[order, None], axis=0) / scale
-    beta = -ter.reseat_loss * np.cumsum(live, axis=0) / scale - speeds
-    vertex = -np.sum(alpha * beta, axis=1) / np.sum(alpha * alpha, axis=1)
-    at = np.clip(vertex, knot, np.append(knot[1:], np.inf))
-    at = np.clip(at, 0.0, 1.0) * (len(ETA0_GRID) - 1)
-    idx = np.unique(np.concatenate([[0.0], np.floor(at), np.ceil(at)]).astype(int))
-    etas = ETA0_GRID[idx]
-    v = _arc_speeds(ter, stand, sit, etas, periods)
-    sse = np.sum((v - speeds[None, :]) ** 2, axis=1)
-    k = int(np.argmin(sse))
-    return float(etas[k]), float(sse[k])
+    alpha = np.cumsum(live * rate[..., None], axis=1) / scale
+    beta = -half * np.cumsum(live, axis=1) / scale - speeds
+    vertex = np.divide(-np.sum(alpha * beta, axis=2), np.sum(alpha * alpha, axis=2),
+                       out=np.zeros_like(knot), where=advances)  # stalled: 0/0
+    upper = np.concatenate([knot[:, 1:], np.full((n, 1), np.inf)], axis=1)
+    at = np.where(advances, np.clip(np.clip(vertex, knot, upper), 0.0, 1.0), 0.0)
+    at = at * (len(ETA0_GRID) - 1)
+    idx = np.concatenate([np.zeros((n, 1)), np.floor(at), np.ceil(at)], axis=1)
+    # (candidate, grid index) keys, sorted and deduplicated; np.unique's
+    # hash table costs several times this sort on a few thousand keys
+    keys = np.sort(idx.astype(int) + len(ETA0_GRID) * rows, axis=None)
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    cand, idx = np.divmod(keys, len(ETA0_GRID))
+    sse = np.sum((_arc_speeds(ter, stand[cand], sit[cand], ETA0_GRID[idx], periods)
+                  - speeds[None, :]) ** 2, axis=1)
+    # by candidate, then by sse; lexsort is stable, so ties keep ascending
+    # eta and each candidate's block opens with its first minimum
+    k = np.lexsort((sse, cand))[np.searchsorted(cand, np.arange(n))]
+    return ETA0_GRID[idx[k]], sse[k]
 
 
 THERMAL_BOUNDS = {"tau_heat_s": (0.2, 3.0), "tau_cool_s": (0.1, 2.0)}
 SPEED_PEAK_WINDOW = (3.5, 4.5)  # s
+
+
+def _thermal_grid_search(template: Scenario, periods: np.ndarray,
+                         speeds: np.ndarray) -> tuple[float, float, float, float]:
+    """Best (sse, tau_heat, tau_cool, eta0) over the grid and its refinements.
+
+    A 15 x 15 grid over THERMAL_BOUNDS, then six levels of 9 x 9 shrinking
+    around the best so far (711 candidates). The profiled objective is the
+    closed-form transcription of sweep_period's averages, so the surface
+    being minimized is exactly the one the simulator would report. Each
+    tau_heat row is profiled in one _profile_eta0 call; the row's first
+    minimum must beat the best so far strictly, which keeps the first
+    strict minimum in (tau_heat outer, tau_cool inner) order.
+    """
+    (th_lo, th_hi) = THERMAL_BOUNDS["tau_heat_s"]
+    (tc_lo, tc_hi) = THERMAL_BOUNDS["tau_cool_s"]
+    best = None
+    th_grid = np.linspace(th_lo, th_hi, 15)
+    tc_grid = np.linspace(tc_lo, tc_hi, 15)
+    for _ in range(7):
+        for th in th_grid:
+            eta0, sse = _profile_eta0(template, th, tc_grid, periods, speeds)
+            k = int(np.argmin(sse))
+            if best is None or sse[k] < best[0]:
+                best = (float(sse[k]), float(th), float(tc_grid[k]), float(eta0[k]))
+        step_h = (th_grid[-1] - th_grid[0]) / (len(th_grid) - 1)
+        step_c = (tc_grid[-1] - tc_grid[0]) / (len(tc_grid) - 1)
+        th_grid = np.linspace(max(th_lo, best[1] - 1.5 * step_h),
+                              min(th_hi, best[1] + 1.5 * step_h), 9)
+        tc_grid = np.linspace(max(tc_lo, best[2] - 1.5 * step_c),
+                              min(tc_hi, best[2] + 1.5 * step_c), 9)
+    return best
 
 
 def _fit_thermal_full(dataset: Dataset, template: Scenario,
@@ -325,34 +379,8 @@ def _fit_thermal_full(dataset: Dataset, template: Scenario,
     order = np.argsort(periods)
     periods, speeds = periods[order], speeds[order]
 
-    (th_lo, th_hi) = THERMAL_BOUNDS["tau_heat_s"]
-    (tc_lo, tc_hi) = THERMAL_BOUNDS["tau_cool_s"]
-
-    def candidate(tau_h, tau_c):
-        return replace(template.actuator, tau_heat=float(tau_h), tau_cool=float(tau_c))
-
-    # coarse grid, then shrinking refinement. The profiled objective is the
-    # closed-form transcription of sweep_period's averages, so the surface
-    # being minimized is exactly the one the simulator would report.
-    best = None
-    th_grid = np.linspace(th_lo, th_hi, 15)
-    tc_grid = np.linspace(tc_lo, tc_hi, 15)
-    for _ in range(7):
-        for th in th_grid:
-            for tc in tc_grid:
-                act = candidate(th, tc)
-                eta0, sse = _profile_eta0(template, act, periods, speeds)
-                if best is None or sse < best[0]:
-                    best = (sse, float(th), float(tc), eta0)
-        step_h = (th_grid[-1] - th_grid[0]) / (len(th_grid) - 1)
-        step_c = (tc_grid[-1] - tc_grid[0]) / (len(tc_grid) - 1)
-        th_grid = np.linspace(max(th_lo, best[1] - 1.5 * step_h),
-                              min(th_hi, best[1] + 1.5 * step_h), 9)
-        tc_grid = np.linspace(max(tc_lo, best[2] - 1.5 * step_c),
-                              min(tc_hi, best[2] + 1.5 * step_c), 9)
-
-    _, tau_h, tau_c, eta0 = best
-    fitted = candidate(tau_h, tau_c)
+    _, tau_h, tau_c, eta0 = _thermal_grid_search(template, periods, speeds)
+    fitted = replace(template.actuator, tau_heat=tau_h, tau_cool=tau_c)
 
     # report the residual off an actual simulator sweep, not the transcription
     sc = replace(template, actuator=fitted,
@@ -379,9 +407,10 @@ def fit_thermal(dataset: Dataset, template: Scenario,
     """Actuator lag constants from the speed-vs-period curve.
 
     Grid search over (tau_heat, tau_cool), refined by grid shrinking (711
-    candidates). Each candidate's overall slip scale is profiled out: the
-    best of ETA0_GRID's 2001 points, found exactly from the few grid
-    points that can hold the minimum of the piecewise-quadratic SSE
+    candidates, profiled one tau_heat row at a time; see
+    _thermal_grid_search). Each candidate's overall slip scale is profiled
+    out: the best of ETA0_GRID's 2001 points, found exactly from the few
+    grid points that can hold the minimum of the piecewise-quadratic SSE
     (see _profile_eta0). The objective is an exact closed-form
     transcription of the simulator's period sweep, so data the simulator
     generated is recovered without bias.

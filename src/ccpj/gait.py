@@ -45,7 +45,13 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import BETA_MAX, beta_for_height, standing_height
-from .params import N_LEGS, BeamParams, CalibrationTable, GaitSignal, RobotParams
+from .params import (
+    MAX_CURRENT_A,
+    N_LEGS,
+    CalibrationTable,
+    GaitSignal,
+    RobotParams,
+)
 
 # Rear-pair azimuthal splay of the tripod: the two rear legs fan out
 # symmetrically at this angle from the body axis.
@@ -60,10 +66,11 @@ class ActuatorModel:
 
     The lag state a in [0,1] relaxes toward 1 while the commanded current
     is at or above i_threshold (time constant tau_heat) and toward 0
-    otherwise (tau_cool). The contact angle follows the windowed fraction
-    window(a): dead below a_on, saturated above a_sat. The window models
-    the cord having to take up slack before the legs move, and the legs
-    reaching their geometric stop before the cord is fully contracted.
+    otherwise (tau_cool); i_threshold lies in (0, MAX_CURRENT_A]. The
+    contact angle follows the windowed fraction window(a): dead below
+    a_on, saturated above a_sat. The window models the cord having to
+    take up slack before the legs move, and the legs reaching their
+    geometric stop before the cord is fully contracted.
 
     Defaults are the values calibrated against the shipped speed-vs-period
     dataset (see calibrate.fit_thermal).
@@ -78,6 +85,8 @@ class ActuatorModel:
     def __post_init__(self):
         if not (self.tau_heat > 0.0 and self.tau_cool > 0.0):
             raise OutOfRangeError("tau", min(self.tau_heat, self.tau_cool), 0.0, math.inf)
+        if not (0.0 < self.i_threshold <= MAX_CURRENT_A):  # NaN fails too
+            raise OutOfRangeError("i_threshold", self.i_threshold, 0.0, MAX_CURRENT_A)
         if not (0.0 <= self.a_on < self.a_sat <= 1.0):
             raise ValidationError(
                 f"window bounds a_on={self.a_on!r}, a_sat={self.a_sat!r} invalid"
@@ -604,16 +613,29 @@ def stroke_arcs(scenario: Scenario, periods, cycles: int = 0
     transcription is tested against.
     """
     act = scenario.actuator
+    return _stroke_arcs(scenario, act.tau_heat, act.tau_cool, periods, cycles)
+
+
+def _stroke_arcs(scenario: Scenario, tau_heat, tau_cool, periods, cycles: int = 0):
+    """stroke_arcs with the lag constants broadcast against the periods.
+
+    tau_heat and tau_cool replace the scenario actuator's; arrays of shape
+    (n, 1) give every output a leading candidate axis of length n. Each
+    operation is elementwise, so every candidate's values are the bits
+    stroke_arcs gives for that candidate alone.
+    """
+    act = scenario.actuator
     duty = scenario.signal.duty
     leg = scenario.robot.leg.leg_length
     cap_f, cap_r = _beta_caps(scenario, 0.0)
     periods = np.asarray(periods, dtype=float)
-    e_h = np.exp(-duty * periods / act.tau_heat)
-    e_c = np.exp(-(1.0 - duty) * periods / act.tau_cool)
+    e_h = np.exp(-duty * periods / tau_heat)
+    e_c = np.exp(-(1.0 - duty) * periods / tau_cool)
     top = (1.0 - e_h) / (1.0 - e_h * e_c)
     if cycles:
-        top = top[:, None] * (1.0 - (e_h * e_c)[:, None] ** np.arange(1, cycles + 1))
-        e_c = e_c[:, None]
+        steps = np.arange(1, cycles + 1)
+        top = top[..., None] * (1.0 - (e_h * e_c)[..., None] ** steps)
+        e_c = e_c[..., None]
     band = act.window(np.array([top, top * e_c]))  # [top, bottom]
     beta_f = band * cap_f
     cos_f = np.cos(beta_f)
@@ -621,8 +643,8 @@ def stroke_arcs(scenario: Scenario, periods, cycles: int = 0
     # each stand rises from the previous cycle's bottom, the first from flat
     cos_start = cos_f[1]
     if cycles:
-        cos_start = np.concatenate([np.ones_like(cos_start[:, :1]),
-                                    cos_start[:, :-1]], axis=1)
+        cos_start = np.concatenate([np.ones_like(cos_start[..., :1]),
+                                    cos_start[..., :-1]], axis=-1)
     stand = leg * (cos_start - cos_f[0])
     sit = (leg / 2.0) * (cos_r[1] - cos_r[0])
     return stand, sit, beta_f[0], beta_f[1]

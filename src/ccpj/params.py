@@ -105,11 +105,6 @@ class BeamParams:
                 f"n_beads*bead_thickness+slack={nominal!r}"
             )
 
-    @property
-    def chain_length(self) -> float:
-        """Total bead-stack length (m), the elastica's arc length."""
-        return self.n_beads * self.bead_thickness
-
 
 @dataclass(frozen=True)
 class RobotParams:

@@ -22,7 +22,6 @@ from ccpj.beam import (
     is_deployed,
     max_chord_deviation,
     node_positions,
-    shape_to_csv,
     stiffness_at,
     three_point_bend,
 )
@@ -85,15 +84,6 @@ class TestShapes:
     def test_chord_deviation_straight_is_zero(self):
         shape = BeamShape(joint_angles=(0.0,) * 19)
         assert max_chord_deviation(shape, 3e-3) == 0.0
-
-    def test_shape_to_csv(self):
-        shape = BeamShape(joint_angles=(0.0, 0.1))
-        text = shape_to_csv(shape, 3e-3)
-        lines = text.strip().split("\n")
-        assert lines[0] == "arc_length_m,x_m,y_m"
-        assert len(lines) == 1 + 4  # header + n_segments+1 nodes
-        first = [float(v) for v in lines[1].split(",")]
-        assert first == [0.0, 0.0, 0.0]
 
 
 class TestEquilibrium:

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccpj.cli import main
 from ccpj.config import (
@@ -141,6 +141,8 @@ class TestSimulate:
     @pytest.mark.parametrize("section, key, value", [
         ("terrain", "pitch_mm", "1e-320"),  # lattice index overflows
         ("run", "slip_noise", "1e308"),  # noise factor overflows
+        ("actuator", "i_threshold_a", "-1e308"),  # every current would heat
+        ("actuator", "i_threshold_a", "0"),
         ("meta", "name", "a\0b"),
         ("meta", "name", "../escaped"),
     ])
@@ -421,11 +423,22 @@ SCHEMA_ENTRIES = st.sampled_from(
 ).flatmap(lambda e: st.tuples(
     st.just(e), st.one_of(SHAPED_TEXT[SCHEMA[e[0]][e[1]]], ANY_TEXT)))
 
+
+def _threshold_edges(test):
+    """Add i_threshold_a at and just past the ends of (0, MAX_CURRENT_A] as
+    explicit examples: the random draws reach that key only a few times."""
+    for value in ("-1e308", "-0", "0", "5e-324", "0.5", "0.5000001", "1e308"):
+        test = example(drawn=(("actuator", "i_threshold_a"), value),
+                       seed=0, slip_noise="0")(test)
+    return test
+
+
 REPORT_TEXT = {"name", "digest", "status", "error", "artifact", "feasible",
                "mask", "all_legs_feasible"}
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
+@_threshold_edges
 @given(drawn=SCHEMA_ENTRIES,
        seed=st.one_of(st.integers(0, 2**70), st.integers(-3, 3)),
        slip_noise=st.one_of(st.sampled_from(["0", "0.05"]),

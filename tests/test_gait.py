@@ -36,7 +36,7 @@ from ccpj.gait import (
     sweep_period,
 )
 from ccpj.kinematics import StrokeGeometry, cycle_speed, standing_height
-from ccpj.params import GaitSignal, RobotParams
+from ccpj.params import MAX_CURRENT_A, GaitSignal, RobotParams
 
 
 class TestActuatorModel:
@@ -47,6 +47,16 @@ class TestActuatorModel:
             ActuatorModel(tau_cool=-1.0)
         with pytest.raises(ValidationError):
             ActuatorModel(a_on=0.9, a_sat=0.8)
+
+    @pytest.mark.parametrize("i_threshold", [-1e308, -0.0, 0.0, 0.5000001, 1e308,
+                                             math.inf, math.nan])
+    def test_threshold_outside_drive_range_rejected(self, i_threshold):
+        with pytest.raises(OutOfRangeError):
+            ActuatorModel(i_threshold=i_threshold)
+
+    @pytest.mark.parametrize("i_threshold", [5e-324, 0.28, MAX_CURRENT_A])
+    def test_threshold_inside_drive_range_accepted(self, i_threshold):
+        assert ActuatorModel(i_threshold=i_threshold).i_threshold == i_threshold
 
     def test_advance_exact_exponential(self):
         act = ActuatorModel()

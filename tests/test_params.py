@@ -94,7 +94,6 @@ class TestCalibrationTable:
 class TestBeamParams:
     def test_defaults(self):
         b = BeamParams()
-        assert b.chain_length == pytest.approx(60e-3)
         assert b.leg_length == pytest.approx(65e-3)
 
     def test_leg_length_consistency(self):

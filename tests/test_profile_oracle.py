@@ -1,13 +1,17 @@
-"""The thermal fit's slip-scale profile against the brute-force grid.
+"""The thermal fit's slip-scale profile and grid search against references.
 
-`calibrate._profile_eta0` evaluates only the grid points that can hold the
-minimum. `grid_profile` below is the brute force it replaced: the sweep SSE
+`calibrate._profile_eta0` profiles a batch of candidate actuators at once
+and evaluates only the grid points that can hold each minimum.
+`grid_profile` below is the brute force for one candidate: the sweep SSE
 at every one of the 2001 slip scales in linspace(0, 1, 2001), then argmin,
-so ties go to the smallest eta. The arithmetic is unchanged, so the two
-must agree with `==` on both floats, not within a tolerance.
+so ties go to the smallest eta. The arithmetic is unchanged, so every
+candidate of a batch must agree with it with `==` on both floats, not
+within a tolerance. `loop_search` is the thermal grid search one candidate
+at a time, the reference for `_thermal_grid_search`'s row batches.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -65,10 +69,18 @@ PERIODS = np.array([2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
 SHIPPED_MM_S = np.array([3.9, 7.0, 8.5, 6.9, 5.7, 4.2, 3.4])
 
 
-def assert_profile_exact(template, actuator, periods, speeds):
-    got = cal._profile_eta0(template, actuator, periods, speeds)
-    want = grid_profile(template, actuator, periods, speeds)
-    assert got == want
+def assert_profile_exact(template, tau_heat, tau_cool, periods, speeds):
+    """One batched _profile_eta0 call against grid_profile per candidate.
+
+    Returns the per-candidate (eta0, sse) pairs.
+    """
+    eta0, sse = cal._profile_eta0(template, tau_heat, tau_cool, periods, speeds)
+    th, tc = np.broadcast_arrays(np.atleast_1d(tau_heat), np.atleast_1d(tau_cool))
+    assert eta0.shape == sse.shape == th.shape
+    got = list(zip(eta0.tolist(), sse.tolist()))
+    for pair, h, c in zip(got, th, tc):
+        act = replace(template.actuator, tau_heat=float(h), tau_cool=float(c))
+        assert pair == grid_profile(template, act, periods, speeds)
     return got
 
 
@@ -83,34 +95,47 @@ def test_every_candidate_of_the_shipped_fit(monkeypatch, shipped_data_dir):
     monkeypatch.setattr(cal, "_profile_eta0", record)
     ds = cal.load_dataset("speed_vs_period", shipped_data_dir)
     cal.thermal_fit_report(ds, TEMPLATE)
-    assert len(calls) == 15 * 15 + 6 * 9 * 9
-    for args in calls:
-        assert profile(*args) == grid_profile(*args)
+    monkeypatch.undo()
+    assert len(calls) == 15 + 6 * 9  # one call per tau_heat row
+    candidates = sum(len(assert_profile_exact(*args)) for args in calls)
+    assert candidates == 15 * 15 + 6 * 9 * 9
+
+
+TAUS = [(1.2693351745605468, 0.5710022517613002), (0.2, 2.0), (3.0, 0.1)]
 
 
 @pytest.mark.parametrize("terrain", sorted(TERRAINS))
-@pytest.mark.parametrize("taus", [(1.2693351745605468, 0.5710022517613002),
-                                  (0.2, 2.0), (3.0, 0.1)])
+@pytest.mark.parametrize("taus", TAUS)
 def test_shipped_speeds_on_each_terrain(terrain, taus):
     tmpl = replace(TEMPLATE, terrain=TERRAINS[terrain])
-    act = ActuatorModel(tau_heat=taus[0], tau_cool=taus[1])
-    assert_profile_exact(tmpl, act, PERIODS, SHIPPED_MM_S * 1e-3)
+    assert_profile_exact(tmpl, [taus[0]], [taus[1]], PERIODS, SHIPPED_MM_S * 1e-3)
+
+
+@pytest.mark.parametrize("terrain", sorted(TERRAINS))
+def test_candidates_in_one_call_match_each_alone(terrain):
+    tmpl = replace(TEMPLATE, terrain=TERRAINS[terrain])
+    speeds = SHIPPED_MM_S * 1e-3
+    alone = [assert_profile_exact(tmpl, [h], [c], PERIODS, speeds)[0]
+             for h, c in TAUS]
+    tau_heat, tau_cool = np.array(TAUS).T
+    assert assert_profile_exact(tmpl, tau_heat, tau_cool, PERIODS, speeds) == alone
+    # a tau_heat row: one scalar against many tau_cool values
+    assert_profile_exact(tmpl, 1.0, np.linspace(0.1, 2.0, 15), PERIODS, speeds)
 
 
 @pytest.mark.parametrize("terrain", ["equal_friction", "forward_above_backward"])
 def test_stalled_strokes_give_index_zero(terrain):
     # no stroke ever advances, so every grid point ties and the first wins
     tmpl = replace(TEMPLATE, terrain=TERRAINS[terrain])
-    act = ActuatorModel(tau_heat=1.0, tau_cool=0.45)
-    eta0, _ = assert_profile_exact(tmpl, act, PERIODS, SHIPPED_MM_S * 1e-3)
-    assert eta0 == 0.0
+    got = assert_profile_exact(tmpl, 1.0, [0.1, 0.45, 2.0], PERIODS,
+                               SHIPPED_MM_S * 1e-3)
+    assert [eta0 for eta0, _ in got] == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("terrain", ["ratchet", "smooth"])
 def test_speeds_beyond_reach_give_the_last_point(terrain):
     tmpl = replace(TEMPLATE, terrain=TERRAINS[terrain])
-    act = ActuatorModel(tau_heat=1.0, tau_cool=0.45)
-    eta0, _ = assert_profile_exact(tmpl, act, PERIODS, np.full(7, 1.0))
+    [(eta0, _)] = assert_profile_exact(tmpl, [1.0], [0.45], PERIODS, np.full(7, 1.0))
     assert eta0 == 1.0
 
 
@@ -123,13 +148,12 @@ def test_simulated_and_jittered_speeds(terrain):
                  slip=SlipModel(eta0=0.7, c_slope=0.0, c_load=0.0))
     periods = np.array([2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
     sim = np.array([v for _, v in sweep_period(sc, periods)])
-    eta0, _ = assert_profile_exact(tmpl, true, periods, sim)
+    [(eta0, _)] = assert_profile_exact(tmpl, [1.4], [0.6], periods, sim)
     assert eta0 == pytest.approx(0.7, abs=1e-12)  # grid point 1400
     rng = np.random.default_rng(7)
     for _ in range(5):
         jittered = sim * (1.0 + 0.08 * rng.standard_normal(len(sim)))
-        for act in (true, ActuatorModel(tau_heat=0.9, tau_cool=1.1)):
-            assert_profile_exact(tmpl, act, periods, jittered)
+        assert_profile_exact(tmpl, [1.4, 0.9], [0.6, 1.1], periods, jittered)
 
 
 @pytest.mark.parametrize("lean", [0.1, 0.5, 0.9])
@@ -160,23 +184,91 @@ def test_minimum_at_a_kink(lean):
         r[q] = eps
         r[1 - q] = -(left[q] + lean * starts[q]) * eps / left[1 - q]
         speeds = cal._sweep_speeds(tmpl, act, np.array([k]), periods)[0] - r
-        eta0, _ = assert_profile_exact(tmpl, act, periods, speeds)
+        [(eta0, _)] = assert_profile_exact(tmpl, [act.tau_heat], [act.tau_cool],
+                                           periods, speeds)
         assert abs(eta0 - k) <= 5e-4
         kinks += 1
     assert kinks >= 8
 
 
 @settings(max_examples=60, deadline=None)
-@given(tau_heat=st.floats(0.2, 3.0), tau_cool=st.floats(0.1, 2.0),
+@given(taus=st.lists(st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 2.0)),
+                    min_size=1, max_size=4),
        terrain=st.sampled_from(sorted(TERRAINS)),
        data=st.lists(st.tuples(st.floats(0.5, 20.0), st.floats(0.0, 0.02)),
                      min_size=4, max_size=12,
                      unique_by=lambda p: p[0]))
-def test_profile_matches_grid(tau_heat, tau_cool, terrain, data):
+def test_profile_matches_grid(taus, terrain, data):
     data.sort()
     periods = np.array([p for p, _ in data])
     speeds = np.array([v for _, v in data])
     tmpl = replace(TEMPLATE, terrain=TERRAINS[terrain])
-    act = ActuatorModel(tau_heat=tau_heat, tau_cool=tau_cool)
-    eta0, sse = assert_profile_exact(tmpl, act, periods, speeds)
-    assert 0.0 <= eta0 <= 1.0 and math.isfinite(sse)
+    tau_heat, tau_cool = np.array(taus).T
+    for eta0, sse in assert_profile_exact(tmpl, tau_heat, tau_cool, periods, speeds):
+        assert 0.0 <= eta0 <= 1.0 and math.isfinite(sse)
+
+
+def profile_one(template, actuator, periods, speeds):
+    """_profile_eta0 for a single candidate actuator, as floats."""
+    eta0, sse = cal._profile_eta0(template, [actuator.tau_heat],
+                                  [actuator.tau_cool], periods, speeds)
+    return float(eta0[0]), float(sse[0])
+
+
+def loop_search(template, periods, speeds):
+    """The thermal grid search one candidate at a time: the reference for
+    _thermal_grid_search's row-batched search and its tie rule."""
+    (th_lo, th_hi) = cal.THERMAL_BOUNDS["tau_heat_s"]
+    (tc_lo, tc_hi) = cal.THERMAL_BOUNDS["tau_cool_s"]
+
+    def candidate(tau_h, tau_c):
+        return replace(template.actuator, tau_heat=float(tau_h), tau_cool=float(tau_c))
+
+    best = None
+    th_grid = np.linspace(th_lo, th_hi, 15)
+    tc_grid = np.linspace(tc_lo, tc_hi, 15)
+    for _ in range(7):
+        for th in th_grid:
+            for tc in tc_grid:
+                act = candidate(th, tc)
+                eta0, sse = profile_one(template, act, periods, speeds)
+                if best is None or sse < best[0]:
+                    best = (sse, float(th), float(tc), eta0)
+        step_h = (th_grid[-1] - th_grid[0]) / (len(th_grid) - 1)
+        step_c = (tc_grid[-1] - tc_grid[0]) / (len(tc_grid) - 1)
+        th_grid = np.linspace(max(th_lo, best[1] - 1.5 * step_h),
+                              min(th_hi, best[1] + 1.5 * step_h), 9)
+        tc_grid = np.linspace(max(tc_lo, best[2] - 1.5 * step_c),
+                              min(tc_hi, best[2] + 1.5 * step_c), 9)
+    return best
+
+
+def test_grid_search_on_the_shipped_data(shipped_data_dir):
+    ds = cal.load_dataset("speed_vs_period", shipped_data_dir)
+    order = np.argsort(ds.column("period_s"))
+    periods = ds.column("period_s")[order]
+    speeds = ds.column("speed_mm_s")[order] * 1e-3
+    best = cal._thermal_grid_search(TEMPLATE, periods, speeds)
+    assert best == loop_search(TEMPLATE, periods, speeds)
+    assert best[1:3] == (1.2693351745605468, 0.5710022517613002)
+
+
+@pytest.mark.parametrize("terrain", ["ratchet", "smooth", "smooth_anchor_friction",
+                                     "ratchet_anchor_friction"])
+def test_grid_search_on_each_advancing_terrain(terrain):
+    tmpl = replace(TEMPLATE, terrain=TERRAINS[terrain])
+    speeds = SHIPPED_MM_S * 1e-3
+    assert (cal._thermal_grid_search(tmpl, PERIODS, speeds)
+            == loop_search(tmpl, PERIODS, speeds))
+
+
+@pytest.mark.parametrize("terrain", ["equal_friction", "forward_above_backward"])
+def test_grid_search_all_stalled_keeps_the_first_candidate(terrain):
+    # every candidate ties at eta0 = 0, so the first of the coarse grid wins
+    tmpl = replace(TEMPLATE, terrain=TERRAINS[terrain])
+    speeds = SHIPPED_MM_S * 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 from the stalled vertices
+        best = cal._thermal_grid_search(tmpl, PERIODS, speeds)
+    assert best == loop_search(tmpl, PERIODS, speeds)
+    assert best[1:] == (0.2, 0.1, 0.0)
