@@ -9,6 +9,7 @@ byte-identical. Exit codes: 0 ok, 2 configuration, 3 simulation, 4 data.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -170,7 +171,10 @@ def _trace_metrics(trace: SimTrace, feas) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    cfg, sc = _load(args)
+    return _simulate(args, *_load(args))
+
+
+def _simulate(args, cfg: EffectiveConfig, sc: Scenario) -> int:
     out = _outdir(args)
     try:
         trace, feas = _run_scenario(sc)
@@ -184,7 +188,7 @@ def cmd_simulate(args) -> int:
     _write(out / csv_name, trace.to_csv())
     svg_name = f"{cfg.name}_displacement.svg"
     _write(out / svg_name, line_plot(
-        [("x", list(trace.t), [x * 1e3 for x in trace.x])],
+        [("x", trace.t, trace.x * 1e3)],
         xlabel="time (s)", ylabel="displacement (mm)",
         title=f"{cfg.name}: displacement vs time"))
     report = RunReport(name=cfg.name, digest=cfg.digest,
@@ -231,7 +235,10 @@ def cmd_sweep(args) -> int:
     if args.param not in SWEEPABLE:
         raise ConfigError(
             f"--param must be one of {sorted(SWEEPABLE)}, got {args.param!r}")
-    cfg, sc = _load(args)
+    return _sweep(args, *_load(args))
+
+
+def _sweep(args, cfg: EffectiveConfig, sc: Scenario) -> int:
     out = _outdir(args)
     values = _range_values(args.range, SWEEP_DEFAULT_RANGE[args.param])
     speeds = _sweep_speeds(args.param, values, sc)
@@ -334,18 +341,22 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Full artifact bundle for a scenario: run + headline figures."""
-    code = cmd_simulate(args)
-    if code != EXIT_OK:
-        return code
+    """Full artifact bundle for a scenario: run + headline figures.
+
+    The config is loaded once; the run and the period figure are the
+    bytes `simulate` and `sweep --param period` write.
+    """
     cfg, sc = _load(args)
+    _simulate(args, cfg, sc)
     if not sc.terrain.confined:
         sweep_args = argparse.Namespace(**{**vars(args), "param": "period"})
-        return cmd_sweep(sweep_args)
+        return _sweep(sweep_args, cfg, sc)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `ccpj` parser, built once and shared: `parse_args` does not change it."""
     parser = argparse.ArgumentParser(
         prog="ccpj",
         description="Simulate, calibrate, and optimize the tripod "

@@ -450,16 +450,21 @@ class SimTrace:
         return self.displacement / self.duration
 
     def to_csv(self) -> str:
-        lines = ["t_s,x_mm,beta_front_deg,beta_rear_deg,height_mm,anchored_front,anchored_rear"]
-        for i in range(len(self.t)):
-            lines.append(
-                f"{self.t[i]:.6f},{self.x[i] * 1e3:.6f},"
-                f"{math.degrees(self.beta_front[i]):.6f},"
-                f"{math.degrees(self.beta_rear[i]):.6f},"
-                f"{self.height[i] * 1e3:.6f},"
-                f"{int(self.anchored_front[i])},{int(self.anchored_rear[i])}"
-            )
-        return "\n".join(lines) + "\n"
+        """The trace as CSV: a header, then one row per step boundary.
+
+        Built in one pass: the seven columns are stacked into one float
+        array and a single `%`-template formats every row. `np.degrees`
+        multiplies by `180 / pi` as `math.degrees` does, so the bytes are
+        those of a row-by-row `f"{v:.6f}"` rendering.
+        """
+        cols = np.column_stack((
+            self.t, self.x * 1e3,
+            np.degrees(self.beta_front), np.degrees(self.beta_rear),
+            self.height * 1e3, self.anchored_front, self.anchored_rear))
+        rows = ("%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d\n" * len(cols)) % tuple(
+            cols.ravel().tolist())
+        return ("t_s,x_mm,beta_front_deg,beta_rear_deg,height_mm,"
+                "anchored_front,anchored_rear\n" + rows)
 
 
 def run(scenario: Scenario) -> SimTrace:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ValidationError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -47,30 +49,45 @@ def line_plot(series, xlabel: str, ylabel: str, title: str,
               marker: tuple[float, float, str] | None = None) -> str:
     """SVG for one or more (label, xs, ys) series.
 
-    `marker` drops an annotated point, e.g. the argmax of a sweep.
+    `xs` and `ys` are equal-length sequences or arrays of finite numbers;
+    a length mismatch, or a NaN or infinite value anywhere (the marker
+    included), raises `ValidationError`. `marker` drops an annotated
+    point, e.g. the argmax of a sweep. Each polyline is mapped to pixels
+    as one array expression and written with one `%`-template, to the
+    same bytes as formatting each point with `f"{v:.2f}"`.
     """
     if not series:
         raise ValidationError("line_plot needs at least one series")
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
+    arrays = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for label, xs, ys in series]
+    for label, xs, ys in arrays:
+        if xs.shape != ys.shape:
+            raise ValidationError(f"line_plot series {label!r} has "
+                                  f"{len(xs)} xs but {len(ys)} ys")
+    if not any(xs.size for _, xs, _ in arrays):
         raise ValidationError("line_plot got only empty series")
-    if marker is not None:
-        xs_all.append(marker[0])
-        ys_all.append(marker[1])
-    xt = nice_ticks(min(xs_all), max(xs_all))
-    yt = nice_ticks(min(ys_all), max(ys_all))
-    x0, x1 = min(xt[0], min(xs_all)), max(xt[-1], max(xs_all))
-    y0, y1 = min(yt[0], min(ys_all)), max(yt[-1], max(ys_all))
+    mx, my = ([], []) if marker is None else ([marker[0]], [marker[1]])
+    xs_all = np.concatenate([*(xs for _, xs, _ in arrays), mx])
+    ys_all = np.concatenate([*(ys for _, _, ys in arrays), my])
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+    # min and max propagate NaN, so all four are finite iff every point is.
+    if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi))):
+        raise ValidationError("line_plot got a NaN or infinite point")
+    xt = nice_ticks(x_lo, x_hi)
+    yt = nice_ticks(y_lo, y_hi)
+    x0, x1 = min(xt[0], x_lo), max(xt[-1], x_hi)
+    y0, y1 = min(yt[0], y_lo), max(yt[-1], y_hi)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
 
-    def px(x: float) -> float:
+    # Pixel maps; elementwise on arrays, so a polyline maps in one call.
+    def px(x):
         return MARGIN_L + (x - x0) / (x1 - x0) * (WIDTH - MARGIN_L - MARGIN_R)
 
-    def py(y: float) -> float:
+    def py(y):
         return HEIGHT - MARGIN_B - (y - y0) / (y1 - y0) * (
             HEIGHT - MARGIN_T - MARGIN_B)
 
@@ -107,9 +124,10 @@ def line_plot(series, xlabel: str, ylabel: str, title: str,
                f'transform="rotate(-90 16 '
                f'{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.0f})">{ylabel}</text>')
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, xs, ys) in enumerate(arrays):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(
+            np.column_stack((px(xs), py(ys))).ravel().tolist())
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         if len(series) > 1:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ccpj import cli
 from ccpj.cli import main
 from ccpj.config import (
     MASKS,
@@ -384,6 +385,38 @@ class TestReport:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["gate_40mm_displacement.svg", "gate_40mm_report.txt",
                          "gate_40mm_trace.csv"]
+
+    def test_same_bytes_as_simulate_and_sweep(self, tmp_path, scenario_path):
+        cfg = str(scenario_path("flat_ratchet_T4"))
+        apart, bundle = tmp_path / "apart", tmp_path / "bundle"
+        assert main(["simulate", "--config", cfg, "--out", str(apart),
+                     "--quiet"]) == 0
+        assert main(["sweep", "--param", "period", "--range", "3:5:1",
+                     "--config", cfg, "--out", str(apart), "--quiet"]) == 0
+        assert main(["report", "--config", cfg, "--range", "3:5:1",
+                     "--out", str(bundle), "--quiet"]) == 0
+
+        def files(d):
+            return {p.name: p.read_bytes() for p in d.iterdir()}
+
+        assert files(bundle) == files(apart)
+
+    def test_loads_config_once(self, tmp_path, scenario_path, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("load_config", "build_scenario"):
+            monkeypatch.setattr(cli, name, counted(name))
+        assert main(["report", "--config", str(scenario_path("flat_ratchet_T4")),
+                     "--range", "3:5:1", "--out", str(tmp_path), "--quiet"]) == 0
+        assert calls == ["load_config", "build_scenario"]
 
 
 # Value strings for the property below: free text, numbers of every kind

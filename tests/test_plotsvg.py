@@ -1,5 +1,6 @@
 """SVG plotting helpers."""
 
+import numpy as np
 import pytest
 
 from ccpj.errors import ValidationError
@@ -73,3 +74,39 @@ class TestLinePlot:
             line_plot([], "x", "y", "t")
         with pytest.raises(ValidationError):
             line_plot([("a", [], [])], "x", "y", "t")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_point_rejected(self, bad, where, axis):
+        xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]
+        (xs if axis == "x" else ys)[where] = bad
+        with pytest.raises(ValidationError):
+            line_plot([("a", xs, ys)], "x", "y", "t")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_marker_rejected(self, bad):
+        series = [("a", [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])]
+        for marker in ((bad, 1.0, "m"), (1.0, bad, "m")):
+            with pytest.raises(ValidationError):
+                line_plot(series, "x", "y", "t", marker=marker)
+
+    def test_non_finite_in_second_series_rejected(self):
+        series = [("a", [0.0, 1.0], [0.0, 1.0]),
+                  ("b", [0.0, 1.0, 2.0], [1.0, float("nan"), 0.0])]
+        with pytest.raises(ValidationError):
+            line_plot(series, "x", "y", "t")
+
+    @pytest.mark.parametrize("xs,ys", [
+        ([0.0, 1.0, 2.0, 100.0], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0], [0.0, 1.0, 2.0]),
+        ([], [1.0]),
+    ])
+    def test_length_mismatch_rejected(self, xs, ys):
+        with pytest.raises(ValidationError, match="xs but"):
+            line_plot([("a", xs, ys)], "x", "y", "t")
+
+    def test_accepts_arrays(self):
+        xs, ys = [0.0, 0.5, 1.0], [2.0, -1.0, 0.25]
+        assert (line_plot([("a", np.array(xs), np.array(ys))], "x", "y", "t")
+                == line_plot([("a", xs, ys)], "x", "y", "t"))
