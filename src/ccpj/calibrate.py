@@ -284,56 +284,100 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
     evaluating the whole grid. A stroke with slope r = e*s > 0 in eta (e
     the anchor efficiency, s its unit-slip arc) nets max(0, r*eta - half),
     which is linear past its knot half/r, so the SSE is a convex quadratic
-    between consecutive knots. Over one such interval the grid minimum
-    lies on one of the two grid points that bracket the interval's vertex
-    clipped into it. Those points and eta = 0 (the flat stretch before the
-    first knot) are evaluated with _arc_speeds' own arithmetic, in
-    ascending order, so the values and the tie-break are the full grid's
-    bit for bit. A stroke that stalls at every eta gets knot +inf: it
-    sorts after every advancing stroke under the stable sort, is never
-    live in the cumulative sums, and its interval contributes only eta = 0.
+    A*eta^2 + 2*B*eta + C between consecutive knots. A stroke going live
+    changes one period's residual alpha*eta + beta, so the coefficients
+    are prefix sums over the knot-sorted strokes. Over one interval the
+    grid minimum lies on one of the two grid points that bracket the
+    interval's vertex clipped into it, and the quadratic's value there is
+    a lower bound lb for every grid point in the interval. Exact values
+    use _arc_speeds' own arithmetic, so they and the tie-break are the
+    full grid's bit for bit. Pass 1 evaluates eta = 0 (the flat stretch
+    before the first knot) and the bracket of the interval with the least
+    lb; its best value U bounds the minimum. Pass 2 evaluates the bracket
+    of every other interval with lb <= U + margin. The margin is 1e-12*W,
+    W = sum over periods of (a + |speed|)^2 with a the period's speed at
+    eta = 1 before re-seat losses. On an interval that starts at or
+    below eta = 1, W bounds the summed magnitudes of each prefix sum's
+    terms, of the quadratic's terms and of the exact SSE's terms, so
+    their rounding, with the vertex's, stays below about 600 * 2^-53 * W
+    (7e-14 * W): the margin has more than a factor of ten to spare. The
+    closest rounding tie the tests hold needs 1e-16 * W. Otherwise the
+    vertex only chooses which grid points get evaluated. A stroke that
+    stalls at every eta gets knot +inf: it sorts after every advancing
+    stroke under the stable sort and is never live. Its interval, like
+    one that starts past eta = 1, gets lb = +inf: it holds no grid point
+    that eta = 0 or another interval does not cover.
     """
     ter = template.terrain
     half = ter.reseat_loss
     stand, sit, _, _ = _stroke_arcs(template, np.reshape(tau_heat, (-1, 1)),
                                     np.reshape(tau_cool, (-1, 1)), periods,
                                     SWEEP_CYCLES)
-    n, n_periods = stand.shape[:2]
+    n, n_strokes = len(stand), 2 * SWEEP_CYCLES
+    ids = np.arange(n)
+    rows = ids[:, None]
     rate = ter.anchor_efficiency * np.concatenate([stand, sit], axis=2)
-    rate = rate.reshape(n, -1)
     advances = rate > 0.0  # the other strokes stall at every eta
     knot = np.divide(half, rate, out=np.full_like(rate, np.inf), where=advances)
+    # a live stroke adds r to its period's alpha and -h to its beta
+    scale = (SWEEP_CYCLES * periods)[:, None]
+    r = np.where(advances, rate, 0.0) / scale
+    h = np.where(advances, half, 0.0) / scale
+    # each period's alpha and beta before the stroke, in knot order within
+    # the period: the advancing strokes lead, so beta counts their position
+    within = np.argsort(knot, axis=2, kind="stable")
+    r, h = np.take_along_axis(r, within, 2), np.take_along_axis(h, within, 2)
+    a = np.zeros_like(r)
+    np.cumsum(r[..., :-1], axis=2, out=a[..., 1:])
+    b = -(half / scale) * np.arange(n_strokes) - speeds[:, None]
+    delta = np.stack([r * (2.0 * a + r), r * (b - h) - h * a, h * (h - 2.0 * b)])
+    # the same strokes in the global stable knot order
+    knot = knot.reshape(n, -1)
     order = np.argsort(knot, axis=1, kind="stable")
-    rows = np.arange(n)[:, None]
-    knot, rate, advances = knot[rows, order], rate[rows, order], advances[rows, order]
-    # after the first j+1 knots every period's residual is alpha*eta + beta
-    period_of = order // (2 * SWEEP_CYCLES)  # strokes per period
-    live = ((period_of[..., None] == np.arange(n_periods))
-            & advances[..., None]).astype(float)
-    scale = SWEEP_CYCLES * periods
-    alpha = np.cumsum(live * rate[..., None], axis=1) / scale
-    beta = -half * np.cumsum(live, axis=1) / scale - speeds
-    vertex = np.divide(-np.sum(alpha * beta, axis=2), np.sum(alpha * alpha, axis=2),
-                       out=np.zeros_like(knot), where=advances)  # stalled: 0/0
+    place = np.empty_like(within)
+    np.put_along_axis(place, within, np.arange(n_strokes), axis=2)
+    into = order - order % n_strokes + place.reshape(n, -1)[rows, order]
+    knot, advances = knot[rows, order], advances.reshape(n, -1)[rows, order]
+    quad_a, quad_b, quad_c = np.cumsum(delta.reshape(3, n, -1)[:, rows, into], axis=2)
+    quad_c += np.sum(speeds * speeds)
+    vertex = np.divide(-quad_b, quad_a, out=np.zeros_like(knot),
+                       where=advances)  # stalled: 0/0
     upper = np.concatenate([knot[:, 1:], np.full((n, 1), np.inf)], axis=1)
     at = np.where(advances, np.clip(np.clip(vertex, knot, upper), 0.0, 1.0), 0.0)
+    lb = np.where(advances & (knot <= 1.0),
+                  (quad_a * at + 2.0 * quad_b) * at + quad_c, np.inf)
     at = at * (len(ETA0_GRID) - 1)
-    idx = np.concatenate([np.zeros((n, 1)), np.floor(at), np.ceil(at)], axis=1)
-    # (candidate, grid index) keys, sorted and deduplicated; np.unique's
-    # hash table costs several times this sort on a few thousand keys
-    keys = np.sort(idx.astype(int) + len(ETA0_GRID) * rows, axis=None)
-    keys = keys[np.append(True, keys[1:] != keys[:-1])]
-    cand, idx = np.divmod(keys, len(ETA0_GRID))
-    sse = np.sum((_arc_speeds(ter, stand[cand], sit[cand], ETA0_GRID[idx], periods)
-                  - speeds[None, :]) ** 2, axis=1)
-    # by candidate, then by sse; lexsort is stable, so ties keep ascending
-    # eta and each candidate's block opens with its first minimum
-    k = np.lexsort((sse, cand))[np.searchsorted(cand, np.arange(n))]
+    w = np.sum((np.sum(r, axis=2) + np.abs(speeds)) ** 2, axis=1)
+
+    def sse_at(cand, idx):
+        return np.sum((_arc_speeds(ter, stand[cand], sit[cand], ETA0_GRID[idx],
+                                   periods) - speeds) ** 2, axis=1)
+
+    first = np.argmin(lb, axis=1)
+    cand = np.repeat(ids, 3)
+    idx = np.column_stack([np.zeros(n), np.floor(at[ids, first]),
+                           np.ceil(at[ids, first])]).astype(int).ravel()
+    sse = sse_at(cand, idx)
+    bound = np.min(sse.reshape(n, 3), axis=1) + 1e-12 * w
+    keep = lb <= bound[:, None]
+    keep[ids, first] = False
+    more, j = np.nonzero(keep)
+    if len(more):
+        idx2 = np.concatenate([np.floor(at[more, j]), np.ceil(at[more, j])]).astype(int)
+        more = np.concatenate([more, more])
+        cand, idx = np.concatenate([cand, more]), np.concatenate([idx, idx2])
+        sse = np.concatenate([sse, sse_at(more, idx2)])
+    # by candidate, then sse, then eta: each block opens with the first minimum
+    k = np.lexsort((idx, sse, cand))
+    k = k[np.searchsorted(cand[k], ids)]
     return ETA0_GRID[idx[k]], sse[k]
 
 
 THERMAL_BOUNDS = {"tau_heat_s": (0.2, 3.0), "tau_cool_s": (0.1, 2.0)}
 SPEED_PEAK_WINDOW = (3.5, 4.5)  # s
+# candidates per _profile_eta0 call in the grid search: one 9 x 9 level.
+# One call raises peak RSS by ~1 MiB at 81 candidates, ~4 MiB at 225.
+PROFILE_BATCH = 81
 
 
 def _thermal_grid_search(template: Scenario, periods: np.ndarray,
@@ -343,10 +387,12 @@ def _thermal_grid_search(template: Scenario, periods: np.ndarray,
     A 15 x 15 grid over THERMAL_BOUNDS, then six levels of 9 x 9 shrinking
     around the best so far (711 candidates). The profiled objective is the
     closed-form transcription of sweep_period's averages, so the surface
-    being minimized is exactly the one the simulator would report. Each
-    tau_heat row is profiled in one _profile_eta0 call; the row's first
-    minimum must beat the best so far strictly, which keeps the first
-    strict minimum in (tau_heat outer, tau_cool inner) order.
+    being minimized is exactly the one the simulator would report. Whole
+    tau_heat rows are profiled together, at most PROFILE_BATCH candidates
+    per _profile_eta0 call: each 9 x 9 level in one call, the 15 x 15 grid
+    in three blocks of five rows. A block's first minimum in (tau_heat
+    outer, tau_cool inner) order must beat the best so far strictly, which
+    keeps the first strict minimum in that order over the whole search.
     """
     (th_lo, th_hi) = THERMAL_BOUNDS["tau_heat_s"]
     (tc_lo, tc_hi) = THERMAL_BOUNDS["tau_cool_s"]
@@ -354,11 +400,16 @@ def _thermal_grid_search(template: Scenario, periods: np.ndarray,
     th_grid = np.linspace(th_lo, th_hi, 15)
     tc_grid = np.linspace(tc_lo, tc_hi, 15)
     for _ in range(7):
-        for th in th_grid:
-            eta0, sse = _profile_eta0(template, th, tc_grid, periods, speeds)
+        n_cool = len(tc_grid)
+        per_call = PROFILE_BATCH // n_cool  # whole rows: 5 of 15 or 9 of 9
+        for start in range(0, len(th_grid), per_call):
+            th = th_grid[start:start + per_call]
+            eta0, sse = _profile_eta0(template, np.repeat(th, n_cool),
+                                      np.tile(tc_grid, len(th)), periods, speeds)
             k = int(np.argmin(sse))
             if best is None or sse[k] < best[0]:
-                best = (float(sse[k]), float(th), float(tc_grid[k]), float(eta0[k]))
+                best = (float(sse[k]), float(th[k // n_cool]),
+                        float(tc_grid[k % n_cool]), float(eta0[k]))
         step_h = (th_grid[-1] - th_grid[0]) / (len(th_grid) - 1)
         step_c = (tc_grid[-1] - tc_grid[0]) / (len(tc_grid) - 1)
         th_grid = np.linspace(max(th_lo, best[1] - 1.5 * step_h),
@@ -407,11 +458,12 @@ def fit_thermal(dataset: Dataset, template: Scenario,
     """Actuator lag constants from the speed-vs-period curve.
 
     Grid search over (tau_heat, tau_cool), refined by grid shrinking (711
-    candidates, profiled one tau_heat row at a time; see
-    _thermal_grid_search). Each candidate's overall slip scale is profiled
-    out: the best of ETA0_GRID's 2001 points, found exactly from the few
-    grid points that can hold the minimum of the piecewise-quadratic SSE
-    (see _profile_eta0). The objective is an exact closed-form
+    candidates, profiled in blocks of whole tau_heat rows, at most one
+    9 x 9 level per block; see _thermal_grid_search). Each candidate's
+    overall slip scale is profiled out: the best of ETA0_GRID's 2001
+    points, found exactly from the grid points that bound-pruning of the
+    piecewise-quadratic SSE leaves, about three per candidate (see
+    _profile_eta0). The objective is an exact closed-form
     transcription of the simulator's period sweep, so data the simulator
     generated is recovered without bias.
     Raises NoFeasibleFit when the fitted curve's peak falls outside the

@@ -1,9 +1,14 @@
-"""End-to-end CLI runs, in process via main(argv)."""
+"""End-to-end CLI runs, in process via main(argv), save one in a capped child."""
 
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -55,6 +60,17 @@ class TestSimulate:
         assert csv.read_text().startswith("t_s,x_mm,")
         assert svg.read_text().endswith("</svg>\n")
         assert "average_speed_mm_s" in capsys.readouterr().out
+
+    def test_name_with_xml_characters_writes_a_valid_svg(self, tmp_path,
+                                                         scenario_path):
+        cfg = tmp_path / "amp.scenario"
+        cfg.write_text(scenario_path("flat_ratchet_T4").read_text().replace(
+            "name = flat_ratchet_T4", "name = a&b<c"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        svg = minidom.parse(str(tmp_path / "a&b<c_displacement.svg"))
+        titles = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+        assert "a&b<c: displacement vs time" in titles
 
     def test_rerun_byte_identical(self, tmp_path, scenario_path):
         outs = []
@@ -233,6 +249,26 @@ class TestSweep:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ccpj: error[2]: ConfigError:") and message in err
+
+    def test_range_within_float_spacing(self, tmp_path, scenario_path):
+        # Its points span one float spacing, whose axis ticks once looped
+        # forever, growing memory. It runs in a child process capped at
+        # 1 GiB of address space and 120 s, so a regression fails instead.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ccpj.cli", "sweep", "--param", "current",
+             "--range", "0.3:0.30000000000000004:1e-17",
+             "--config", str(scenario_path("flat_ratchet_T4")),
+             "--out", str(tmp_path), "--quiet"],
+            env=env, preexec_fn=cap, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode in (0, 2), done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_bad_param(self, tmp_path, scenario_path, capsys):
         assert main(["sweep", "--param", "voltage",

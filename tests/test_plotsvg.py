@@ -1,10 +1,14 @@
 """SVG plotting helpers."""
 
+import math
+from xml.dom import minidom
+from xml.sax import saxutils
+
 import numpy as np
 import pytest
 
 from ccpj.errors import ValidationError
-from ccpj.plotsvg import line_plot, nice_ticks
+from ccpj.plotsvg import escape, line_plot, nice_ticks
 
 
 class TestNiceTicks:
@@ -32,6 +36,23 @@ class TestNiceTicks:
         ticks = nice_ticks(3.0, 3.0)
         assert len(ticks) >= 2 and ticks[0] <= 3.0 + 1e-12
 
+    @pytest.mark.parametrize("lo,hi", [
+        (0.3, 0.30000000000000004),  # one float spacing apart
+        (-0.3, -0.29999999999999993),
+        (0.0, 5e-324),
+        (1e6, 1e6 + 4 * math.ulp(1e6)),
+    ])
+    def test_range_within_float_spacing_ticks_like_an_empty_one(self, lo, hi):
+        # its ladder step would not move a tick; it once looped forever
+        assert nice_ticks(lo, hi) == nice_ticks(lo, lo)
+
+    def test_range_a_few_spacings_wide_still_ticked_as_given(self):
+        lo = 0.3
+        hi = lo + 64 * math.ulp(lo)
+        ticks = nice_ticks(lo, hi)
+        assert 2 <= len(ticks) <= 12
+        assert ticks[0] >= lo and ticks[-1] <= hi
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             nice_ticks(0.0, float("nan"))
@@ -47,6 +68,21 @@ class TestLinePlot:
         assert "t / s" in svg and "v / mm/s" in svg and "demo" in svg
         assert "polyline" in svg
         assert "nan" not in svg.lower()
+
+    @pytest.mark.parametrize("text", ["", "plain", "a&b<c", "&amp;", "x > 0 & y",
+                                      "<<&&>>"])
+    def test_escape_matches_saxutils(self, text):
+        assert escape(text) == saxutils.escape(text)
+
+    def test_text_is_xml_escaped(self):
+        svg = line_plot([("a<b", [0.0, 1.0], [0.0, 1.0]),
+                         ("c&d", [0.0, 1.0], [1.0, 0.0])],
+                        "x > 0", "y & z", "a&b<c: demo",
+                        marker=(0.5, 0.5, "max <here>"))
+        texts = [t.firstChild.data for t in
+                 minidom.parseString(svg).getElementsByTagName("text")]
+        for text in ("a<b", "c&d", "x > 0", "y & z", "a&b<c: demo", "max <here>"):
+            assert text in texts
 
     def test_deterministic(self):
         series = [("a", [0.0, 1.0, 2.0], [0.3, 0.1, 0.7])]

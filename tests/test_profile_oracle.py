@@ -96,7 +96,7 @@ def test_every_candidate_of_the_shipped_fit(monkeypatch, shipped_data_dir):
     ds = cal.load_dataset("speed_vs_period", shipped_data_dir)
     cal.thermal_fit_report(ds, TEMPLATE)
     monkeypatch.undo()
-    assert len(calls) == 15 + 6 * 9  # one call per tau_heat row
+    assert len(calls) == 3 + 6  # 5-row blocks of the 15 x 15 grid, then one per level
     candidates = sum(len(assert_profile_exact(*args)) for args in calls)
     assert candidates == 15 * 15 + 6 * 9 * 9
 
@@ -191,9 +191,11 @@ def test_minimum_at_a_kink(lean):
     assert kinks >= 8
 
 
+TAU_PAIRS = st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 2.0))
+
+
 @settings(max_examples=60, deadline=None)
-@given(taus=st.lists(st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 2.0)),
-                    min_size=1, max_size=4),
+@given(taus=st.lists(TAU_PAIRS, min_size=1, max_size=4),
        terrain=st.sampled_from(sorted(TERRAINS)),
        data=st.lists(st.tuples(st.floats(0.5, 20.0), st.floats(0.0, 0.02)),
                      min_size=4, max_size=12,
@@ -206,6 +208,74 @@ def test_profile_matches_grid(taus, terrain, data):
     tau_heat, tau_cool = np.array(taus).T
     for eta0, sse in assert_profile_exact(tmpl, tau_heat, tau_cool, periods, speeds):
         assert 0.0 <= eta0 <= 1.0 and math.isfinite(sse)
+
+
+def test_second_pass_finds_the_lower_grid_minimum():
+    # Two periods on a 30 mm pitch whose SSE has a concave kink at eta =
+    # 12/13, where the 8 s period's six sit strokes start and its data
+    # sits above the model: a local minimum on each side, 1e-7 apart in
+    # relative terms. The left quadratic's
+    # continuous minimum is the lower one, so pass 1 evaluates its bracket,
+    # but its vertex falls between grid points. The grid minimum is the
+    # right one's, at a grid point, and only the second pass reaches it.
+    tmpl = replace(TEMPLATE, terrain=Terrain(pitch=30e-3))
+    act = ActuatorModel(tau_heat=1.0, tau_cool=0.45)
+    periods = np.array([3.0, 8.0])
+    speeds = np.array([1.2097928282154813e-3, 8.018121916802907e-3])
+    sse = np.sum((cal._sweep_speeds(tmpl, act, cal.ETA0_GRID, periods)
+                  - speeds) ** 2, axis=1)
+    dips = np.flatnonzero((sse[1:-1] < sse[:-2]) & (sse[1:-1] <= sse[2:])) + 1
+    assert dips.tolist() == [1744, 1940]
+    assert sse[1940] < sse[1744] < sse[1940] * (1.0 + 1e-6)
+    [(eta0, _)] = assert_profile_exact(tmpl, [act.tau_heat], [act.tau_cool],
+                                       periods, speeds)
+    assert eta0 == cal.ETA0_GRID[1940]
+
+
+def test_margin_keeps_a_rounding_tie():
+    # The same kink, with data whose two grid minima (indices 1843 and
+    # 1849) differ by 3.5e-14 of their value, 1.4e-17 of the margin's
+    # scale W; the right one is lower. Its interval's lower bound rounds
+    # above pass 1's bound U, and only the margin keeps it in pass 2: a
+    # margin of 1e-17 * W loses it, 1e-16 * W keeps it.
+    tmpl = replace(TEMPLATE, terrain=Terrain(pitch=30e-3))
+    act = ActuatorModel(tau_heat=1.0, tau_cool=0.45)
+    periods = np.array([3.0, 8.0])
+    speeds = np.array([4.1925212816193436e-3, 2.0613292403100477e-3])
+    sse = np.sum((cal._sweep_speeds(tmpl, act, cal.ETA0_GRID, periods)
+                  - speeds) ** 2, axis=1)
+    dips = np.flatnonzero((sse[1:-1] < sse[:-2]) & (sse[1:-1] <= sse[2:])) + 1
+    assert dips.tolist() == [1843, 1849]
+    assert sse[1849] < sse[1843] < sse[1849] * (1.0 + 1e-13)
+    [(eta0, _)] = assert_profile_exact(tmpl, [act.tau_heat], [act.tau_cool],
+                                       periods, speeds)
+    assert eta0 == cal.ETA0_GRID[1849]
+
+
+NEAR_FIT_TERRAINS = {**TERRAINS, "pitch_30mm": Terrain(pitch=30e-3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_profile_at_a_near_zero_sse(data):
+    # Speeds the model gives at a grid point, optionally jittered by 1e-6:
+    # the SSE is near 0, so the pruning bound U is too, and the margin
+    # alone keeps the intervals around the generating slip scale.
+    terrain = data.draw(st.sampled_from(sorted(NEAR_FIT_TERRAINS)))
+    tmpl = replace(TEMPLATE, terrain=NEAR_FIT_TERRAINS[terrain])
+    periods = np.sort(data.draw(st.lists(st.floats(0.5, 20.0), min_size=4,
+                                         max_size=12, unique=True)))
+    taus = data.draw(st.lists(TAU_PAIRS, min_size=1, max_size=30))
+    true = taus[data.draw(st.integers(0, len(taus) - 1))]
+    eta = cal.ETA0_GRID[data.draw(st.integers(0, len(cal.ETA0_GRID) - 1))]
+    act = replace(tmpl.actuator, tau_heat=true[0], tau_cool=true[1])
+    speeds = cal._sweep_speeds(tmpl, act, np.array([eta]), periods)[0]
+    if data.draw(st.booleans()):
+        noise = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(periods),
+                                   max_size=len(periods)))
+        speeds = speeds * (1.0 + 1e-6 * np.array(noise))
+    tau_heat, tau_cool = np.array(taus).T
+    assert_profile_exact(tmpl, tau_heat, tau_cool, periods, speeds)
 
 
 def profile_one(template, actuator, periods, speeds):
