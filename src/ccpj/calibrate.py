@@ -85,17 +85,6 @@ class Dataset:
                 f"(has {', '.join(self.columns)})") from None
         return self.rows[:, idx].copy()
 
-    def to_csv(self) -> str:
-        lines = [
-            f"# name: {self.name}",
-            f"# source: {self.source}",
-            f"# uncertainty: {self.uncertainty:g}",
-            ",".join(self.columns),
-        ]
-        for row in self.rows:
-            lines.append(",".join(f"{v:g}" for v in row))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_csv(cls, text: str, fallback_name: str = "dataset") -> "Dataset":
         meta = {"name": fallback_name, "source": "", "uncertainty": None}
@@ -608,16 +597,11 @@ def run_calibration(directory: Path | None = None,
 
     table, res_stiff = _stiffness_fit_full(ds_stiff)
     res_thermal = thermal_fit_report(ds_speed, template)
-    actuator = ActuatorModel(tau_heat=res_thermal.parameters["tau_heat_s"],
-                             tau_cool=res_thermal.parameters["tau_cool_s"],
-                             i_threshold=template.actuator.i_threshold,
-                             a_on=template.actuator.a_on,
-                             a_sat=template.actuator.a_sat)
-    slip_template = replace(template, actuator=actuator, table=table)
-    res_slip = slip_fit_report(ds_ops, slip_template)
-    slip = SlipModel(eta0=res_slip.parameters["eta0"],
-                     c_slope=res_slip.parameters["c_slope"],
-                     c_load=res_slip.parameters["c_load"])
+    actuator = replace(template.actuator,
+                       tau_heat=res_thermal.parameters["tau_heat_s"],
+                       tau_cool=res_thermal.parameters["tau_cool_s"])
+    res_slip = slip_fit_report(ds_ops, replace(template, actuator=actuator, table=table))
+    slip = SlipModel(**res_slip.parameters)
 
     return {"table": table, "actuator": actuator, "slip": slip,
             "results": [res_stiff, res_thermal, res_slip]}

@@ -144,6 +144,11 @@ def _range_values(spec: str | None, default: str) -> list[float]:
     values = []
     k = 0
     while a + k * step <= b + step * 1e-9:
+        if values and a + k * step <= values[-1]:
+            # the step is below the float spacing: points repeat, or never end
+            raise ConfigError(
+                f"sweep range {a}:{b}:{step}: step {step} does not advance "
+                f"past {values[-1]!r}")
         values.append(a + k * step)
         k += 1
     return values

@@ -187,20 +187,16 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     return parser
 
 
-def load_config(path: str | Path, *, include_defaults: bool = True
-                ) -> EffectiveConfig:
-    """Parse a scenario file over the shipped defaults.
+def load_config(path: str | Path) -> EffectiveConfig:
+    """Parse a scenario file over the defaults, when default_config_path exists.
 
     Every section and key is checked against the schema; unknown names
     are errors, not silently ignored, because a typoed key would
     otherwise fall back to a default and simulate the wrong robot.
     """
     path = Path(path)
-    parsers = []
-    if include_defaults:
-        dpath = default_config_path()
-        if dpath != path and dpath.exists():
-            parsers.append(_read_ini(dpath))
+    dpath = default_config_path()
+    parsers = [_read_ini(dpath)] if dpath != path and dpath.exists() else []
     parsers.append(_read_ini(path))
 
     raw: dict = {}

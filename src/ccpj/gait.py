@@ -13,22 +13,22 @@ each constant-current run the activation is a closed-form exponential;
 band angles, stroke direction and displacement increments follow as
 arrays, and the increments telescope on cos(beta), so results do not
 depend on dt beyond trace resolution. A short loop over strokes, two per
-cycle, does what is sequential at each anchor hand-off: the lattice
-snap, the re-seat decision, the pending half-pitch loss, the slide sums
-and the slip-noise draw. The standing-angle caps depend on x only through
-the ceiling gap ahead of the body, and x never decreases: the caps are
-held until the first trace row whose position changes that gap, and
-integration re-enters from that row, so caps change only at step
-boundaries.
+cycle, does what is sequential at each anchor hand-off: the re-seat
+decision, the pending half-pitch loss, the slide sums and the slip-noise
+draw. The standing-angle caps depend on x only through the ceiling gap
+ahead of the body, and x never decreases: the caps are held until the
+first trace row whose position changes that gap, and integration
+re-enters from that row, so caps change only at step boundaries.
 
-Ratchet anchoring: anchor positions are bookkept on the tooth lattice
-(floor-snapped relative to each foot's starting tooth). In the alternating
-all-leg gait every hand-off fully unloads one claw and flips the load onto
-the other, so the engaging claw re-seats mid-tooth and gives back half a
-pitch. In single-group drag gaits the working claw stays loaded; it only
-pays the half pitch when it slid a full tooth or more since last engaging.
-These rules produce the short-period dead zone, the confined-space dead
-zone for the all-leg gait, and leave the smooth-surface ideal limit exact.
+Ratchet re-seating: the ratchet enters the motion only through the
+half-pitch loss a claw pays when it re-seats mid-tooth, eaten from the
+start of the next stroke. In the alternating all-leg gait every hand-off
+fully unloads one claw and flips the load onto the other, so every
+engaging claw re-seats. In single-group drag gaits the working claw stays
+loaded; it only pays the half pitch when its foot slid a full tooth or
+more since last engaging. These rules produce the short-period dead zone,
+the confined-space dead zone for the all-leg gait, and leave the
+smooth-surface ideal limit exact.
 """
 
 from __future__ import annotations
@@ -91,12 +91,6 @@ class ActuatorModel:
             raise ValidationError(
                 f"window bounds a_on={self.a_on!r}, a_sat={self.a_sat!r} invalid"
             )
-
-    def advance(self, a: float, current: float, dt: float) -> float:
-        """Exact exponential update of the lag state over dt at a held current."""
-        target = 1.0 if current >= self.i_threshold - 1e-12 else 0.0
-        tau = self.tau_heat if target == 1.0 else self.tau_cool
-        return target + (a - target) * math.exp(-dt / tau)
 
     def window(self, a):
         """Stroke fraction in [0,1] for a lag state (elementwise on arrays)."""
@@ -161,8 +155,8 @@ class CurrentHeightMap:
         return float(np.interp(i_high, cur, beta))
 
 
-# Finest ratchet pitch accepted (m), 1/3000 of the shipped teeth. Far finer
-# pitches overflow the lattice index (foot - origin) / pitch.
+# Finest ratchet pitch accepted (m), 1/3000 of the shipped teeth: a
+# sub-micrometre tooth is below the model's resolution, not a ratchet.
 MIN_PITCH = 1e-6
 
 
@@ -432,10 +426,6 @@ class SimTrace:
     anchored_front: np.ndarray
     anchored_rear: np.ndarray
     height: np.ndarray
-    anchor_front_x: np.ndarray
-    anchor_rear_x: np.ndarray
-    anchor_front_0: float
-    anchor_rear_0: float
 
     @property
     def duration(self) -> float:
@@ -489,18 +479,9 @@ def run(scenario: Scenario) -> SimTrace:
     rng = (np.random.default_rng(scenario.seed)
            if scenario.slip_noise > 0.0 else None)
 
-    def seat(foot, origin):
-        """Anchor of a claw engaging at foot, floor-snapped to its lattice."""
-        if ter.surface != "ratchet":
-            return foot
-        return origin + ter.pitch * math.floor((foot - origin) / ter.pitch)
-
     x = np.zeros(len(s0) + 1)  # body position at every sub-step boundary
     stand = np.zeros(len(s0), dtype=bool)  # stroke phase of every sub-step
     caps = []  # (first row, cap_f, cap_r) of each constant-caps segment
-    handoffs = []  # (sub-step, anchor_front, anchor_rear) at each hand-off
-    anchor_f0, anchor_r0 = leg, -leg / 2.0  # flat feet: the lattice origins
-    anchor_f, anchor_r = anchor_f0, anchor_r0
     phase, pending, slide_f, slide_r, noise = False, 0.0, 0.0, 0.0, 1.0
     row = 0
     while row is not None:
@@ -537,24 +518,21 @@ def run(scenario: Scenario) -> SimTrace:
                 continue
             x0 = x[b + i0]
             if j > 0:
-                # anchor hand-off: the engaging claw bites the lattice. In
-                # the alternating gait every hand-off re-seats a fully
-                # unloaded claw mid-tooth (half-pitch loss); a drag gait's
-                # claw stays loaded and only re-seats after sliding a tooth.
+                # anchor hand-off: in the alternating gait every hand-off
+                # re-seats a fully unloaded claw mid-tooth (half-pitch
+                # loss); a drag gait's claw stays loaded and only re-seats
+                # after sliding a tooth.
                 phase = bool(seg_stand[i0])
                 if phase:
-                    anchor_f = seat(x0 + leg * cos_f[i0], anchor_f0)
                     reseats = alternating or slide_f >= ter.pitch - 1e-12
                     slide_f = 0.0
                 else:
-                    anchor_r = seat(x0 - (leg / 2.0) * cos_r[i0], anchor_r0)
                     reseats = alternating or slide_r >= ter.pitch - 1e-12
                     slide_r = 0.0
                 pending = ter.reseat_loss if reseats else 0.0
                 if rng is not None:
                     noise = max(0.0, 1.0 + scenario.slip_noise
                                 * float(rng.standard_normal()))
-                handoffs.append((b + i0, anchor_f, anchor_r))
 
             stroke = raw[i0:i1] * (eta * anchor_eff * noise)
             left = np.maximum(0.0, np.subtract.accumulate(
@@ -590,16 +568,12 @@ def run(scenario: Scenario) -> SimTrace:
     beta_r = w_r[row_at] * np.array([c[2] for c in caps])[seg]
     stand_row = np.concatenate(([False], stand))[row_at]
     moving = np.concatenate(([False], xr[1:] > xr[:-1] + 1e-15))
-    seen = np.searchsorted([h[0] for h in handoffs], row_at)
     return SimTrace(
         t=t, x=xr, beta_front=beta_f, beta_rear=beta_r,
         activation_front=a_f[row_at], activation_rear=a_r[row_at],
         anchored_front=np.where(~stand_row & moving, 0, 1),
         anchored_rear=np.where(stand_row & moving, 0, 1),
         height=leg * np.sin(np.maximum(beta_f, beta_r)) + scenario.robot.height_offset,
-        anchor_front_x=np.array([anchor_f0, *(h[1] for h in handoffs)])[seen],
-        anchor_rear_x=np.array([anchor_r0, *(h[2] for h in handoffs)])[seen],
-        anchor_front_0=anchor_f0, anchor_rear_0=anchor_r0,
     )
 
 
@@ -715,10 +689,9 @@ def sweep_period(scenario: Scenario, periods) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of a confined navigation attempt."""
+    """Outcome of a confined navigation that fits; one that does not raises."""
 
     mask_used: str
-    feasible: bool
     all_legs_feasible: bool
     min_gap_m: float
     max_height_m: float
@@ -798,7 +771,6 @@ def navigate_confined(scenario: Scenario) -> tuple[SimTrace, FeasibilityReport]:
 
     report = FeasibilityReport(
         mask_used=scenario.mask_name(),
-        feasible=True,
         all_legs_feasible=all_ok,
         min_gap_m=min_gap,
         max_height_m=float(np.max(trace.height)),

@@ -1,10 +1,12 @@
 """The per-`dt` reference stepper the simulator was first written as.
 
-`step`, `GaitState`, `_initial_state`, `_next_switch` and `run` below are
-the original sequential integrator, kept verbatim as an oracle: one
-`step()` per `dt`, split at each driven group's square-wave edges. The
-stroke engine in `ccpj.gait.run` must reproduce its traces (see
-`test_engine_oracle.py`). Nothing in the package imports this module.
+`advance`, `step`, `GaitState`, `_next_switch` and `run` below are the
+original sequential integrator, kept as an oracle: one `step()` per `dt`,
+split at each driven group's square-wave edges, with the lag state
+updated by `advance`. The stroke engine in `ccpj.gait.run` must reproduce
+its traces (see `test_engine_oracle.py`). Only the anchor-position
+bookkeeping, which never fed the body position, has been dropped. Nothing
+in the package imports this module.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ccpj.errors import InfeasibleConfinementError
-from ccpj.gait import FRONT, REAR, Scenario, SimTrace, _beta_caps
+from ccpj.gait import FRONT, REAR, ActuatorModel, Scenario, SimTrace, _beta_caps
 from ccpj.kinematics import standing_height
 from ccpj.params import GaitSignal
 
@@ -33,19 +35,14 @@ class GaitState:
     pending_loss: float = 0.0  # re-grip loss not yet eaten, m
     slide_front: float = 0.0  # front foot travel since last engagement, m
     slide_rear: float = 0.0
-    anchor_front: float = 0.0  # recorded anchor positions, m
-    anchor_rear: float = 0.0
-    anchor_front_0: float = 0.0  # starting teeth, lattice origins
-    anchor_rear_0: float = 0.0
     noise_factor: float = 1.0
 
 
-def _initial_state(scenario: Scenario) -> GaitState:
-    leg = scenario.robot.leg.leg_length
-    st = GaitState()
-    st.anchor_front = st.anchor_front_0 = leg  # foot of the flat front leg
-    st.anchor_rear = st.anchor_rear_0 = -leg / 2.0
-    return st
+def advance(act: ActuatorModel, a: float, current: float, dt: float) -> float:
+    """Exact exponential update of the lag state over dt at a held current."""
+    target = 1.0 if current >= act.i_threshold - 1e-12 else 0.0
+    tau = act.tau_heat if target == 1.0 else act.tau_cool
+    return target + (a - target) * math.exp(-dt / tau)
 
 
 def _next_switch(signal: GaitSignal, t: float, group: int) -> float:
@@ -76,7 +73,6 @@ def step(state: GaitState, scenario: Scenario, dt: float | None = None,
                                    scenario.robot.total_mass)
     anchor_eff = ter.anchor_efficiency
     cap_f, cap_r = _beta_caps(scenario, state.x)
-    on_ratchet = ter.surface == "ratchet"
     pitch = ter.pitch
 
     t_end = state.t + dt
@@ -93,7 +89,7 @@ def step(state: GaitState, scenario: Scenario, dt: float | None = None,
         b_new = [0.0, 0.0]
         for g, cap in ((FRONT, cap_f), (REAR, cap_r)):
             cur = sig.current_at(mid, g)
-            a_new = act.advance(a[g], cur, s1 - s0)
+            a_new = advance(act, a[g], cur, s1 - s0)
             b_old[g] = act.window(a[g]) * cap
             b_new[g] = act.window(a_new) * cap
             a[g] = a_new
@@ -109,30 +105,16 @@ def step(state: GaitState, scenario: Scenario, dt: float | None = None,
             new_phase = state.phase
 
         if new_phase != state.phase:
-            # anchor hand-off: the engaging claw bites the lattice. In the
-            # alternating gait every hand-off re-seats a fully unloaded claw
-            # mid-tooth (half-pitch loss); a drag gait's claw stays loaded
-            # and only re-seats after sliding a full tooth.
+            # anchor hand-off: in the alternating gait every hand-off
+            # re-seats a fully unloaded claw mid-tooth (half-pitch loss); a
+            # drag gait's claw stays loaded and only re-seats after sliding
+            # a full tooth.
             alternating = sig.mask[FRONT] and sig.mask[REAR]
             if new_phase == "stand":
-                foot = state.x + leg * math.cos(b_old[FRONT])
-                if on_ratchet:
-                    state.anchor_front = (state.anchor_front_0 + pitch
-                                          * math.floor((foot - state.anchor_front_0)
-                                                       / pitch))
-                else:
-                    state.anchor_front = foot
                 reseats = alternating or state.slide_front >= pitch - 1e-12
                 state.pending_loss = ter.reseat_loss if reseats else 0.0
                 state.slide_front = 0.0
             else:
-                foot = state.x - (leg / 2.0) * math.cos(b_old[REAR])
-                if on_ratchet:
-                    state.anchor_rear = (state.anchor_rear_0 + pitch
-                                         * math.floor((foot - state.anchor_rear_0)
-                                                      / pitch))
-                else:
-                    state.anchor_rear = foot
                 reseats = alternating or state.slide_rear >= pitch - 1e-12
                 state.pending_loss = ter.reseat_loss if reseats else 0.0
                 state.slide_rear = 0.0
@@ -171,7 +153,7 @@ def step(state: GaitState, scenario: Scenario, dt: float | None = None,
 
 def run(scenario: Scenario) -> SimTrace:
     """Simulate the full scenario. Deterministic for a given (scenario, seed)."""
-    st = _initial_state(scenario)
+    st = GaitState()
     rng = (np.random.default_rng(scenario.seed)
            if scenario.slip_noise > 0.0 else None)
     n_steps = int(math.ceil(scenario.duration / scenario.dt - 1e-9))
@@ -188,7 +170,7 @@ def run(scenario: Scenario) -> SimTrace:
         anch_f = 0 if (st.phase == "sit" and moving) else 1
         anch_r = 0 if (st.phase == "stand" and moving) else 1
         rows.append((st.t, st.x, bf, br, st.a[FRONT], st.a[REAR],
-                     anch_f, anch_r, h, st.anchor_front, st.anchor_rear))
+                     anch_f, anch_r, h))
 
     snapshot(prev_x=st.x)
     try:
@@ -208,6 +190,4 @@ def run(scenario: Scenario) -> SimTrace:
         activation_front=np.array(cols[4]), activation_rear=np.array(cols[5]),
         anchored_front=np.array(cols[6]), anchored_rear=np.array(cols[7]),
         height=np.array(cols[8]),
-        anchor_front_x=np.array(cols[9]), anchor_rear_x=np.array(cols[10]),
-        anchor_front_0=st.anchor_front_0, anchor_rear_0=st.anchor_rear_0,
     )

@@ -138,9 +138,7 @@ def make_trace(t, x, beta_front, beta_rear, height, anchored_front,
         activation_front=zeros, activation_rear=zeros,
         anchored_front=np.asarray(anchored_front, dtype=bool),
         anchored_rear=np.asarray(anchored_rear, dtype=bool),
-        height=np.asarray(height, dtype=float),
-        anchor_front_x=zeros, anchor_rear_x=zeros,
-        anchor_front_0=0.0, anchor_rear_0=0.0)
+        height=np.asarray(height, dtype=float))
 
 
 @pytest.fixture(scope="module")

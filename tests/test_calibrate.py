@@ -57,15 +57,6 @@ def template():
 
 
 class TestDataset:
-    def test_roundtrip_csv(self):
-        ds = make_ds("demo", ("a", "b"), [[1.0, 2.5], [3.0, 4.25]])
-        back = Dataset.from_csv(ds.to_csv())
-        assert back.name == "demo"
-        assert back.columns == ("a", "b")
-        assert back.source == ds.source
-        assert back.uncertainty == ds.uncertainty
-        assert np.array_equal(back.rows, ds.rows)
-
     def test_provenance_required(self):
         with pytest.raises(ValidationError):
             make_ds("x", ("a",), [[1.0]], source="measured on hardware")

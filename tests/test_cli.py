@@ -156,7 +156,7 @@ class TestSimulate:
         assert err.startswith("ccpj: error[2]: OutOfRangeError: seed=-1")
 
     @pytest.mark.parametrize("section, key, value", [
-        ("terrain", "pitch_mm", "1e-320"),  # lattice index overflows
+        ("terrain", "pitch_mm", "1e-320"),  # below the finest tooth, MIN_PITCH
         ("run", "slip_noise", "1e308"),  # noise factor overflows
         ("actuator", "i_threshold_a", "-1e308"),  # every current would heat
         ("actuator", "i_threshold_a", "0"),
@@ -251,24 +251,30 @@ class TestSweep:
         assert err.startswith("ccpj: error[2]: ConfigError:") and message in err
 
     def test_range_within_float_spacing(self, tmp_path, scenario_path):
-        # Its points span one float spacing, whose axis ticks once looped
-        # forever, growing memory. It runs in a child process capped at
-        # 1 GiB of address space and 120 s, so a regression fails instead.
+        # Steps below the float spacing of a: the first range once swept
+        # 9 points for 2 distinct currents, the other two once appended
+        # the same point forever, growing memory. Each runs in a child
+        # process capped at 1 GiB of address space and 120 s, so a
+        # regression fails instead of exhausting memory.
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "ccpj.cli", "sweep", "--param", "current",
-             "--range", "0.3:0.30000000000000004:1e-17",
-             "--config", str(scenario_path("flat_ratchet_T4")),
-             "--out", str(tmp_path), "--quiet"],
-            env=env, preexec_fn=cap, capture_output=True, text=True,
-            timeout=120)
-        assert done.returncode in (0, 2), done.stderr
-        assert "Traceback" not in done.stderr
+        for param, spec in (("current", "0.3:0.30000000000000004:1e-17"),
+                            ("payload", "1e17:1e17:1"),
+                            ("payload", "1e308:1e308:1")):
+            done = subprocess.run(
+                [sys.executable, "-m", "ccpj.cli", "sweep", "--param", param,
+                 "--range", spec,
+                 "--config", str(scenario_path("flat_ratchet_T4")),
+                 "--out", str(tmp_path), "--quiet"],
+                env=env, preexec_fn=cap, capture_output=True, text=True,
+                timeout=120)
+            assert done.returncode == 2, (spec, done.stderr)
+            assert done.stderr.startswith("ccpj: error[2]: ConfigError:"), spec
+            assert "Traceback" not in done.stderr
 
     def test_bad_param(self, tmp_path, scenario_path, capsys):
         assert main(["sweep", "--param", "voltage",

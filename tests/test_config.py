@@ -159,21 +159,24 @@ class TestBuilders:
         want = 63.5e-3 - 65e-3 * math.sin(math.radians(45.0))
         assert robot.height_offset == pytest.approx(want)
 
-    def test_table_absent_without_defaults(self, tmp_path):
+    def test_table_absent_without_defaults(self, tmp_path, monkeypatch):
+        # a data directory with no tripodbot.default: nothing to merge over
+        monkeypatch.setenv("CCPJ_DATA_DIR", str(tmp_path))
         p = write(tmp_path, "[signal]\nperiod_s = 4\n")
-        cfg = load_config(p, include_defaults=False)
+        cfg = load_config(p)
         assert build_table(cfg) is None
 
 
 class TestWriteConfig:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CCPJ_DATA_DIR", str(tmp_path))  # no defaults file
         p = tmp_path / "written.config"
         write_config(p, {
             "meta": {"schema_version": "1", "name": "written"},
             "signal": {"period_s": "4.0", "mask": "front_only"},
             "actuator": {"tau_heat_s": "1.3"},
         })
-        cfg = load_config(p, include_defaults=False)
+        cfg = load_config(p)
         assert cfg.name == "written"
         assert cfg.get("signal", "period_s") == 4.0
         assert cfg.get("signal", "mask") == (True, False)
