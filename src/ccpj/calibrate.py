@@ -103,8 +103,13 @@ class Dataset:
             if columns is None:
                 columns = tuple(c.strip() for c in line.split(","))
                 continue
+            values = line.split(",")
+            if len(values) != len(columns):
+                raise ValidationError(
+                    f"bad dataset row {line!r}: {len(values)} values for "
+                    f"{len(columns)} columns")
             try:
-                rows.append([float(v) for v in line.split(",")])
+                rows.append([float(v) for v in values])
             except ValueError as err:
                 raise ValidationError(f"bad dataset row {line!r}: {err}") from None
         if columns is None or not rows:

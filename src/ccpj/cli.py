@@ -37,7 +37,13 @@ from .errors import (
     UnreachableError,
 )
 from .gait import Scenario, SimTrace, navigate_confined, run, sweep_period
-from .optimize import SearchSpec, max_feasible_current, optimize_period, select_mask
+from .optimize import (
+    SearchSpec,
+    finest_tolerance,
+    max_feasible_current,
+    optimize_period,
+    select_mask,
+)
 from .plotsvg import line_plot
 
 EXIT_OK, EXIT_CONFIG, EXIT_SIM, EXIT_DATA = 0, 2, 3, 4
@@ -319,6 +325,10 @@ def cmd_optimize(args) -> int:
     if args.param == "period":
         lo, hi, tol = _parse_range(args.range, "2:10:0.05")
         spec = SearchSpec(lo=lo, hi=hi, tolerance=tol)
+        if not tol > finest_tolerance(lo, hi):
+            raise ConfigError(
+                f"--range {lo}:{hi}:{tol}: resolution {tol} is within the float "
+                f"spacing of the bracket; need more than {finest_tolerance(lo, hi)!r}")
         t_star, v_star = optimize_period(spec, sc)
         lines.append(f"optimize_period: period_s={t_star:.6g}, "
                      f"speed_mm_s={v_star * 1e3:.6g}")

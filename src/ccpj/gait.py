@@ -7,18 +7,24 @@ stand-advance increment); cooling softens them and the robot sits down
 follows a first-order thermal lag through an activation window, and every
 increment is scaled by a slip efficiency degraded by slope and payload.
 
-Integration is per stroke. Each dt step is split at every driven group's
-square-wave edges, and the whole sub-step grid is built at once. Over
-each constant-current run the activation is a closed-form exponential;
-band angles, stroke direction and displacement increments follow as
-arrays, and the increments telescope on cos(beta), so results do not
-depend on dt beyond trace resolution. A short loop over strokes, two per
-cycle, does what is sequential at each anchor hand-off: the re-seat
-decision, the pending half-pitch loss, the slide sums and the slip-noise
-draw. The standing-angle caps depend on x only through the ceiling gap
-ahead of the body, and x never decreases: the caps are held until the
-first trace row whose position changes that gap, and integration
-re-enters from that row, so caps change only at step boundaries.
+Integration takes a fixed number of array passes per run, whatever its
+stroke count. Each dt step is split at every driven group's square-wave
+edges, and the whole sub-step grid is built at once. Over each
+constant-current run the activation is the exact exponential from the
+run's start; band angles, stroke direction and displacement increments
+follow as arrays, and the increments telescope on cos(beta), so results
+do not depend on dt beyond trace resolution. The standing-angle caps
+depend on x only through the ceiling gap ahead of the body, and x never
+decreases, so the run splits into segments of constant caps. Each
+segment is one pass: the slip-noise draws of all its strokes at once,
+each stroke's pending half-pitch loss eaten from one cumulative sum, and
+x from one accumulation. What is sequential at the anchor hand-offs is
+left to a drag gait's re-seat choice, a scalar loop over strokes on foot
+travel taken both with and without the loss. The gap is then checked at
+every row of the segment at once: the caps hold until the first row
+whose position changes the gap, the draws past it are handed back, and
+integration re-enters from that row, so caps change only at step
+boundaries.
 
 Ratchet re-seating: the ratchet enters the motion only through the
 half-pitch loss a claw pays when it re-seats mid-tooth, eaten from the
@@ -323,8 +329,7 @@ def _beta_caps(scenario: Scenario, x: float) -> tuple[float, float]:
     applied over a conservative envelope ahead of the body so the robot
     ducks before its reach enters the region.
     """
-    hmap = scenario.resolved_height_map()
-    leg = scenario.robot.leg.leg_length
+    cap_f, cap_r = _drive_caps(scenario)
     gap = _gap_at(scenario, x)
     if gap < scenario.robot.height_offset - 1e-12:
         raise InfeasibleConfinementError(
@@ -332,28 +337,36 @@ def _beta_caps(scenario: Scenario, x: float) -> tuple[float, float]:
             required_mm=scenario.robot.height_offset * 1e3,
             available_mm=gap * 1e3,
         )
-    beta_gap = BETA_MAX
-    if math.isfinite(gap):
-        beta_gap = beta_for_height(
-            min(gap, standing_height(leg, BETA_MAX, scenario.robot.height_offset)),
-            leg, scenario.robot.height_offset,
-        )
-    caps = []
-    for g in (FRONT, REAR):
-        i_high = scenario.signal.i_high if scenario.signal.mask[g] else 0.0
-        caps.append(min(hmap.beta_cap(i_high), beta_gap, BETA_MAX))
-    return caps[0], caps[1]
+    beta_gap = _gap_beta(scenario, gap)
+    return min(cap_f, beta_gap), min(cap_r, beta_gap)
 
 
-def _switch_after(signal: GaitSignal, t: np.ndarray, group: int) -> np.ndarray:
-    """First square-wave edge of a group strictly after each time in t.
+def _drive_caps(scenario: Scenario) -> tuple[float, float]:
+    """Standing-angle ceiling per group from the current->angle map alone."""
+    hmap, sig = scenario.resolved_height_map(), scenario.signal
+    cap_f, cap_r = (min(hmap.beta_cap(sig.i_high if sig.mask[g] else 0.0), BETA_MAX)
+                    for g in (FRONT, REAR))
+    return cap_f, cap_r
+
+
+def _gap_beta(scenario: Scenario, gap: float) -> float:
+    """Highest standing angle (rad) that fits under a ceiling gap (m)."""
+    if not math.isfinite(gap):
+        return BETA_MAX
+    leg, offset = scenario.robot.leg.leg_length, scenario.robot.height_offset
+    return beta_for_height(min(gap, standing_height(leg, BETA_MAX, offset)), leg, offset)
+
+
+def _switch_after(signal: GaitSignal, t: np.ndarray, phase: float) -> np.ndarray:
+    """First edge of a square wave shifted by `phase` periods, strictly after
+    each time in t.
 
     An edge less than 1e-9 periods ahead counts as passed, so a sub-step
     that ends on an edge does not split there again.
     """
-    u = np.remainder(t / signal.period - signal.phase[group], 1.0)
-    ahead = [np.where(edge - u <= 1e-9, edge - u + 1.0, edge - u)
-             for edge in (signal.duty, 1.0)]
+    u = t / signal.period - phase
+    u -= np.floor(u)  # the bits of np.remainder(u, 1.0) for u > -1, faster
+    ahead = [np.where(d <= 1e-9, d + 1.0, d) for d in (signal.duty - u, 1.0 - u)]
     return t + np.minimum(*ahead) * signal.period
 
 
@@ -363,54 +376,71 @@ def _substep_grid(scenario: Scenario):
     Row k >= 1 of the trace closes the dt step ending at
     min(duration, k*dt). Each step is split at every driven group's
     square-wave edges inside it, and a remainder shorter than 1e-12 s is
-    dropped. Returns (t, s0, s1, row_at): the row times, the start and end
-    of every sub-step in time order, and for each row the number of
-    sub-steps before it.
+    dropped. Each pass finds the edges once per distinct driven phase:
+    the first over all steps, any further one only over the steps a split
+    left open. Returns (t, s0, s1, row_at): the row times, the start
+    and end of every sub-step in time order, and for each row the number
+    of sub-steps before it.
     """
     sig = scenario.signal
     n = int(math.ceil(scenario.duration / scenario.dt - 1e-9))
     t = np.minimum(scenario.duration, np.arange(1, n + 1) * scenario.dt)
+    phases = {sig.phase[g] for g in (FRONT, REAR) if sig.mask[g]}
     step, s0, t_end = np.arange(n), np.concatenate(([0.0], t[:-1])), t
-    pieces = [(step[:0], s0[:0], s0[:0])]
     live = s0 < t_end - _EPS_T
-    while live.any():
+    if not live.all():
         step, s0, t_end = step[live], s0[live], t_end[live]
+    pieces = []  # (step, s0, s1) of each step's m-th sub-step, in pass m
+    while step.size:
         s1 = t_end
-        for g in (FRONT, REAR):
-            if sig.mask[g]:
-                s1 = np.minimum(s1, _switch_after(sig, s0, g))
+        for phase in phases:
+            s1 = np.minimum(s1, _switch_after(sig, s0, phase))
         pieces.append((step, s0, s1))
-        s0 = s1
-        live = s0 < t_end - _EPS_T
-    step, s0, s1 = (np.concatenate(column) for column in zip(*pieces))
-    order = np.argsort(step, kind="stable")
-    row_at = np.searchsorted(step[order], np.arange(n + 1))
-    return np.concatenate(([0.0], t)), s0[order], s1[order], row_at
+        live = s1 < t_end - _EPS_T
+        step, s0, t_end = step[live], s1[live], t_end[live]
+    if len(pieces) == 1 and len(pieces[0][0]) == n:  # nothing split or dropped
+        return np.concatenate(([0.0], t)), pieces[0][1], pieces[0][2], np.arange(n + 1)
+    row_at = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(np.concatenate([p[0] for p in pieces] or [step]),
+                          minlength=n), out=row_at[1:])
+    # pass m holds a subset of pass m-1's steps, so a step's m-th sub-step
+    # sits m places after its first
+    s0, s1 = np.empty(row_at[-1]), np.empty(row_at[-1])
+    for m, (step, lo, hi) in enumerate(pieces):
+        at = row_at[step] + m
+        s0[at], s1[at] = lo, hi
+    return np.concatenate(([0.0], t)), s0, s1, row_at
 
 
 def _activation(scenario: Scenario, s0: np.ndarray, s1: np.ndarray,
                 group: int) -> np.ndarray:
     """Lag state of a group at every sub-step boundary, from a cold start.
 
-    Over each constant-current run the state relaxes in closed form,
-    target + (a_start - target) * prod(exp(-h/tau)), the product taken in
-    time order. math.exp is taken once per distinct sub-step length.
+    Over a constant-current run entered at t_start in state a_start the
+    state is exact in closed form, target + (a_start - target) *
+    exp(-(s1 - t_start)/tau). A scalar loop over the runs carries a_start
+    from each run's end to the next; the grid is then filled in one pass.
     """
     act = scenario.actuator
-    current = scenario.signal.current_at(0.5 * (s0 + s1), group)
-    heat = current >= act.i_threshold - 1e-12
-    lengths, which = np.unique(s1 - s0, return_inverse=True)
-    decay = np.where(
-        heat,
-        np.array([math.exp(-h / act.tau_heat) for h in lengths.tolist()])[which],
-        np.array([math.exp(-h / act.tau_cool) for h in lengths.tolist()])[which])
-    a = np.zeros(len(s0) + 1)
-    cuts = (np.flatnonzero(heat[1:] != heat[:-1]) + 1).tolist()
-    for i0, i1 in zip([0, *cuts], [*cuts, len(s0)]):
-        target = 1.0 if heat[i0] else 0.0
-        rest = np.multiply.accumulate(np.concatenate(([a[i0] - target], decay[i0:i1])))
-        a[i0 + 1:i1 + 1] = target + rest[1:]
-    return a
+    if not len(s0):  # every step shorter than 1e-12 s
+        return np.zeros(1)
+    heat = scenario.signal.current_at(0.5 * (s0 + s1), group) >= act.i_threshold - 1e-12
+    starts = np.flatnonzero(np.concatenate(([True], heat[1:] != heat[:-1])))
+    ends = np.append(starts[1:], len(s0))
+    a_start, a = [], 0.0
+    for hot, t0, t1 in zip(heat[starts].tolist(), s0[starts].tolist(),
+                           s1[ends - 1].tolist()):
+        a_start.append(a)
+        target, tau = (1.0, act.tau_heat) if hot else (0.0, act.tau_cool)
+        a = target + (a - target) * math.exp(-(t1 - t0) / tau)
+    runs = ends - starts
+    target = heat.astype(float)
+    # a tau near the smallest float overflows the ratio to inf: exp gives 0
+    with np.errstate(over="ignore"):
+        elapsed = (s1 - np.repeat(s0[starts], runs)) / np.where(
+            heat, act.tau_heat, act.tau_cool)
+    a = target + (np.repeat(a_start, runs) - target) * np.exp(-elapsed)
+    return np.concatenate(([0.0], a))
 
 
 @dataclass(frozen=True)
@@ -461,9 +491,11 @@ def run(scenario: Scenario) -> SimTrace:
     """Simulate the full scenario. Deterministic for a given (scenario, seed).
 
     Activation and band angles are evaluated over the whole sub-step grid
-    at once; one Python iteration per stroke does the hand-off bookkeeping.
-    Under a ceiling the caps hold until the first row whose position
-    changes the gap, and integration re-enters from that row.
+    at once. Each constant-caps segment is then integrated in one array
+    pass whatever its stroke count; only a drag gait's re-seat choice is a
+    scalar loop, one iteration per stroke. Under a ceiling the gap is
+    checked once per segment: the caps hold until the first row whose
+    position changes the gap, and integration re-enters from that row.
     """
     sig, ter, act = scenario.signal, scenario.terrain, scenario.actuator
     leg = scenario.robot.leg.leg_length
@@ -472,9 +504,8 @@ def run(scenario: Scenario) -> SimTrace:
     a_r = (a_f if (sig.mask[FRONT], sig.phase[FRONT]) == (sig.mask[REAR], sig.phase[REAR])
            else _activation(scenario, s0, s1, REAR))
     w_f, w_r = act.window(a_f), act.window(a_r)
-    eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
-                                   scenario.robot.total_mass)
-    anchor_eff = ter.anchor_efficiency
+    scale = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
+                                     scenario.robot.total_mass) * ter.anchor_efficiency
     alternating = sig.mask[FRONT] and sig.mask[REAR]
     rng = (np.random.default_rng(scenario.seed)
            if scenario.slip_noise > 0.0 else None)
@@ -482,9 +513,12 @@ def run(scenario: Scenario) -> SimTrace:
     x = np.zeros(len(s0) + 1)  # body position at every sub-step boundary
     stand = np.zeros(len(s0), dtype=bool)  # stroke phase of every sub-step
     caps = []  # (first row, cap_f, cap_r) of each constant-caps segment
-    phase, pending, slide_f, slide_r, noise = False, 0.0, 0.0, 0.0, 1.0
+    # carried across a segment cut: the stroke phase, the re-seat loss not
+    # yet eaten, the slip-noise factor, and each foot's travel since its
+    # claw last engaged, indexed by the phase it slides in (sit: front)
+    phase, pending, noise, slide = False, 0.0, 1.0, [0.0, 0.0]
     row = 0
-    while row is not None:
+    while True:
         b = row_at[row]
         try:
             cap_f, cap_r = _beta_caps(scenario, x[b])
@@ -495,6 +529,8 @@ def run(scenario: Scenario) -> SimTrace:
                 f"t={t[row]:.3f} s: {err.reason}", err.required_mm, err.available_mm
             ) from err
         caps.append((row, cap_f, cap_r))
+        if b == len(s0):
+            break
         gap = _gap_at(scenario, x[b])
         bf, br = w_f[b:] * cap_f, w_r[b:] * cap_r
         cos_f, cos_r = np.cos(bf), np.cos(br)
@@ -505,62 +541,77 @@ def run(scenario: Scenario) -> SimTrace:
         sets = np.abs(direction) > 1e-15
         last = np.maximum.accumulate(np.where(sets, np.arange(len(sets)), -1))
         seg_stand = np.where(last >= 0, direction[last] > 0.0, phase)
-        flips = np.flatnonzero(seg_stand != np.concatenate(([phase], seg_stand[:-1])))
-        raw = np.where(seg_stand,
-                       np.maximum(0.0, leg * (cos_f[:-1] - cos_f[1:])),
-                       np.maximum(0.0, (leg / 2.0) * (cos_r[1:] - cos_r[:-1])))
+        # stroke k of every sub-step: stroke 0 goes on in the phase held on
+        # entry, stroke j >= 1 starts at the j-th anchor hand-off
+        handoff = seg_stand != np.concatenate(([phase], seg_stand[:-1]))
+        k = np.cumsum(handoff)
+        first = np.concatenate(([0], np.flatnonzero(handoff)))
+        n_h = len(first) - 1
+        stroke = np.where(seg_stand,
+                          np.maximum(0.0, leg * (cos_f[:-1] - cos_f[1:])),
+                          np.maximum(0.0, (leg / 2.0) * (cos_r[1:] - cos_r[:-1])))
+        noises = [noise] * (n_h + 1)  # slip-noise factor of each stroke
+        if rng is not None and n_h:
+            saved = rng.bit_generator.state if ter.ceiling else None
+            noises[1:] = np.maximum(0.0, 1.0 + scenario.slip_noise
+                                    * rng.standard_normal(n_h)).tolist()
+            stroke *= (scale * np.array(noises))[k]
+        else:
+            stroke *= scale * noise
+        # stroke travel before each sub-step, counted from its stroke's start
+        csum = np.concatenate(([0.0], np.cumsum(stroke)))
+        before = csum[:-1] - csum[first][k]
 
-        row = None
-        edges = [0, *flips.tolist(), len(raw)]
-        for j in range(len(edges) - 1):
-            i0, i1 = edges[j], edges[j + 1]
-            if i1 == i0:
-                continue
-            x0 = x[b + i0]
-            if j > 0:
-                # anchor hand-off: in the alternating gait every hand-off
-                # re-seats a fully unloaded claw mid-tooth (half-pitch
-                # loss); a drag gait's claw stays loaded and only re-seats
-                # after sliding a tooth.
-                phase = bool(seg_stand[i0])
-                if phase:
-                    reseats = alternating or slide_f >= ter.pitch - 1e-12
-                    slide_f = 0.0
-                else:
-                    reseats = alternating or slide_r >= ter.pitch - 1e-12
-                    slide_r = 0.0
-                pending = ter.reseat_loss if reseats else 0.0
-                if rng is not None:
-                    noise = max(0.0, 1.0 + scenario.slip_noise
-                                * float(rng.standard_normal()))
+        def net(loss):
+            """Advance per sub-step when stroke j starts owing loss[j]."""
+            return np.maximum(0.0, stroke - np.maximum(0.0, np.asarray(loss)[k] - before))
 
-            stroke = raw[i0:i1] * (eta * anchor_eff * noise)
-            left = np.maximum(0.0, np.subtract.accumulate(
-                np.concatenate(([pending], stroke))))
-            xs = np.add.accumulate(np.concatenate(
-                ([x0], np.maximum(0.0, stroke - left[:-1]))))
-            x[b + i0:b + i1 + 1] = xs
-            stand[b + i0:b + i1] = phase
-            # kinematic travel of the unloaded foot, for the re-seat rule
-            slide = None
-            if not alternating:
-                foot = (xs - (leg / 2.0) * cos_r[i0:i1 + 1] if phase
-                        else xs + leg * cos_f[i0:i1 + 1])
-                slide = np.add.accumulate(np.concatenate(
-                    ([slide_r if phase else slide_f], np.abs(np.diff(foot)))))
-
-            q = i1 - i0
-            if ter.ceiling:
-                r0, r1 = np.searchsorted(row_at, (b + i0, b + i1), side="right")
-                moved = np.flatnonzero(_gap_at(scenario, x[row_at[r0:r1]]) != gap)
-                if moved.size:
-                    row = r0 + int(moved[0])
-                    q = row_at[row] - b - i0
-            pending = left[q]
-            if slide is not None:
-                slide_r, slide_f = (slide[q], slide_f) if phase else (slide_r, slide[q])
-            if row is not None:
-                break
+        if alternating:
+            # every hand-off re-seats a fully unloaded claw mid-tooth
+            loss = [pending] + [ter.reseat_loss] * n_h
+        else:
+            # a drag gait's claw stays loaded: it re-seats only after its
+            # foot slid a tooth since last engaging, which depends on the
+            # earlier strokes' advance. Each stroke's foot travel is taken
+            # with and without the loss, and the rule picks one per stroke.
+            lever = np.where(seg_stand, (leg / 2.0) * (cos_r[:-1] - cos_r[1:]),
+                             leg * (cos_f[1:] - cos_f[:-1]))
+            # travel[True][j]: stroke j's foot travel if it pays the loss
+            travel = [np.bincount(k, np.abs(net(owed) + lever), n_h + 1).tolist()
+                      for owed in ([pending] + [0.0] * n_h,
+                                   [pending] + [ter.reseat_loss] * n_h)]
+            loss, slid = [pending], []  # slid[j]: foot travel as stroke j starts
+            for j, p in enumerate([phase] + seg_stand[first[1:]].tolist()):
+                if j:
+                    reseats = slide[not p] >= ter.pitch - 1e-12
+                    slide[not p] = 0.0
+                    loss.append(ter.reseat_loss if reseats else 0.0)
+                slid.append(list(slide))
+                slide[p] += travel[loss[j] > 0.0][j]
+        inc = net(loss)
+        x[b:] = np.add.accumulate(np.concatenate(([x[b]], inc)))
+        stand[b:] = seg_stand
+        if not ter.ceiling:
+            break
+        r0 = np.searchsorted(row_at, b, side="right")
+        moved = np.flatnonzero(_gap_at(scenario, x[row_at[r0:]]) != gap)
+        if not moved.size:
+            break
+        # cut after the first `cut` sub-steps, inside stroke j: the first
+        # row that sees a new gap
+        row = r0 + int(moved[0])
+        cut = row_at[row] - b
+        j = int(k[cut - 1])
+        phase = bool(seg_stand[cut - 1])
+        pending = max(0.0, loss[j] - float(csum[cut] - csum[first[j]]))
+        noise = noises[j]
+        if rng is not None and j < n_h:
+            # hand back the draws of the strokes past the cut
+            rng.bit_generator.state = saved
+            rng.standard_normal(j)
+        if not alternating:
+            slide = slid[j]
+            slide[phase] += float(np.sum(np.abs(inc[first[j]:cut] + lever[first[j]:cut])))
 
     xr = x[row_at]
     seg = np.searchsorted([c[0] for c in caps], np.arange(len(t)), side="right") - 1
@@ -603,10 +654,15 @@ def _stroke_arcs(scenario: Scenario, tau_heat, tau_cool, periods, cycles: int = 
     operation is elementwise, so every candidate's values are the bits
     stroke_arcs gives for that candidate alone.
     """
+    caps = _beta_caps(scenario, 0.0)
+    return _arcs(scenario, _lag_band(scenario, tau_heat, tau_cool, periods, cycles),
+                 caps, cycles)
+
+
+def _lag_band(scenario: Scenario, tau_heat, tau_cool, periods, cycles: int):
+    """Windowed activation [top, bottom] of each stroke, stacked on axis 0."""
     act = scenario.actuator
     duty = scenario.signal.duty
-    leg = scenario.robot.leg.leg_length
-    cap_f, cap_r = _beta_caps(scenario, 0.0)
     periods = np.asarray(periods, dtype=float)
     e_h = np.exp(-duty * periods / tau_heat)
     e_c = np.exp(-(1.0 - duty) * periods / tau_cool)
@@ -615,10 +671,16 @@ def _stroke_arcs(scenario: Scenario, tau_heat, tau_cool, periods, cycles: int = 
         steps = np.arange(1, cycles + 1)
         top = top[..., None] * (1.0 - (e_h * e_c)[..., None] ** steps)
         e_c = e_c[..., None]
-    band = act.window(np.array([top, top * e_c]))  # [top, bottom]
-    beta_f = band * cap_f
+    return act.window(np.array([top, top * e_c]))
+
+
+def _arcs(scenario: Scenario, band: np.ndarray, caps: tuple[float, float],
+          cycles: int):
+    """Unit-slip stand and sit advances and the front band, under caps."""
+    leg = scenario.robot.leg.leg_length
+    beta_f = band * caps[0]
     cos_f = np.cos(beta_f)
-    cos_r = np.cos(band * cap_r)
+    cos_r = np.cos(band * caps[1])
     # each stand rises from the previous cycle's bottom, the first from flat
     cos_start = cos_f[1]
     if cycles:
@@ -636,13 +698,17 @@ def steady_cycle_displacement(scenario: Scenario) -> tuple[float, float, float]:
     Mirrors the simulator's steady cycle exactly, including the re-grip
     rule, by solving the loss booleans self-consistently.
     """
-    sig = scenario.signal
+    s_stand, s_sit, b_top, b_bot = (
+        float(v[0]) for v in stroke_arcs(scenario, (scenario.signal.period,)))
+    return _cycle_advance(scenario, s_stand, s_sit), b_top, b_bot
+
+
+def _cycle_advance(scenario: Scenario, s_stand: float, s_sit: float) -> float:
+    """Net advance (m) of one steady cycle from its unit-slip stroke arcs."""
     ter = scenario.terrain
     eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
                                    scenario.robot.total_mass)
     eta *= ter.anchor_efficiency
-    s_stand, s_sit, b_top, b_bot = (
-        float(v[0]) for v in stroke_arcs(scenario, (sig.period,)))
     half = ter.reseat_loss
 
     def net(raw, reseats):
@@ -652,7 +718,7 @@ def steady_cycle_displacement(scenario: Scenario) -> tuple[float, float, float]:
     # re-seats only after sliding a full tooth, and how far it slid depends
     # on the other stroke's net advance: iterate the fixed point.
     loss_stand, loss_sit = True, True
-    alternating = sig.mask[FRONT] and sig.mask[REAR]
+    alternating = scenario.signal.mask[FRONT] and scenario.signal.mask[REAR]
     for _ in range(0 if alternating else 8):
         slide_front = net(eta * s_sit, loss_sit) + s_stand  # during sit
         slide_rear = net(eta * s_stand, loss_stand) + s_sit
@@ -660,8 +726,7 @@ def steady_cycle_displacement(scenario: Scenario) -> tuple[float, float, float]:
         if new == (loss_stand, loss_sit):
             break
         loss_stand, loss_sit = new
-    d = net(eta * s_stand, loss_stand) + net(eta * s_sit, loss_sit)
-    return d, b_top, b_bot
+    return net(eta * s_stand, loss_stand) + net(eta * s_sit, loss_sit)
 
 
 SWEEP_CYCLES = 6  # cycles sweep_period runs at each period
@@ -709,15 +774,24 @@ def _mask_width(scenario: Scenario) -> float:
 
 
 def _progress_gap_requirement(scenario: Scenario) -> float:
-    """Smallest ceiling gap at which the scenario's gait still advances."""
-    lo = scenario.robot.height_offset + 1e-9
-    hi = standing_height(scenario.robot.leg.leg_length, BETA_MAX,
-                         scenario.robot.height_offset)
+    """Smallest ceiling gap at which the scenario's gait still advances.
+
+    Bisects steady_cycle_displacement > 1e-12 under a constant ceiling, as
+    a function of the gap alone: the lag band and the drive caps are taken
+    once, and each step only re-clips the caps and redoes the arcs, with
+    the same arithmetic and so the same bits.
+    """
+    robot, act = scenario.robot, scenario.actuator
+    lo = robot.height_offset + 1e-9
+    hi = standing_height(robot.leg.leg_length, BETA_MAX, robot.height_offset)
+    band = _lag_band(scenario, act.tau_heat, act.tau_cool, (scenario.signal.period,), 0)
+    cap_f, cap_r = _drive_caps(scenario)
 
     def advances(gap):
-        sc = replace(scenario, terrain=replace(scenario.terrain,
-                                               ceiling=((-math.inf, math.inf, gap),)))
-        return steady_cycle_displacement(sc)[0] > 1e-12
+        beta_gap = _gap_beta(scenario, gap)
+        stand, sit, _, _ = _arcs(scenario, band, (min(cap_f, beta_gap),
+                                                  min(cap_r, beta_gap)), 0)
+        return _cycle_advance(scenario, float(stand[0]), float(sit[0])) > 1e-12
 
     if not advances(hi):
         return math.inf

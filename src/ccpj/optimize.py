@@ -50,17 +50,28 @@ class SearchSpec:
             raise OutOfRangeError("tolerance", self.tolerance, 0.0, math.inf)
 
 
+def finest_tolerance(lo: float, hi: float) -> float:
+    """Largest tolerance golden_section_max rejects on [lo, hi].
+
+    Rounding keeps a bracket about 2.6 float spacings wide at best, so a
+    tolerance of 4 spacings or less might never be met: the search would
+    not end.
+    """
+    return 4.0 * math.ulp(max(abs(lo), abs(hi)))
+
+
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
                        tol: float) -> tuple[float, float]:
     """Maximum of a unimodal f on [lo, hi] to abscissa resolution tol.
 
     Returns the best (x, f(x)) actually evaluated, so the reported value
-    is always a true sample of the objective.
+    is always a true sample of the objective. tol must exceed
+    finest_tolerance(lo, hi).
     """
     if not hi > lo:
         raise ValidationError(f"degenerate bracket [{lo!r}, {hi!r}]")
-    if tol <= 0.0:
-        raise OutOfRangeError("tol", tol, 0.0, math.inf)
+    if not tol > finest_tolerance(lo, hi):
+        raise OutOfRangeError("tol", tol, finest_tolerance(lo, hi), math.inf)
     best_x, best_y = lo, -math.inf
 
     def eval_at(x: float) -> float:

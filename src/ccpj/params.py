@@ -179,7 +179,8 @@ class GaitSignal:
         Elementwise when t is an array; a float for a scalar t.
         """
         if self.mask[group]:
-            u = np.remainder(np.asarray(t) / self.period - self.phase[group], 1.0)
+            u = np.asarray(t) / self.period - self.phase[group]
+            u = u - np.floor(u)  # np.remainder(u, 1.0) for u > -1, bit for bit
             current = np.where(u < self.duty, self.i_high, self.i_low)
         else:
             current = np.full(np.shape(t), self.i_low)

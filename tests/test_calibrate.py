@@ -85,6 +85,14 @@ class TestDataset:
         with pytest.raises(ValidationError, match="no column"):
             ds.column("z")
 
+    @pytest.mark.parametrize("row", ["2,3,4", "2", "2,3,"])
+    def test_ragged_row_rejected_like_a_non_numeric_one(self, row):
+        head = "# name: x\n# source: synthetic: t\n# uncertainty: 0.05\na,b\n1,2\n"
+        with pytest.raises(ValidationError, match=f"bad dataset row '{row}'"):
+            Dataset.from_csv(head + row + "\n")
+        with pytest.raises(ValidationError, match="bad dataset row '2,x'"):
+            Dataset.from_csv(head + "2,x\n")
+
     def test_missing_uncertainty_header(self):
         with pytest.raises(ValidationError, match="uncertainty"):
             Dataset.from_csv("# name: x\n# source: synthetic: t\na\n1.0\n")

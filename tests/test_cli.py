@@ -31,6 +31,21 @@ def _shipped_data(monkeypatch):
     monkeypatch.delenv("CCPJ_DATA_DIR", raising=False)
 
 
+def run_capped(argv, **env) -> subprocess.CompletedProcess:
+    """`python -m ccpj.cli argv` in a child capped at 1 GiB of address space
+    and 120 s, so that unbounded work fails the test instead of exhausting
+    memory or hanging the suite. env entries are added to the child's."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "ccpj.cli", *argv],
+                          env=env, preexec_fn=cap, capture_output=True,
+                          text=True, timeout=120)
+
+
 def report_metric(text: str, key: str) -> float:
     m = re.search(rf"^{key} = (.+)$", text, re.M)
     assert m, f"{key} not in report:\n{text}"
@@ -253,25 +268,13 @@ class TestSweep:
     def test_range_within_float_spacing(self, tmp_path, scenario_path):
         # Steps below the float spacing of a: the first range once swept
         # 9 points for 2 distinct currents, the other two once appended
-        # the same point forever, growing memory. Each runs in a child
-        # process capped at 1 GiB of address space and 120 s, so a
-        # regression fails instead of exhausting memory.
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
+        # the same point forever, growing memory.
         for param, spec in (("current", "0.3:0.30000000000000004:1e-17"),
                             ("payload", "1e17:1e17:1"),
                             ("payload", "1e308:1e308:1")):
-            done = subprocess.run(
-                [sys.executable, "-m", "ccpj.cli", "sweep", "--param", param,
-                 "--range", spec,
-                 "--config", str(scenario_path("flat_ratchet_T4")),
-                 "--out", str(tmp_path), "--quiet"],
-                env=env, preexec_fn=cap, capture_output=True, text=True,
-                timeout=120)
+            done = run_capped(["sweep", "--param", param, "--range", spec,
+                               "--config", str(scenario_path("flat_ratchet_T4")),
+                               "--out", str(tmp_path), "--quiet"])
             assert done.returncode == 2, (spec, done.stderr)
             assert done.stderr.startswith("ccpj: error[2]: ConfigError:"), spec
             assert "Traceback" not in done.stderr
@@ -305,6 +308,22 @@ class TestCalibrate:
         # fitted constants reproduce the measured flat-ground point
         assert speed == pytest.approx(8.26229, abs=0.01)
         assert abs(speed - 8.5) <= 0.15 * 8.5
+
+    def test_ragged_dataset_row(self, tmp_path, shipped_data_dir):
+        # a row with more values than the header once ended in a numpy
+        # ValueError traceback (exit 1) from Dataset.from_csv
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in shipped_data_dir.glob("*.csv"):
+            (data / path.name).write_text(path.read_text())
+        speed = data / "speed_vs_period.csv"
+        speed.write_text(speed.read_text() + "2,3,4\n")
+        done = run_capped(["calibrate", "--out", str(tmp_path / "out"), "--quiet"],
+                          CCPJ_DATA_DIR=str(data))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(
+            "ccpj: error[2]: ValidationError: bad dataset row '2,3,4'")
+        assert "Traceback" not in done.stderr
 
     def test_missing_datasets(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CCPJ_DATA_DIR", str(tmp_path / "empty"))
@@ -390,6 +409,16 @@ class TestOptimize:
         assert main(["optimize", "--param", "mask", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 3
         assert "error[3]: AllMasksInfeasibleError" in capsys.readouterr().err
+
+    def test_period_resolution_within_float_spacing(self, tmp_path, scenario_path):
+        # the golden-section bracket cannot shrink below the float spacing,
+        # so this search once never returned
+        done = run_capped(["optimize", "--param", "period", "--range", "2:10:1e-300",
+                           "--config", str(scenario_path("flat_ratchet_T4")),
+                           "--out", str(tmp_path), "--quiet"])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("ccpj: error[2]: ConfigError:")
+        assert "Traceback" not in done.stderr
 
     def test_bad_param(self, tmp_path, scenario_path, capsys):
         assert main(["optimize", "--param", "phase",

@@ -44,12 +44,12 @@ def assert_same_trace(new, ref):
 
 
 def _scenario(period, duty=0.5, mask="all", phase=(0.0, 0.0),
-              terrain=Terrain(), cycles=4.5, **kwargs):
-    # dt = period/100 and a last step 0.3 dt long
+              terrain=Terrain(), cycles=4.5, steps=100.0, **kwargs):
+    # dt = period/steps; at 100 steps per period the last step is 0.3 dt long
     return Scenario(signal=GaitSignal(period=period, duty=duty, mask=MASKS[mask],
                                       phase=phase),
                     terrain=terrain, duration=(cycles + 0.003) * period,
-                    dt=period / 100.0, **kwargs)
+                    dt=period / steps, **kwargs)
 
 
 @pytest.mark.parametrize("terrain", sorted(TERRAINS))
@@ -85,6 +85,16 @@ def test_gate_entered_and_left_mid_run(mask):
     assert new.height.max() > 45e-3
 
 
+@pytest.mark.parametrize("mask", sorted(MASKS))
+def test_slip_noise_across_gate_cuts(mask):
+    # the caps change twice inside the run, each time mid-stroke: the
+    # engine draws a segment's noise at once and must hand back the draws
+    # of the strokes past each cut
+    gate = Terrain(ceiling=((117e-3, 118e-3, 45e-3),))
+    sc = _scenario(4.0, mask=mask, terrain=gate, cycles=24.0, slip_noise=0.2, seed=11)
+    assert_same_trace(run(sc), reference_gait.run(sc))
+
+
 def test_ceiling_reached_on_a_held_stand():
     # the gap changes at the row where the first stand saturates, so the
     # engine re-enters where no band moves and must carry the stand phase
@@ -109,6 +119,15 @@ def test_creep_below_the_moving_threshold():
     assert new.x[-1] > 0.0 and np.all(new.anchored_rear == 1)
 
 
+def test_steps_below_the_time_resolution():
+    # every step is shorter than the 1e-12 s sub-step floor, so nothing
+    # moves; the engine once raised IndexError on the empty sub-step grid
+    sc = Scenario(signal=GaitSignal(period=1e-11), duration=2.5e-11, dt=1e-13)
+    new = run(sc)
+    assert_same_trace(new, reference_gait.run(sc))
+    assert len(new.t) == 251 and not new.x.any()
+
+
 @pytest.mark.parametrize("x0", (0.0, 117e-3))
 def test_infeasible_gap_raises_at_same_time(x0):
     # from the first row, or at the row whose position first sees the gap
@@ -123,14 +142,25 @@ def test_infeasible_gap_raises_at_same_time(x0):
     assert got.value.available_mm == want.value.available_mm
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(period=st.floats(1.0, 7.0), duty=st.floats(0.3, 0.7),
-       phase=st.floats(0.0, 0.95), gap=st.floats(5e-3, 70e-3))
-def test_engine_matches_reference_property(period, duty, phase, gap):
-    # a ceiling the body reaches within the first cycles; gaps under the
-    # flat body height must raise at the same row in both
-    sc = _scenario(period, duty, phase=(0.0, phase),
-                   terrain=Terrain(ceiling=((117e-3, 0.2, gap),)))
+       phase=st.floats(0.0, 0.95), mask=st.sampled_from(sorted(MASKS)),
+       steps=st.sampled_from((100.0, 137.3, 200.0)),
+       slip_noise=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
+       seed=st.integers(0, 2**32 - 1),
+       behind=st.floats(-32e-3, -20e-3), ahead=st.floats(117e-3, 130e-3),
+       gaps=st.tuples(st.floats(5e-3, 70e-3), st.floats(5e-3, 70e-3)))
+def test_engine_matches_reference_property(period, duty, phase, mask, steps,
+                                           slip_noise, seed, behind, ahead, gaps):
+    # The envelope starts inside a region behind the body and leaves it
+    # within the first 12.5 mm; it reaches a region ahead within the first
+    # 15 mm. Each changes the caps mid-stroke, so segments are cut, drawn
+    # slip noise is handed back, and a drag gait's re-seat choices carry
+    # across the cut. Gaps under the flat body height must raise at the
+    # same row in both.
+    ceiling = ((behind - 20e-3, behind, gaps[0]), (ahead, 0.2, gaps[1]))
+    sc = _scenario(period, duty, mask, phase=(0.0, phase), steps=steps,
+                   terrain=Terrain(ceiling=ceiling), slip_noise=slip_noise, seed=seed)
     try:
         ref = reference_gait.run(sc)
     except InfeasibleConfinementError as err:

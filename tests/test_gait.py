@@ -75,12 +75,20 @@ class TestActuatorModel:
         assert advance(act, 0.5, act.i_threshold - 1e-3, 1.0) < 0.5
 
     def test_activation_stays_bounded(self):
-        act = ActuatorModel()
-        a = 0.0
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            a = advance(act, a, rng.choice([0.0, 0.4]), rng.uniform(0.0, 3.0))
-            assert 0.0 <= a <= 1.0
+        # the extreme lag constants overflow elapsed/tau to inf, or
+        # underflow it to 0, in the reference update and in gait.run
+        for tau in (5e-324, 1.25, 0.5, 1e300):
+            act = ActuatorModel(tau_heat=tau, tau_cool=min(tau, 0.5))
+            a = 0.0
+            rng = np.random.default_rng(0)
+            for _ in range(200):
+                a = advance(act, a, rng.choice([0.0, 0.4]), rng.uniform(0.0, 3.0))
+                assert 0.0 <= a <= 1.0
+            trace = run(Scenario(signal=GaitSignal(period=2.0, phase=(0.0, 0.3)),
+                                 actuator=act, duration=5.0, dt=0.02))
+            for lag in (trace.activation_front, trace.activation_rear):
+                assert np.all((lag >= 0.0) & (lag <= 1.0)), tau
+            assert np.all(np.isfinite(trace.x)), tau
 
     def test_saturation_after_long_heat(self):
         # a first-order lag closes to within e^-10 of target after 10 tau,

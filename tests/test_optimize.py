@@ -18,6 +18,7 @@ from ccpj.kinematics import standing_height
 from ccpj.optimize import (
     FeasibilityReport,
     SearchSpec,
+    finest_tolerance,
     golden_section_max,
     max_feasible_current,
     optimize_period,
@@ -65,6 +66,20 @@ class TestGoldenSection:
             golden_section_max(lambda t: t, 2.0, 2.0, 0.1)
         with pytest.raises(OutOfRangeError):
             golden_section_max(lambda t: t, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 10.0), (-1e6, 3.0), (0.5, 0.5 + 1e-12),
+                                        (1e300, 1.5e300)])
+    def test_tolerance_at_float_spacing_rejected(self, lo, hi):
+        # the bracket cannot shrink below a few spacings: such a search
+        # once never ended
+        finest = finest_tolerance(lo, hi)
+        for tol in (1e-300, finest):
+            with pytest.raises(OutOfRangeError):
+                golden_section_max(lambda t: -t * t, lo, hi, tol)
+        calls = []
+        golden_section_max(lambda t: calls.append(t) or -abs(t - 0.3 * (lo + hi)),
+                           lo, hi, math.nextafter(finest, math.inf))
+        assert len(calls) < 2000
 
 
 class TestOptimizePeriod:
