@@ -50,6 +50,7 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
+from .fixedfmt import format_columns
 from .kinematics import BETA_MAX, beta_for_height, standing_height
 from .params import (
     MAX_CURRENT_A,
@@ -277,10 +278,11 @@ class Scenario:
     slip_noise: float = 0.0  # std of per-engagement efficiency noise, <= 1
 
     def __post_init__(self):
-        # written as not (ok) so that NaN fails every check
-        if not (0.0 < self.dt <= self.signal.period / 100.0 + _EPS_T):
+        # written as not (ok) so that NaN fails every check; a step at or
+        # below the 1e-12 s sub-step floor would be dropped whole
+        if not (_EPS_T < self.dt <= self.signal.period / 100.0 + _EPS_T):
             raise ValidationError(
-                f"dt={self.dt!r} must be > 0 and <= period/100 = "
+                f"dt={self.dt!r} must be > {_EPS_T!r} s and <= period/100 = "
                 f"{self.signal.period / 100.0!r}"
             )
         if not (self.duration > self.signal.period):
@@ -322,14 +324,16 @@ def _gap_at(scenario: Scenario, x):
     return scenario.terrain.gap_over(x - leg / 2.0, x + leg + LOOKAHEAD)
 
 
-def _beta_caps(scenario: Scenario, x: float) -> tuple[float, float]:
+def _beta_caps(scenario: Scenario, x: float,
+               drive: tuple[float, float]) -> tuple[float, float]:
     """Standing-angle ceiling per group at body position x.
 
-    Combines the current->angle map with any ceiling clip. The ceiling is
-    applied over a conservative envelope ahead of the body so the robot
-    ducks before its reach enters the region.
+    Clips the current->angle map's caps, `drive` (`_drive_caps`, taken
+    once by the caller), by any ceiling. The ceiling is applied over a
+    conservative envelope ahead of the body so the robot ducks before
+    its reach enters the region.
     """
-    cap_f, cap_r = _drive_caps(scenario)
+    cap_f, cap_r = drive
     gap = _gap_at(scenario, x)
     if gap < scenario.robot.height_offset - 1e-12:
         raise InfeasibleConfinementError(
@@ -472,17 +476,16 @@ class SimTrace:
     def to_csv(self) -> str:
         """The trace as CSV: a header, then one row per step boundary.
 
-        Built in one pass: the seven columns are stacked into one float
-        array and a single `%`-template formats every row. `np.degrees`
-        multiplies by `180 / pi` as `math.degrees` does, so the bytes are
-        those of a row-by-row `f"{v:.6f}"` rendering.
+        `fixedfmt.format_columns` writes the columns by table gathers, to
+        the bytes of a row-by-row `f"{v:.6f}"` rendering (`int(flag)` for
+        the two anchored columns). `np.degrees` multiplies by `180 / pi`
+        as `math.degrees` does.
         """
-        cols = np.column_stack((
-            self.t, self.x * 1e3,
-            np.degrees(self.beta_front), np.degrees(self.beta_rear),
-            self.height * 1e3, self.anchored_front, self.anchored_rear))
-        rows = ("%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d\n" * len(cols)) % tuple(
-            cols.ravel().tolist())
+        rows = format_columns(
+            (self.t, self.x * 1e3, np.degrees(self.beta_front),
+             np.degrees(self.beta_rear), self.height * 1e3,
+             self.anchored_front, self.anchored_rear),
+            (6, 6, 6, 6, 6, 0, 0), ",,,,,,\n")
         return ("t_s,x_mm,beta_front_deg,beta_rear_deg,height_mm,"
                 "anchored_front,anchored_rear\n" + rows)
 
@@ -510,6 +513,7 @@ def run(scenario: Scenario) -> SimTrace:
     rng = (np.random.default_rng(scenario.seed)
            if scenario.slip_noise > 0.0 else None)
 
+    drive = _drive_caps(scenario)
     x = np.zeros(len(s0) + 1)  # body position at every sub-step boundary
     stand = np.zeros(len(s0), dtype=bool)  # stroke phase of every sub-step
     caps = []  # (first row, cap_f, cap_r) of each constant-caps segment
@@ -521,7 +525,7 @@ def run(scenario: Scenario) -> SimTrace:
     while True:
         b = row_at[row]
         try:
-            cap_f, cap_r = _beta_caps(scenario, x[b])
+            cap_f, cap_r = _beta_caps(scenario, x[b], drive)
         except InfeasibleConfinementError as err:
             if row == 0:  # the starting posture: no time stamp
                 raise
@@ -654,7 +658,7 @@ def _stroke_arcs(scenario: Scenario, tau_heat, tau_cool, periods, cycles: int = 
     operation is elementwise, so every candidate's values are the bits
     stroke_arcs gives for that candidate alone.
     """
-    caps = _beta_caps(scenario, 0.0)
+    caps = _beta_caps(scenario, 0.0, _drive_caps(scenario))
     return _arcs(scenario, _lag_band(scenario, tau_heat, tau_cool, periods, cycles),
                  caps, cycles)
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
+from .fixedfmt import format_columns
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
@@ -67,9 +68,10 @@ def line_plot(series, xlabel: str, ylabel: str, title: str,
     a length mismatch, or a NaN or infinite value anywhere (the marker
     included), raises `ValidationError`. `marker` drops an annotated
     point, e.g. the argmax of a sweep. Each polyline is mapped to pixels
-    as one array expression and written with one `%`-template, to the
-    same bytes as formatting each point with `f"{v:.2f}"`. The title,
-    axis and series labels and the marker text are XML-escaped.
+    as one array expression and written by `fixedfmt.format_columns`'s
+    table gathers, to the same bytes as formatting each point with
+    `f"{v:.2f}"`. The title, axis and series labels and the marker text
+    are XML-escaped.
     """
     if not series:
         raise ValidationError("line_plot needs at least one series")
@@ -141,8 +143,7 @@ def line_plot(series, xlabel: str, ylabel: str, title: str,
 
     for i, (label, xs, ys) in enumerate(arrays):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(
-            np.column_stack((px(xs), py(ys))).ravel().tolist())
+        pts = format_columns((px(xs), py(ys)), (2, 2), ", ")[:-1]
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         if len(series) > 1:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ccpj.errors import InfeasibleConfinementError
-from ccpj.gait import FRONT, REAR, ActuatorModel, Scenario, SimTrace, _beta_caps
+from ccpj.gait import (FRONT, REAR, ActuatorModel, Scenario, SimTrace, _beta_caps,
+                       _drive_caps)
 from ccpj.kinematics import standing_height
 from ccpj.params import GaitSignal
 
@@ -72,7 +73,7 @@ def step(state: GaitState, scenario: Scenario, dt: float | None = None,
     eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
                                    scenario.robot.total_mass)
     anchor_eff = ter.anchor_efficiency
-    cap_f, cap_r = _beta_caps(scenario, state.x)
+    cap_f, cap_r = _beta_caps(scenario, state.x, _drive_caps(scenario))
     pitch = ter.pitch
 
     t_end = state.t + dt
@@ -161,7 +162,7 @@ def run(scenario: Scenario) -> SimTrace:
     act = scenario.actuator
 
     def snapshot(prev_x: float):
-        cap_f, cap_r = _beta_caps(scenario, st.x)
+        cap_f, cap_r = _beta_caps(scenario, st.x, _drive_caps(scenario))
         bf = act.window(st.a[FRONT]) * cap_f
         br = act.window(st.a[REAR]) * cap_r
         h = standing_height(scenario.robot.leg.leg_length, max(bf, br),

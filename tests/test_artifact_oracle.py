@@ -1,9 +1,9 @@
 """Byte-identity oracles for the two artifact formatters.
 
-`SimTrace.to_csv` and `plotsvg.line_plot` build their text from arrays
-in one formatting pass. The references below are the earlier row-by-row
-CSV writer and per-point SVG writer, kept verbatim; every case compares
-the two outputs with `==`.
+`SimTrace.to_csv` and `plotsvg.line_plot` build their number text with
+`fixedfmt.format_columns`, by table gathers over whole columns. The
+references below are the earlier row-by-row CSV writer and per-point SVG
+writer, kept verbatim; every case compares the two outputs with `==`.
 """
 
 import math

@@ -198,6 +198,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("ccpj: error[2]: ValidationError:") and "cap" in err
 
+    def test_dt_below_substep_floor_rejected(self, tmp_path, capsys):
+        # every 1e-13 s step is below the engine's 1e-12 s sub-step floor:
+        # the run would be a motionless trace reported as ok
+        cfg = tmp_path / "fine.config"
+        cfg.write_text("[signal]\nperiod_s = 1e-11\n"
+                       "[run]\nduration_s = 2.5e-11\ndt_s = 1e-13\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: ValidationError: dt=1e-13")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["fine.config"]
+
     def test_infeasible_mask_override(self, tmp_path, scenario_path, capsys):
         # tunnel_40x20 ships front_only; forcing both groups exceeds the width
         out = tmp_path / "out"

@@ -11,10 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import reference_gait
-from ccpj.errors import InfeasibleConfinementError
+from ccpj.errors import InfeasibleConfinementError, ValidationError
 from ccpj.gait import LOOKAHEAD, MASKS, Scenario, SlipModel, Terrain, _gap_at, run
 from ccpj.params import GaitSignal
 
@@ -120,12 +120,16 @@ def test_creep_below_the_moving_threshold():
 
 
 def test_steps_below_the_time_resolution():
-    # every step is shorter than the 1e-12 s sub-step floor, so nothing
+    # a dt at or below the 1e-12 s sub-step floor is refused outright
+    for dt in (1e-13, 1e-12):
+        with pytest.raises(ValidationError, match="must be > 1e-12 s"):
+            Scenario(signal=GaitSignal(period=1e-11), duration=2.5e-11, dt=dt)
+    # a run shorter than the floor still drops its only step, so nothing
     # moves; the engine once raised IndexError on the empty sub-step grid
-    sc = Scenario(signal=GaitSignal(period=1e-11), duration=2.5e-11, dt=1e-13)
+    sc = Scenario(signal=GaitSignal(period=1e-13), duration=1.5e-13, dt=1.0005e-12)
     new = run(sc)
     assert_same_trace(new, reference_gait.run(sc))
-    assert len(new.t) == 251 and not new.x.any()
+    assert len(new.t) == 2 and not new.x.any()
 
 
 @pytest.mark.parametrize("x0", (0.0, 117e-3))
@@ -142,7 +146,10 @@ def test_infeasible_gap_raises_at_same_time(x0):
     assert got.value.available_mm == want.value.available_mm
 
 
-@settings(max_examples=40, deadline=None)
+# No shrinking: each shrink step reruns the per-dt reference stepper, so a
+# failure took ~5 minutes to report; the first failing example is kept.
+@settings(max_examples=40, deadline=None,
+          phases=tuple(p for p in Phase if p is not Phase.shrink))
 @given(period=st.floats(1.0, 7.0), duty=st.floats(0.3, 0.7),
        phase=st.floats(0.0, 0.95), mask=st.sampled_from(sorted(MASKS)),
        steps=st.sampled_from((100.0, 137.3, 200.0)),

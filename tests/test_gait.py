@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_gait import advance
+from ccpj.calibrate import load_dataset
+from ccpj.config import build_scenario, load_config
 from ccpj.errors import (
     InfeasibleConfinementError,
     OutOfRangeError,
@@ -296,6 +298,21 @@ class TestFlatRun:
         assert a.to_csv() == b.to_csv()
         other = run(replace(noisy, seed=4))
         assert other.x[-1] != a.x[-1]
+
+    def test_shipped_displacement_dataset(self, shipped_data_dir, scenario_path):
+        # displacement_vs_time_flat.csv is this run's trace resampled every
+        # 2 s: each row lies within half a unit of its last printed digit
+        trace = run(build_scenario(load_config(scenario_path("flat_ratchet_T4"))))
+        data = load_dataset("displacement_vs_time_flat", shipped_data_dir)
+        text = (shipped_data_dir / "displacement_vs_time_flat.csv").read_text()
+        printed = [line.split(",")[1] for line in text.splitlines()
+                   if line[:1].isdigit()]
+        assert data.columns == ("t_s", "x_mm") and len(printed) == 13
+        for (t, x_mm), digits in zip(data.rows, printed):
+            row = int(np.argmin(np.abs(trace.t - t)))
+            assert abs(trace.t[row] - t) < 1e-9
+            half_unit = 0.5 * 10.0 ** -len(digits.partition(".")[2])
+            assert abs(trace.x[row] * 1e3 - x_mm) <= half_unit, (t, digits)
 
     def test_csv_header(self, flat_scenario):
         text = run(flat_scenario).to_csv()
