@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import calibrate as cal
 from .config import (
     MASKS,
@@ -171,7 +173,7 @@ def _trace_metrics(trace: SimTrace, feas) -> dict:
         "average_speed_mm_s": trace.average_speed * 1e3,
         "distance_mm": trace.displacement * 1e3,
         "duration_s": trace.duration,
-        "peak_height_mm": max(trace.height) * 1e3,
+        "peak_height_mm": np.max(trace.height) * 1e3,
         "feasible": "yes",
     }
     if feas is not None:
@@ -205,8 +207,9 @@ def _simulate(args, cfg: EffectiveConfig, sc: Scenario) -> int:
     report = RunReport(name=cfg.name, digest=cfg.digest,
                        metrics=_trace_metrics(trace, feas),
                        artifacts=[csv_name, svg_name])
-    _write(out / f"{cfg.name}_report.txt", report.render())
-    _emit(args, report.render().rstrip())
+    text = report.render()
+    _write(out / f"{cfg.name}_report.txt", text)
+    _emit(args, text.rstrip())
     return EXIT_OK
 
 
@@ -277,8 +280,9 @@ def _sweep(args, cfg: EffectiveConfig, sc: Scenario) -> int:
                  f"best_{col}": values[k_best],
                  "best_speed_mm_s": speeds[k_best] * 1e3},
         artifacts=[csv_name, svg_name])
-    _write(out / f"{cfg.name}_sweep_{args.param}_report.txt", report.render())
-    _emit(args, report.render().rstrip())
+    text = report.render()
+    _write(out / f"{cfg.name}_sweep_{args.param}_report.txt", text)
+    _emit(args, text.rstrip())
     return EXIT_OK
 
 

@@ -3,12 +3,16 @@
 INI-style configs with units spelled in the key names (period_s,
 gap_mm, payload_g) so a reader can never mistake a millimeter for a
 meter. A scenario file overlays the shipped defaults; the merged result
-builds the simulator objects and hashes to a reproducible digest.
+builds the simulator objects and hashes to a reproducible digest. The
+defaults file is read on every load but parsed and converted once per
+process for each distinct text, so a process that loads many scenarios
+pays for the defaults once.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import math
 import os
@@ -89,54 +93,55 @@ def _number(raw: str, allow_inf: bool = False) -> float:
     return value
 
 
-def _convert(tag: str, raw: str, where: str):
-    try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return _number(raw)
-        if tag == "float_inf":
-            return _number(raw, allow_inf=True)
-        if tag == "str":
-            return raw.strip()
-        if tag == "len":
-            return _number(raw) * 1e-3
-        if tag == "mass":
-            return _number(raw) * 1e-3
-        if tag == "box":
-            parts = [_number(p) * 1e-3 for p in raw.split(":")]
-            if len(parts) != 3:
-                raise ValueError("need exactly three ':'-separated sizes")
-            return tuple(parts)
-        if tag == "pair":
-            a, b = raw.split(":")
-            return (_number(a), _number(b))
-        if tag == "pairs":
-            out = []
-            for item in raw.split():
-                a, b = item.split(":")
-                out.append((_number(a), _number(b)))
-            if not out:
-                raise ValueError("empty list")
-            return tuple(out)
-        if tag == "regions":
-            out = []
-            for item in raw.split():
-                x0, x1, gap = item.split(":")
-                out.append((_number(x0, allow_inf=True) * 1e-3,
-                            _number(x1, allow_inf=True) * 1e-3,
-                            _number(gap) * 1e-3))
-            return tuple(out)
-        if tag == "mask":
-            key = raw.strip()
-            if key not in MASKS:
-                raise ValueError(f"must be one of {sorted(MASKS)}")
-            return MASKS[key]
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"{where}: cannot parse {raw!r}: {err}") from err
-    raise ConfigError(f"{where}: unhandled converter {tag!r}")
+def _convert(tag: str, raw: str):
+    """Value of one raw string under its schema tag; ValueError if it is bad."""
+    if tag == "int":
+        return int(raw)
+    if tag == "float":
+        return _number(raw)
+    if tag == "float_inf":
+        return _number(raw, allow_inf=True)
+    if tag == "str":
+        return raw.strip()
+    if tag == "len":
+        return _number(raw) * 1e-3
+    if tag == "mass":
+        return _number(raw) * 1e-3
+    if tag == "box":
+        parts = [_number(p) * 1e-3 for p in raw.split(":")]
+        if len(parts) != 3:
+            raise ValueError("need exactly three ':'-separated sizes")
+        return tuple(parts)
+    if tag == "pair":
+        a, b = raw.split(":")
+        return (_number(a), _number(b))
+    if tag == "pairs":
+        out = []
+        for item in raw.split():
+            a, b = item.split(":")
+            out.append((_number(a), _number(b)))
+        if not out:
+            raise ValueError("empty list")
+        return tuple(out)
+    if tag == "regions":
+        out = []
+        for item in raw.split():
+            x0, x1, gap = item.split(":")
+            out.append((_number(x0, allow_inf=True) * 1e-3,
+                        _number(x1, allow_inf=True) * 1e-3,
+                        _number(gap) * 1e-3))
+        return tuple(out)
+    if tag == "mask":
+        key = raw.strip()
+        if key not in MASKS:
+            raise ValueError(f"must be one of {sorted(MASKS)}")
+        return MASKS[key]
+    raise ValueError(f"unhandled converter {tag!r}")
+
+
+@functools.cache
+def _packaged_data_dir() -> Path:
+    return Path(str(resources.files("ccpj").joinpath("data")))
 
 
 def data_dir() -> Path:
@@ -147,7 +152,7 @@ def data_dir() -> Path:
     env = os.environ.get("CCPJ_DATA_DIR")
     if env:
         return Path(env)
-    return Path(str(resources.files("ccpj").joinpath("data")))
+    return _packaged_data_dir()
 
 
 def default_config_path() -> Path:
@@ -175,16 +180,52 @@ class EffectiveConfig:
         return self.values[(section, key)]
 
 
-def _read_ini(path: Path) -> configparser.ConfigParser:
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+
+
+def _parse_ini(path: Path, text: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+        parser.read_string(text, source=str(path))
     except configparser.Error as err:
         raise ConfigError(f"bad config syntax: {err}") from err
     return parser
+
+
+def _overlay(parser: configparser.ConfigParser, path: Path,
+             values: dict, raw: dict):
+    """Check and convert every key of one parsed file into values and raw.
+
+    Errors name `path`, the file that holds the fault.
+    """
+    for section in parser.sections():
+        if section not in SCHEMA:
+            raise ConfigError(
+                f"{path}: unknown section [{section}] "
+                f"(known: {', '.join(sorted(SCHEMA))})")
+        tags = SCHEMA[section]
+        for key, val in parser.items(section):
+            if key not in tags:
+                raise ConfigError(
+                    f"{path}: unknown key {key!r} in [{section}] "
+                    f"(known: {', '.join(sorted(tags))})")
+            try:
+                values[(section, key)] = _convert(tags[key], val)
+            except ValueError as err:
+                raise ConfigError(
+                    f"{path} [{section}] {key}: cannot parse {val!r}: {err}"
+                ) from err
+            raw[(section, key)] = " ".join(val.split())
+
+
+# The last defaults layer converted: ((resolved path, file text), values,
+# raw). A failed conversion is never stored, callers get copies, and the
+# slot is replaced whole, so another thread reads one consistent entry.
+_defaults_layer: tuple | None = None
 
 
 def load_config(path: str | Path) -> EffectiveConfig:
@@ -192,29 +233,30 @@ def load_config(path: str | Path) -> EffectiveConfig:
 
     Every section and key is checked against the schema; unknown names
     are errors, not silently ignored, because a typoed key would
-    otherwise fall back to a default and simulate the wrong robot.
+    otherwise fall back to a default and simulate the wrong robot. The
+    defaults file is read on every call, but parsed and converted once
+    per process for each distinct text: the converted layer of the last
+    one is kept, and each call overlays its scenario on a copy of it.
     """
+    global _defaults_layer
     path = Path(path)
     dpath = default_config_path()
-    parsers = [_read_ini(dpath)] if dpath != path and dpath.exists() else []
-    parsers.append(_read_ini(path))
-
-    raw: dict = {}
-    values: dict = {}
-    for parser in parsers:
-        for section in parser.sections():
-            if section not in SCHEMA:
-                raise ConfigError(
-                    f"{path}: unknown section [{section}] "
-                    f"(known: {', '.join(sorted(SCHEMA))})")
-            for key, val in parser.items(section):
-                if key not in SCHEMA[section]:
-                    raise ConfigError(
-                        f"{path}: unknown key {key!r} in [{section}] "
-                        f"(known: {', '.join(sorted(SCHEMA[section]))})")
-                where = f"{path} [{section}] {key}"
-                values[(section, key)] = _convert(SCHEMA[section][key], val, where)
-                raw[(section, key)] = " ".join(val.split())
+    base = dparser = None
+    if dpath != path and dpath.exists():
+        dkey = (dpath.resolve(), _read_text(dpath))
+        if _defaults_layer is not None and _defaults_layer[0] == dkey:
+            base = _defaults_layer[1:]
+        else:
+            dparser = _parse_ini(dpath, dkey[1])
+    parser = _parse_ini(path, _read_text(path))
+    # converted only once both files have parsed, so that a read or syntax
+    # error in either file is reported ahead of a bad key or value
+    if dparser is not None:
+        base = ({}, {})
+        _overlay(dparser, dpath, *base)
+        _defaults_layer = (dkey, *base)
+    values, raw = ({}, {}) if base is None else (dict(base[0]), dict(base[1]))
+    _overlay(parser, path, values, raw)
 
     version = values.get(("meta", "schema_version"), SCHEMA_VERSION)
     if version != SCHEMA_VERSION:

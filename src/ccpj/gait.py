@@ -289,6 +289,12 @@ class Scenario:
             raise ValidationError(
                 f"duration={self.duration!r} must exceed one period {self.signal.period!r}"
             )
+        # at least one whole step, which is above the sub-step floor, so the
+        # sub-step grid is never empty; only a sub-picosecond period can fail
+        if not (self.duration >= self.dt):
+            raise ValidationError(
+                f"duration={self.duration!r} must be at least one step dt={self.dt!r}"
+            )
         if self.duration / self.dt - 1e-9 > MAX_STEPS:
             raise ValidationError(
                 f"duration/dt = {self.duration / self.dt:.6g} steps exceeds "
@@ -405,7 +411,7 @@ def _substep_grid(scenario: Scenario):
     if len(pieces) == 1 and len(pieces[0][0]) == n:  # nothing split or dropped
         return np.concatenate(([0.0], t)), pieces[0][1], pieces[0][2], np.arange(n + 1)
     row_at = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(np.concatenate([p[0] for p in pieces] or [step]),
+    np.cumsum(np.bincount(np.concatenate([p[0] for p in pieces]),
                           minlength=n), out=row_at[1:])
     # pass m holds a subset of pass m-1's steps, so a step's m-th sub-step
     # sits m places after its first
@@ -426,8 +432,6 @@ def _activation(scenario: Scenario, s0: np.ndarray, s1: np.ndarray,
     from each run's end to the next; the grid is then filled in one pass.
     """
     act = scenario.actuator
-    if not len(s0):  # every step shorter than 1e-12 s
-        return np.zeros(1)
     heat = scenario.signal.current_at(0.5 * (s0 + s1), group) >= act.i_threshold - 1e-12
     starts = np.flatnonzero(np.concatenate(([True], heat[1:] != heat[:-1])))
     ends = np.append(starts[1:], len(s0))

@@ -211,6 +211,39 @@ class TestSimulate:
         assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["fine.config"]
 
+    @pytest.mark.parametrize("line, fault", [
+        ("n_beads = 20\nbogus = 1", ": unknown key 'bogus' in [beam]"),
+        ("n_beads = abc", " [beam] n_beads: cannot parse 'abc'"),
+    ])
+    def test_defaults_fault_names_defaults_file(self, tmp_path, monkeypatch,
+                                                scenario_path, capsys, line, fault):
+        # the fault is in CCPJ_DATA_DIR's defaults, not in the scenario file
+        scenario = scenario_path("slope_15")
+        data = tmp_path / "data"
+        data.mkdir()
+        shipped = default_config_path().read_text()
+        (data / "tripodbot.default").write_text(
+            shipped.replace("n_beads = 20\n", f"{line}\n", 1))
+        monkeypatch.setenv("CCPJ_DATA_DIR", str(data))
+        assert main(["simulate", "--config", str(scenario),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"ccpj: error[2]: ConfigError: {data / 'tripodbot.default'}{fault}")
+        assert str(scenario) not in err
+
+    def test_run_shorter_than_one_step_rejected(self, tmp_path, capsys):
+        # dt is above the floor, but the run's only step is cut to the
+        # 1.5e-13 s duration and dropped: a motionless trace reported as ok
+        cfg = tmp_path / "short.config"
+        cfg.write_text("[signal]\nperiod_s = 1e-13\n"
+                       "[run]\nduration_s = 1.5e-13\ndt_s = 1.0005e-12\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: ValidationError: duration=1.5e-13")
+        assert [p.name for p in tmp_path.iterdir()] == ["short.config"]
+
     def test_infeasible_mask_override(self, tmp_path, scenario_path, capsys):
         # tunnel_40x20 ships front_only; forcing both groups exceeds the width
         out = tmp_path / "out"

@@ -1,12 +1,19 @@
 """Config files: schema enforcement, unit conversion, digests, round trips."""
 
+import configparser
+import hashlib
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ccpj import config
 from ccpj.config import (
+    MASKS,
+    SCHEMA,
     SCHEMA_VERSION,
     build_height_map,
     build_robot,
@@ -21,6 +28,10 @@ from ccpj.config import (
 from ccpj.errors import ConfigError
 from ccpj.gait import ActuatorModel, SlipModel
 from ccpj.params import BeamParams, GaitSignal, RobotParams
+
+
+SHIPPED = ("flat_ratchet_T4", "slope_15", "payload_5g",
+           "gate_40mm", "gate_20mm", "tunnel_40x20")
 
 
 def write(tmp_path: Path, text: str, name: str = "test.config") -> Path:
@@ -73,6 +84,13 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.config")
+
+    def test_not_utf8(self, tmp_path):
+        # once a UnicodeDecodeError traceback out of the CLI
+        p = tmp_path / "latin1.config"
+        p.write_bytes(b"[signal]\nperiod_s = 4\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match="cannot read config .*utf-8"):
+            load_config(p)
 
     def test_name_falls_back_to_stem(self, tmp_path):
         p = write(tmp_path, "[signal]\nperiod_s = 4\n", name="mything.config")
@@ -198,8 +216,179 @@ def test_default_config_path_env_override(monkeypatch, tmp_path):
 
 
 def test_all_shipped_scenarios_build(scenario_path):
-    for name in ("flat_ratchet_T4", "slope_15", "payload_5g",
-                 "gate_40mm", "gate_20mm", "tunnel_40x20"):
+    for name in SHIPPED:
         sc = build_scenario(load_config(scenario_path(name)))
         assert sc.signal.period == 4.0
         assert sc.duration > sc.signal.period
+
+
+def oracle_load(path: Path) -> tuple:
+    """(values, raw, digest, name) as load_config computed them before the
+    defaults layer was cached: both files parsed by fresh ConfigParsers and
+    converted key by key on every call. Errors name the file at fault."""
+    dpath = default_config_path()
+    files = [dpath] if dpath != path and dpath.exists() else []
+    values, raw = {}, {}
+    parsers = []
+    for file in [*files, path]:
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            with open(file, encoding="utf-8") as fh:
+                parser.read_file(fh, source=str(file))
+        except configparser.Error as err:
+            raise ConfigError(f"bad config syntax: {err}") from err
+        parsers.append((file, parser))
+    for file, parser in parsers:
+        for section in parser.sections():
+            if section not in SCHEMA:
+                raise ConfigError(
+                    f"{file}: unknown section [{section}] "
+                    f"(known: {', '.join(sorted(SCHEMA))})")
+            for key, val in parser.items(section):
+                if key not in SCHEMA[section]:
+                    raise ConfigError(
+                        f"{file}: unknown key {key!r} in [{section}] "
+                        f"(known: {', '.join(sorted(SCHEMA[section]))})")
+                try:
+                    values[(section, key)] = config._convert(SCHEMA[section][key], val)
+                except ValueError as err:
+                    raise ConfigError(
+                        f"{file} [{section}] {key}: cannot parse {val!r}: {err}"
+                    ) from err
+                raw[(section, key)] = " ".join(val.split())
+    version = values.get(("meta", "schema_version"), SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ConfigError(
+            f"{path}: schema_version {version} unsupported (expected "
+            f"{SCHEMA_VERSION})")
+    name = values.get(("meta", "name")) or path.stem
+    if any(c in name for c in "/\\\0"):
+        raise ConfigError(f"{path}: name {name!r} must be a plain file name")
+    lines = sorted(f"{sect}.{key}={val}" for (sect, key), val in raw.items())
+    return values, raw, hashlib.sha256("\n".join(lines).encode()).hexdigest(), name
+
+
+def loaded(path: Path) -> tuple:
+    cfg = load_config(path)
+    return cfg.values, cfg.raw, cfg.digest, cfg.name
+
+
+def outcome(load, path: Path):
+    """What a loader returns, or the message of the ConfigError it raises."""
+    try:
+        return load(path)
+    except ConfigError as err:
+        return f"ConfigError: {err}"
+
+
+def defaults_copy(directory: Path, line: str = "n_beads = 20") -> Path:
+    """A data directory whose tripodbot.default is the shipped one with its
+    `n_beads = 20` line replaced by `line`."""
+    text = (config._packaged_data_dir() / "tripodbot.default").read_text()
+    directory.mkdir(parents=True, exist_ok=True)
+    dpath = directory / "tripodbot.default"
+    dpath.write_text(text.replace("n_beads = 20\n", f"{line}\n", 1))
+    return dpath
+
+
+class TestDefaultsLayer:
+    """load_config converts the defaults once per file text and overlays
+    each scenario on a copy; every result equals a from-scratch parse."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_scenarios_match_oracle(self, scenario_path, name):
+        path = scenario_path(name)
+        want = oracle_load(path)
+        assert loaded(path) == want
+        assert loaded(path) == want  # warm
+
+    def test_defaults_edit_between_loads_is_seen(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CCPJ_DATA_DIR", str(tmp_path))
+        defaults_copy(tmp_path)
+        p = write(tmp_path, "[signal]\nperiod_s = 4\n")
+        first = load_config(p)
+        assert first.get("beam", "n_beads") == 20
+        defaults_copy(tmp_path, "n_beads = 21")
+        second = load_config(p)
+        assert second.get("beam", "n_beads") == 21
+        assert second.digest != first.digest
+        assert loaded(p) == oracle_load(p)
+
+    def test_mutated_values_do_not_leak(self, scenario_path):
+        path = scenario_path("flat_ratchet_T4")
+        want = oracle_load(path)
+        cfg = load_config(path)
+        cfg.values[("beam", "n_beads")] = 99
+        cfg.values[("signal", "extra")] = 1
+        cfg.raw.clear()
+        assert loaded(path) == want
+
+    @pytest.mark.parametrize("line, fault", [
+        ("n_beads = 20\nbogus = 1", "unknown key 'bogus' in [beam]"),
+        ("n_beads = abc", "[beam] n_beads: cannot parse 'abc'"),
+    ])
+    def test_broken_defaults_raise_every_call(self, tmp_path, monkeypatch,
+                                              scenario_path, line, fault):
+        path = scenario_path("slope_15")
+        load_config(path)  # a good layer is cached first
+        monkeypatch.setenv("CCPJ_DATA_DIR", str(tmp_path))
+        dpath = defaults_copy(tmp_path, line)
+        for _ in range(3):
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert str(err.value).startswith(f"{dpath}") and fault in str(err.value)
+        defaults_copy(tmp_path)  # mended, it loads again
+        assert loaded(path) == oracle_load(path)
+
+
+# Scenario overlays for the property below: keys from SCHEMA, values shaped
+# for each key's converter or not, and now and then an unknown name.
+SMALL = st.one_of(st.floats(0.0, 10.0), st.floats(-100.0, 100.0)).map(repr)
+JUNK = st.sampled_from(["abc", "nan", "inf", "-inf", "1:2", "1:2:3", "", "0"])
+
+
+def _joined(part, n):
+    return st.lists(part, min_size=n, max_size=n).map(":".join)
+
+
+SHAPED_TEXT = {
+    "int": st.integers(-5, 40).map(str),
+    "float": SMALL, "float_inf": SMALL, "len": SMALL, "mass": SMALL,
+    "str": st.sampled_from(["smooth", "ratchet", "ice", "a/b"]),
+    "mask": st.sampled_from([*MASKS, "both"]),
+    "pair": _joined(st.floats(0.0, 1.0).map(repr), 2),
+    "box": _joined(SMALL, 3),
+    "pairs": st.lists(_joined(SMALL, 2), min_size=1, max_size=4).map(" ".join),
+    "regions": st.lists(_joined(SMALL, 3), min_size=1, max_size=2).map(" ".join),
+}
+ENTRY = st.sampled_from(
+    [(section, key) for section, keys in SCHEMA.items() for key in keys]
+    + [("beam", "bogus"), ("motor", "volts")]
+).flatmap(lambda e: st.tuples(st.just(e), st.one_of(
+    SHAPED_TEXT[SCHEMA[e[0]][e[1]]] if e[1] in SCHEMA.get(e[0], {}) else JUNK,
+    JUNK)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(entries=st.lists(ENTRY, max_size=8),
+       line=st.sampled_from([None, None, None, "n_beads = 20", "n_beads = 21",
+                             "n_beads = 20\nbogus = 1"]))
+def test_overlay_matches_oracle_property(entries, line):
+    """Any overlay, over the shipped defaults or an edited copy: the same
+    values, raw strings, digest and name as a from-scratch parse, or the
+    same error."""
+    sections = {}
+    for (section, key), value in entries:
+        sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                   for name, body in sections.items())
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if line is not None:
+            mp.setenv("CCPJ_DATA_DIR", str(defaults_copy(Path(tmp) / "data", line).parent))
+        else:
+            mp.delenv("CCPJ_DATA_DIR", raising=False)
+        path = Path(tmp) / "drawn.scenario"
+        path.write_text(text, encoding="utf-8")
+        want = outcome(oracle_load, path)
+        assert outcome(loaded, path) == want
+        assert outcome(loaded, path) == want  # warm

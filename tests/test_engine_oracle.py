@@ -124,12 +124,15 @@ def test_steps_below_the_time_resolution():
     for dt in (1e-13, 1e-12):
         with pytest.raises(ValidationError, match="must be > 1e-12 s"):
             Scenario(signal=GaitSignal(period=1e-11), duration=2.5e-11, dt=dt)
-    # a run shorter than the floor still drops its only step, so nothing
-    # moves; the engine once raised IndexError on the empty sub-step grid
-    sc = Scenario(signal=GaitSignal(period=1e-13), duration=1.5e-13, dt=1.0005e-12)
+    # a run shorter than one step would drop its only step, below the
+    # floor, and return a motionless trace: it is refused too
+    with pytest.raises(ValidationError, match="must be at least one step"):
+        Scenario(signal=GaitSignal(period=1e-13), duration=1.5e-13, dt=1.0005e-12)
+    # the shortest run allowed is one step just above the floor
+    sc = Scenario(signal=GaitSignal(period=1e-13), duration=1.0005e-12, dt=1.0005e-12)
     new = run(sc)
     assert_same_trace(new, reference_gait.run(sc))
-    assert len(new.t) == 2 and not new.x.any()
+    assert len(new.t) == 2
 
 
 @pytest.mark.parametrize("x0", (0.0, 117e-3))
