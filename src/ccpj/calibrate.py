@@ -277,94 +277,137 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
     SSE over ETA0_GRID, ties going to the smallest eta, found without
     evaluating the whole grid. A stroke with slope r = e*s > 0 in eta (e
     the anchor efficiency, s its unit-slip arc) nets max(0, r*eta - half),
-    which is linear past its knot half/r, so the SSE is a convex quadratic
-    A*eta^2 + 2*B*eta + C between consecutive knots. A stroke going live
-    changes one period's residual alpha*eta + beta, so the coefficients
-    are prefix sums over the knot-sorted strokes. Over one interval the
-    grid minimum lies on one of the two grid points that bracket the
-    interval's vertex clipped into it, and the quadratic's value there is
-    a lower bound lb for every grid point in the interval. Exact values
-    use _arc_speeds' own arithmetic, so they and the tie-break are the
-    full grid's bit for bit. Pass 1 evaluates eta = 0 (the flat stretch
-    before the first knot) and the bracket of the interval with the least
-    lb; its best value U bounds the minimum. Pass 2 evaluates the bracket
-    of every other interval with lb <= U + margin. The margin is 1e-12*W,
-    W = sum over periods of (a + |speed|)^2 with a the period's speed at
-    eta = 1 before re-seat losses. On an interval that starts at or
-    below eta = 1, W bounds the summed magnitudes of each prefix sum's
-    terms, of the quadratic's terms and of the exact SSE's terms, so
-    their rounding, with the vertex's, stays below about 600 * 2^-53 * W
-    (7e-14 * W): the margin has more than a factor of ten to spare. The
-    closest rounding tie the tests hold needs 1e-16 * W. Otherwise the
-    vertex only chooses which grid points get evaluated. A stroke that
-    stalls at every eta gets knot +inf: it sorts after every advancing
-    stroke under the stable sort and is never live. Its interval, like
-    one that starts past eta = 1, gets lb = +inf: it holds no grid point
-    that eta = 0 or another interval does not cover.
+    which is linear past its knot half/r, so each period's speed v_p(eta)
+    is nondecreasing and the SSE is a convex quadratic A*eta^2 + 2*B*eta
+    + C between consecutive knots. Over one interval the grid minimum lies
+    on one of the two grid points that bracket the interval's vertex
+    clipped into it. Exact values use _arc_speeds' own arithmetic, so they
+    and the tie-break are the full grid's bit for bit.
+
+    Pass 0 sorts nothing. Past K, the largest knot at or below eta = 1 (0
+    if there is none), every stroke that goes live in [0, 1] is live, so
+    the SSE on [K, 1] is one quadratic built from per-period sums. Pass 0
+    evaluates eta = 0 and the bracket of that quadratic's clipped vertex;
+    their best value U bounds the minimum. Every grid point below K has
+    v_p(eta) in [0, v_p(K)], so its SSE is at least the sum over periods
+    of dist(speed, [0, v_p(K)])^2. A candidate whose bound exceeds U +
+    margin strictly is done, as is one with K = 0, which has no grid
+    point below K. The others go through the knot-sorted passes
+    (_knot_intervals), where the quadratic's value at the clipped vertex
+    is a lower bound lb for every grid point in its interval. Pass 1
+    evaluates the bracket of the interval with the least lb, lowering U;
+    pass 2 the bracket of every other interval with lb <= U + margin.
+
+    The margin is 1e-12*W, W = sum over periods of (a + |speed|)^2 with a
+    the period's speed at eta = 1 before re-seat losses. At or below eta
+    = 1, W bounds the summed magnitudes of the terms of each per-period or
+    prefix sum, of pass 0's bound, of each quadratic and of the exact
+    SSE, so their rounding, with the vertex's, stays below about 600 *
+    2^-53 * W (7e-14 * W): the margin has more than a factor of ten to
+    spare. The closest rounding tie the tests hold needs 1e-16 * W.
+    Otherwise the vertex only chooses which grid points get evaluated. A
+    stroke that stalls at every eta gets knot +inf and is never live.
     """
     ter = template.terrain
     half = ter.reseat_loss
     stand, sit, _, _ = _stroke_arcs(template, np.reshape(tau_heat, (-1, 1)),
                                     np.reshape(tau_cool, (-1, 1)), periods,
                                     SWEEP_CYCLES)
-    n, n_strokes = len(stand), 2 * SWEEP_CYCLES
+    n = len(stand)
     ids = np.arange(n)
-    rows = ids[:, None]
     rate = ter.anchor_efficiency * np.concatenate([stand, sit], axis=2)
     advances = rate > 0.0  # the other strokes stall at every eta
     knot = np.divide(half, rate, out=np.full_like(rate, np.inf), where=advances)
-    # a live stroke adds r to its period's alpha and -h to its beta
-    scale = (SWEEP_CYCLES * periods)[:, None]
-    r = np.where(advances, rate, 0.0) / scale
-    h = np.where(advances, half, 0.0) / scale
+    # a live stroke adds r to its period's residual slope and -half/scale
+    # to its offset
+    scale = SWEEP_CYCLES * periods
+    r = np.where(advances, rate, 0.0) / scale[:, None]
+    margin = 1e-12 * np.sum((np.sum(r, axis=2) + np.abs(speeds)) ** 2, axis=1)
+
+    def sse_at(cand, idx):
+        return np.sum((_arc_speeds(ter, stand[cand], sit[cand], ETA0_GRID[idx],
+                                   periods) - speeds) ** 2, axis=1)
+
+    # pass 0: each period's residual on [k, 1] is alpha*eta + beta
+    live = knot <= 1.0
+    k = np.max(knot, axis=(1, 2), where=live, initial=0.0)
+    alpha = np.sum(r, axis=2, where=live)
+    beta = -(half / scale) * np.count_nonzero(live, axis=2) - speeds
+    quad_a, quad_b = np.sum(alpha * alpha, axis=1), np.sum(alpha * beta, axis=1)
+    vertex = np.divide(-quad_b, quad_a, out=k.copy(), where=quad_a > 0.0)
+    at = np.clip(vertex, k, 1.0) * (len(ETA0_GRID) - 1)
+    cand = np.repeat(ids, 3)
+    idx = np.column_stack([np.zeros(n), np.floor(at),
+                           np.ceil(at)]).astype(int).ravel()
+    sse = sse_at(cand, idx)
+    best = np.min(sse.reshape(n, 3), axis=1)
+    gap = np.maximum(np.maximum(-(alpha * k[:, None] + beta), -speeds), 0.0)
+    bound = np.where(k > 0.0, np.sum(gap * gap, axis=1), np.inf)
+    rest = np.flatnonzero(~(bound > best + margin))
+    if len(rest):
+        lb, at = _knot_intervals(knot[rest], advances[rest], r[rest],
+                                 half / scale, speeds)
+        sub = np.arange(len(rest))
+        first = np.argmin(lb, axis=1)
+        idx1 = np.column_stack([np.floor(at[sub, first]),
+                                np.ceil(at[sub, first])]).astype(int).ravel()
+        sse1 = sse_at(np.repeat(rest, 2), idx1)
+        bound = np.minimum(best[rest], np.min(sse1.reshape(-1, 2), axis=1))
+        keep = lb <= (bound + margin[rest])[:, None]
+        keep[sub, first] = False
+        more, j = np.nonzero(keep)
+        idx2 = np.concatenate([np.floor(at[more, j]), np.ceil(at[more, j])]).astype(int)
+        more = np.tile(rest[more], 2)
+        cand = np.concatenate([cand, np.repeat(rest, 2), more])
+        idx = np.concatenate([idx, idx1, idx2])
+        sse = np.concatenate([sse, sse1, sse_at(more, idx2)])
+    # by candidate, then sse, then eta: each block opens with the first minimum
+    pick = np.lexsort((idx, sse, cand))
+    pick = pick[np.searchsorted(cand[pick], ids)]
+    return ETA0_GRID[idx[pick]], sse[pick]
+
+
+def _knot_intervals(knot: np.ndarray, advances: np.ndarray, r: np.ndarray,
+                    lost: np.ndarray, speeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower bound and clipped vertex of every knot interval, for _profile_eta0.
+
+    knot, advances and r are per candidate, period and stroke, shape (m,
+    n_periods, n_strokes); lost is each period's re-seat loss per stroke
+    as speed. An interval opens at each stroke's knot in the candidates'
+    stable knot order; both results have shape (m, n_periods *
+    n_strokes), the clipped vertex in grid steps. The SSE's coefficients
+    on an interval are prefix sums over the knot-sorted strokes, since a
+    stroke going live changes one period's residual alpha*eta + beta. An
+    interval that starts past eta = 1 gets lb = +inf: it holds no grid
+    point that eta = 0 or another interval does not cover.
+    """
+    m, n_strokes = len(knot), knot.shape[2]
+    rows = np.arange(m)[:, None]
+    h = np.where(advances, lost[:, None], 0.0)
     # each period's alpha and beta before the stroke, in knot order within
     # the period: the advancing strokes lead, so beta counts their position
     within = np.argsort(knot, axis=2, kind="stable")
     r, h = np.take_along_axis(r, within, 2), np.take_along_axis(h, within, 2)
     a = np.zeros_like(r)
     np.cumsum(r[..., :-1], axis=2, out=a[..., 1:])
-    b = -(half / scale) * np.arange(n_strokes) - speeds[:, None]
+    b = -lost[:, None] * np.arange(n_strokes) - speeds[:, None]
     delta = np.stack([r * (2.0 * a + r), r * (b - h) - h * a, h * (h - 2.0 * b)])
     # the same strokes in the global stable knot order
-    knot = knot.reshape(n, -1)
+    knot = knot.reshape(m, -1)
     order = np.argsort(knot, axis=1, kind="stable")
     place = np.empty_like(within)
     np.put_along_axis(place, within, np.arange(n_strokes), axis=2)
-    into = order - order % n_strokes + place.reshape(n, -1)[rows, order]
-    knot, advances = knot[rows, order], advances.reshape(n, -1)[rows, order]
-    quad_a, quad_b, quad_c = np.cumsum(delta.reshape(3, n, -1)[:, rows, into], axis=2)
+    into = order - order % n_strokes + place.reshape(m, -1)[rows, order]
+    knot, advances = knot[rows, order], advances.reshape(m, -1)[rows, order]
+    quad_a, quad_b, quad_c = np.cumsum(delta.reshape(3, m, -1)[:, rows, into], axis=2)
     quad_c += np.sum(speeds * speeds)
     vertex = np.divide(-quad_b, quad_a, out=np.zeros_like(knot),
                        where=advances)  # stalled: 0/0
-    upper = np.concatenate([knot[:, 1:], np.full((n, 1), np.inf)], axis=1)
+    upper = np.concatenate([knot[:, 1:], np.full((m, 1), np.inf)], axis=1)
     at = np.where(advances, np.clip(np.clip(vertex, knot, upper), 0.0, 1.0), 0.0)
     lb = np.where(advances & (knot <= 1.0),
                   (quad_a * at + 2.0 * quad_b) * at + quad_c, np.inf)
-    at = at * (len(ETA0_GRID) - 1)
-    w = np.sum((np.sum(r, axis=2) + np.abs(speeds)) ** 2, axis=1)
-
-    def sse_at(cand, idx):
-        return np.sum((_arc_speeds(ter, stand[cand], sit[cand], ETA0_GRID[idx],
-                                   periods) - speeds) ** 2, axis=1)
-
-    first = np.argmin(lb, axis=1)
-    cand = np.repeat(ids, 3)
-    idx = np.column_stack([np.zeros(n), np.floor(at[ids, first]),
-                           np.ceil(at[ids, first])]).astype(int).ravel()
-    sse = sse_at(cand, idx)
-    bound = np.min(sse.reshape(n, 3), axis=1) + 1e-12 * w
-    keep = lb <= bound[:, None]
-    keep[ids, first] = False
-    more, j = np.nonzero(keep)
-    if len(more):
-        idx2 = np.concatenate([np.floor(at[more, j]), np.ceil(at[more, j])]).astype(int)
-        more = np.concatenate([more, more])
-        cand, idx = np.concatenate([cand, more]), np.concatenate([idx, idx2])
-        sse = np.concatenate([sse, sse_at(more, idx2)])
-    # by candidate, then sse, then eta: each block opens with the first minimum
-    k = np.lexsort((idx, sse, cand))
-    k = k[np.searchsorted(cand[k], ids)]
-    return ETA0_GRID[idx[k]], sse[k]
+    return lb, at * (len(ETA0_GRID) - 1)
 
 
 THERMAL_BOUNDS = {"tau_heat_s": (0.2, 3.0), "tau_cool_s": (0.1, 2.0)}
@@ -420,6 +463,20 @@ def _fit_thermal_full(dataset: Dataset, template: Scenario,
     if len(periods) < 4:
         raise NoFeasibleFitError(
             f"thermal fit needs >= 4 (period, speed) points, got {len(periods)}")
+    # sweep_period's period range, checked before the search rather than
+    # after it; and speeds whose sum of squares stays finite with a factor
+    # of 4 to spare, so that every sum the search forms stays finite too
+    outside = periods[(periods < 0.5) | (periods > 20.0)]
+    if len(outside):
+        raise ValidationError(
+            f"dataset {dataset.name!r}: period_s {outside[0].item()!r} "
+            f"outside [0.5, 20.0]")
+    with np.errstate(over="ignore"):
+        power = 4.0 * np.sum(speeds * speeds)
+    if not np.isfinite(power):
+        raise ValidationError(
+            f"dataset {dataset.name!r}: speed_mm_s values too large to fit "
+            f"(their sum of squares nears the float limit)")
     _require_flat_alternating(template, "fit_thermal")
     order = np.argsort(periods)
     periods, speeds = periods[order], speeds[order]
@@ -455,9 +512,12 @@ def fit_thermal(dataset: Dataset, template: Scenario,
     candidates, profiled in blocks of whole tau_heat rows, at most one
     9 x 9 level per block; see _thermal_grid_search). Each candidate's
     overall slip scale is profiled out: the best of ETA0_GRID's 2001
-    points, found exactly from the grid points that bound-pruning of the
-    piecewise-quadratic SSE leaves, about three per candidate (see
-    _profile_eta0). The objective is an exact closed-form
+    points, found exactly from a few grid points of the piecewise-quadratic
+    SSE (see _profile_eta0). Most candidates need three: eta = 0 and the
+    bracket of the vertex past the last knot, where every stroke is live,
+    with a monotone bound ruling out the grid below that knot; only the
+    few the bound cannot rule out have their knots sorted and searched
+    interval by interval. The objective is an exact closed-form
     transcription of the simulator's period sweep, so data the simulator
     generated is recovered without bias.
     Raises NoFeasibleFit when the fitted curve's peak falls outside the

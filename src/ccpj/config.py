@@ -222,9 +222,11 @@ def _overlay(parser: configparser.ConfigParser, path: Path,
             raw[(section, key)] = " ".join(val.split())
 
 
-# The last defaults layer converted: ((resolved path, file text), values,
-# raw). A failed conversion is never stored, callers get copies, and the
-# slot is replaced whole, so another thread reads one consistent entry.
+# The last defaults layer converted: (file text, values, raw). The layer
+# holds no path, so the text alone is the key: two paths with the same
+# text give the same layer. A failed conversion is never stored, callers
+# get copies, and the slot is replaced whole, so another thread reads one
+# consistent entry.
 _defaults_layer: tuple | None = None
 
 
@@ -243,18 +245,18 @@ def load_config(path: str | Path) -> EffectiveConfig:
     dpath = default_config_path()
     base = dparser = None
     if dpath != path and dpath.exists():
-        dkey = (dpath.resolve(), _read_text(dpath))
-        if _defaults_layer is not None and _defaults_layer[0] == dkey:
+        dtext = _read_text(dpath)
+        if _defaults_layer is not None and _defaults_layer[0] == dtext:
             base = _defaults_layer[1:]
         else:
-            dparser = _parse_ini(dpath, dkey[1])
+            dparser = _parse_ini(dpath, dtext)
     parser = _parse_ini(path, _read_text(path))
     # converted only once both files have parsed, so that a read or syntax
     # error in either file is reported ahead of a bad key or value
     if dparser is not None:
         base = ({}, {})
         _overlay(dparser, dpath, *base)
-        _defaults_layer = (dkey, *base)
+        _defaults_layer = (dtext, *base)
     values, raw = ({}, {}) if base is None else (dict(base[0]), dict(base[1]))
     _overlay(parser, path, values, raw)
 

@@ -16,6 +16,11 @@ class ValidationError(CcpjError):
     """Bad input data or parameters."""
 
 
+def _plain(value):
+    """A numpy scalar as its plain Python number, for messages."""
+    return value.item() if callable(getattr(value, "item", None)) else value
+
+
 class OutOfRangeError(ValidationError):
     """A scalar input fell outside its physically meaningful interval."""
 
@@ -24,6 +29,7 @@ class OutOfRangeError(ValidationError):
         self.value = value
         self.lo = lo
         self.hi = hi
+        value, lo, hi = (_plain(v) for v in (value, lo, hi))
         super().__init__(f"{name}={value!r} outside [{lo}, {hi}]")
 
 

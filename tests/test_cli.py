@@ -371,6 +371,30 @@ class TestCalibrate:
             "ccpj: error[2]: ValidationError: bad dataset row '2,3,4'")
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("row, message", [
+        # once four numpy overflow RuntimeWarnings, then exit 4 with
+        # "NoFeasibleFitError: fitted speed curve peaks at 0.50 s"
+        ("4,1e308", "speed_mm_s values too large to fit"),
+        # once rejected by sweep_period only after the whole grid search
+        ("0.1,3.9", "period_s 0.1 outside [0.5, 20.0]"),
+    ])
+    def test_speed_dataset_checked_before_the_search(self, tmp_path,
+                                                     shipped_data_dir, row,
+                                                     message):
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in shipped_data_dir.glob("*.csv"):
+            (data / path.name).write_text(path.read_text())
+        speed = data / "speed_vs_period.csv"
+        speed.write_text(speed.read_text() + row + "\n")
+        done = run_capped(["calibrate", "--out", str(tmp_path / "out"), "--quiet"],
+                          CCPJ_DATA_DIR=str(data))
+        assert done.returncode == 2, done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith(
+            "ccpj: error[2]: ValidationError: dataset 'speed_vs_period': "
+            + message)
+
     def test_missing_datasets(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CCPJ_DATA_DIR", str(tmp_path / "empty"))
         (tmp_path / "empty").mkdir()

@@ -39,6 +39,19 @@ class TestCurrent:
             assert str(exc.value) == f"current_a={bad!r} outside [0.0, 0.5]"
 
 
+def test_out_of_range_prints_numpy_scalars_as_numbers():
+    # sweep_period hands on the elements of a numpy array of periods,
+    # whose repr once read "period=np.float64(0.1)"
+    from ccpj.gait import Scenario, sweep_period
+
+    with pytest.raises(OutOfRangeError) as exc:
+        sweep_period(Scenario(signal=GaitSignal(period=4.0)), np.array([0.1]))
+    assert str(exc.value) == "period=0.1 outside [0.5, 20.0]"
+    assert isinstance(exc.value.value, np.float64)
+    err = OutOfRangeError("n_beads", np.int64(1), np.int64(2), math.inf)
+    assert str(err) == "n_beads=1 outside [2, inf]"
+
+
 class TestCalibrationTable:
     def test_from_points(self, table):
         assert table.currents[0] == 0.0

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ccpj import calibrate as cal
 from ccpj.gait import (
@@ -99,6 +99,68 @@ def test_every_candidate_of_the_shipped_fit(monkeypatch, shipped_data_dir):
     assert len(calls) == 3 + 6  # 5-row blocks of the 15 x 15 grid, then one per level
     candidates = sum(len(assert_profile_exact(*args)) for args in calls)
     assert candidates == 15 * 15 + 6 * 9 * 9
+
+
+def record_knot_sorts(monkeypatch):
+    """Candidates per _profile_eta0 call that pass 0 leaves to the knot sort."""
+    sizes = []
+    intervals = cal._knot_intervals
+
+    def record(knot, *args):
+        sizes.append(len(knot))
+        return intervals(knot, *args)
+
+    monkeypatch.setattr(cal, "_knot_intervals", record)
+    return sizes
+
+
+def test_pass0_closes_most_of_the_shipped_fit(monkeypatch, shipped_data_dir):
+    # Near the optimum every candidate's best slip scale lies past its last
+    # knot, where pass 0's one quadratic and its bound settle it. A weaker
+    # certificate sends more candidates to the knot sort.
+    sizes = record_knot_sorts(monkeypatch)
+    ds = cal.load_dataset("speed_vs_period", shipped_data_dir)
+    cal.thermal_fit_report(ds, TEMPLATE)
+    assert sizes == [11, 9, 9]  # of 711 candidates in nine calls
+
+
+def test_pass0_bound_counts_negative_speeds(monkeypatch):
+    # A negative speed is at least |speed| from every model speed, and the
+    # bound below the last knot counts that: with the 10 s point at -3.4
+    # mm/s, a bound that left it out would send 176 candidates, not 146,
+    # to the knot sort.
+    speeds = SHIPPED_MM_S * 1e-3
+    speeds[-1] = -3.4e-3
+    sizes = record_knot_sorts(monkeypatch)
+    calls = []
+    profile = cal._profile_eta0
+
+    def record(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(cal, "_profile_eta0", record)
+    cal._thermal_grid_search(TEMPLATE, PERIODS, speeds)
+    monkeypatch.undo()
+    assert sizes == [44, 75, 27]
+    for args in calls:
+        assert_profile_exact(*args)
+
+
+def test_pass0_keeps_a_bound_equal_to_its_cutoff(monkeypatch):
+    # On a 30 mm pitch the 0.5 s period's strokes stall at every eta, so
+    # its -10 mm/s adds the same 1e-4 to pass 0's bound and to U: both
+    # round on ulp(1e-4), and over a band of 8 s speeds the bound equals U
+    # + margin to the bit. A candidate on that edge is not closed: it goes
+    # to the knot sort. A bound 1e5 ulps of the 8 s speed higher clears
+    # the edge and is closed.
+    tmpl = replace(TEMPLATE, terrain=Terrain(pitch=30e-3))
+    periods = np.array([0.5, 3.0, 8.0])
+    sizes = record_knot_sorts(monkeypatch)
+    for speed_8s in (0.0022825236414738873, 0.0022825236415172554):
+        speeds = np.array([-0.01, 0.004959465472201823, speed_8s])
+        assert_profile_exact(tmpl, [1.0], [0.45], periods, speeds)
+    assert sizes == [1]
 
 
 TAUS = [(1.2693351745605468, 0.5710022517613002), (0.2, 2.0), (3.0, 0.1)]
@@ -250,6 +312,36 @@ def test_margin_keeps_a_rounding_tie():
     [(eta0, _)] = assert_profile_exact(tmpl, [act.tau_heat], [act.tau_cool],
                                        periods, speeds)
     assert eta0 == cal.ETA0_GRID[1849]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_profile_below_the_last_knot_matches_grid(data):
+    # Speeds the model gives at a grid slip scale below the generating
+    # candidate's last knot K (its largest knot <= 1), on a 30 mm pitch
+    # that spreads the knots over (0, 1): that candidate's minimum lies
+    # in [0, K), so pass 0 cannot close it and the knot-sorted passes must
+    # find it. The other candidates are drawn around it.
+    tmpl = replace(TEMPLATE, terrain=Terrain(pitch=30e-3))
+    ter = tmpl.terrain
+    periods = np.sort(data.draw(st.lists(st.floats(0.5, 20.0), min_size=4,
+                                         max_size=12, unique=True)))
+    taus = data.draw(st.lists(TAU_PAIRS, min_size=1, max_size=30))
+    true = data.draw(st.integers(0, len(taus) - 1))
+    act = replace(tmpl.actuator, tau_heat=taus[true][0], tau_cool=taus[true][1])
+    stand, sit, _, _ = stroke_arcs(replace(tmpl, actuator=act), periods,
+                                   SWEEP_CYCLES)
+    rate = ter.anchor_efficiency * np.concatenate([stand, sit], axis=1)
+    knots = np.divide(ter.reseat_loss, rate, out=np.full_like(rate, np.inf),
+                      where=rate > 0.0)
+    below = np.flatnonzero(cal.ETA0_GRID < np.max(knots, where=knots <= 1.0,
+                                                   initial=0.0))
+    assume(len(below))
+    eta = cal.ETA0_GRID[below[data.draw(st.integers(0, len(below) - 1))]]
+    speeds = cal._sweep_speeds(tmpl, act, np.array([eta]), periods)[0]
+    tau_heat, tau_cool = np.array(taus).T
+    got = assert_profile_exact(tmpl, tau_heat, tau_cool, periods, speeds)
+    assert got[true][0] <= eta and got[true][1] == 0.0
 
 
 NEAR_FIT_TERRAINS = {**TERRAINS, "pitch_30mm": Terrain(pitch=30e-3)}
