@@ -34,8 +34,10 @@ from .gait import (
     ActuatorModel,
     Scenario,
     SlipModel,
-    Terrain,
+    _arc_speeds,
+    _closed_sweep,
     _stroke_arcs,
+    _sweep_speeds,
     stroke_arcs,
     sweep_period,
 )
@@ -227,41 +229,6 @@ def _stiffness_fit_full(dataset: Dataset) -> tuple[CalibrationTable, Calibration
 
 def stiffness_fit_report(dataset: Dataset) -> CalibrationResult:
     return _stiffness_fit_full(dataset)[1]
-
-
-def _require_flat_alternating(template: Scenario, what: str):
-    ter = template.terrain
-    if (ter.slope != 0.0 or template.payload_mass != 0.0
-            or not (template.signal.mask[FRONT] and template.signal.mask[REAR])
-            or template.signal.phase[FRONT] != template.signal.phase[REAR]):
-        raise ValidationError(
-            f"{what} expects a flat, unloaded, all-legs, in-phase template")
-
-
-def _arc_speeds(terrain: Terrain, stand: np.ndarray, sit: np.ndarray,
-                eta0_grid: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """Sweep averages from unit-slip cold-start arcs, shape (n_eta, n_periods).
-
-    stand and sit are either shared by every slip scale, shape
-    (n_periods, cycles), or one set per slip scale, shape
-    (n_eta, n_periods, cycles). The alternating template re-seats at every
-    hand-off, so each cold-start stroke nets its slipped arc less the
-    re-seat loss: this reproduces the simulator's sweep averages exactly
-    (it is tested to).
-    """
-    half = terrain.reseat_loss
-    e = (eta0_grid * terrain.anchor_efficiency)[:, None, None]
-    d = (np.maximum(0.0, e * stand - half)
-         + np.maximum(0.0, e * sit - half)).sum(axis=-1)
-    return d / (SWEEP_CYCLES * periods[None, :])
-
-
-def _sweep_speeds(template: Scenario, actuator: ActuatorModel,
-                  eta0_grid: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """Closed-form sweep_period averages, shape (n_eta, n_periods)."""
-    stand, sit, _, _ = stroke_arcs(replace(template, actuator=actuator),
-                                   periods, SWEEP_CYCLES)
-    return _arc_speeds(template.terrain, stand, sit, eta0_grid, periods)
 
 
 ETA0_GRID = np.linspace(0.0, 1.0, 2001)  # slip scales the profile chooses from
@@ -458,6 +425,12 @@ def _thermal_grid_search(template: Scenario, periods: np.ndarray,
 
 def _fit_thermal_full(dataset: Dataset, template: Scenario,
                       peak_window: tuple[float, float] = SPEED_PEAK_WINDOW) -> dict:
+    """The thermal fit on a flat, unloaded template inside _closed_sweep.
+
+    The objective, the residual (sweep_period at the fit) and the peak check
+    all use sweep_period's closed form, not simulator runs; the oracle tests
+    hold that form within 1e-12 m/s of `run` on the sweep scenario.
+    """
     periods = dataset.column("period_s")
     speeds = dataset.column("speed_mm_s") * 1e-3
     if len(periods) < 4:
@@ -477,21 +450,25 @@ def _fit_thermal_full(dataset: Dataset, template: Scenario,
         raise ValidationError(
             f"dataset {dataset.name!r}: speed_mm_s values too large to fit "
             f"(their sum of squares nears the float limit)")
-    _require_flat_alternating(template, "fit_thermal")
+    if (template.terrain.slope != 0.0 or template.payload_mass != 0.0
+            or not _closed_sweep(template)):
+        raise ValidationError(
+            "fit_thermal expects a flat, unloaded template whose period sweep "
+            "has a closed form: all legs at phase (0, 0), no ceiling, no slip "
+            "noise, and i_high at or above i_threshold")
     order = np.argsort(periods)
     periods, speeds = periods[order], speeds[order]
 
     _, tau_h, tau_c, eta0 = _thermal_grid_search(template, periods, speeds)
     fitted = replace(template.actuator, tau_heat=tau_h, tau_cool=tau_c)
 
-    # report the residual off an actual simulator sweep, not the transcription
     sc = replace(template, actuator=fitted,
                  slip=SlipModel(eta0=eta0, c_slope=0.0, c_load=0.0))
     sim = np.array([v for _, v in sweep_period(sc, periods)])
     rmse = math.sqrt(float(np.sum((sim - speeds) ** 2)) / len(periods))
 
     fine = np.arange(0.5, 20.0 + 1e-9, 0.01)
-    v_fine = _sweep_speeds(template, fitted, np.array([eta0]), fine)[0]
+    v_fine = _sweep_speeds(sc, np.array([eta0]), fine)[0]
     peak = float(fine[int(np.argmax(v_fine))])
     if not (peak_window[0] <= peak <= peak_window[1]):
         raise NoFeasibleFitError(

@@ -308,6 +308,12 @@ class Scenario:
             raise OutOfRangeError("slip_noise", self.slip_noise, 0.0, 1.0)
         if self.seed < 0:
             raise OutOfRangeError("seed", self.seed, 0, math.inf)
+        # legs whose low current heats stand once and never cool again
+        if not (self.signal.i_low < self.actuator.i_threshold - 1e-12):
+            raise ValidationError(
+                f"i_low_a={self.signal.i_low!r} must be below i_threshold_a="
+                f"{self.actuator.i_threshold!r}: the legs would never cool"
+            )
 
     def resolved_height_map(self) -> CurrentHeightMap:
         if self.height_map is not None:
@@ -352,10 +358,15 @@ def _beta_caps(scenario: Scenario, x: float,
 
 
 def _drive_caps(scenario: Scenario) -> tuple[float, float]:
-    """Standing-angle ceiling per group from the current->angle map alone."""
+    """Standing-angle ceiling per group from the current->angle map alone.
+
+    A group whose wave never heats, masked off or peaking below the
+    threshold, stays flat whatever the map says: its cap is 0.
+    """
     hmap, sig = scenario.resolved_height_map(), scenario.signal
-    cap_f, cap_r = (min(hmap.beta_cap(sig.i_high if sig.mask[g] else 0.0), BETA_MAX)
-                    for g in (FRONT, REAR))
+    heats = sig.i_high >= scenario.actuator.i_threshold - 1e-12
+    cap_f, cap_r = (min(hmap.beta_cap(sig.i_high), BETA_MAX)
+                    if heats and sig.mask[g] else 0.0 for g in (FRONT, REAR))
     return cap_f, cap_r
 
 
@@ -740,24 +751,68 @@ def _cycle_advance(scenario: Scenario, s_stand: float, s_sit: float) -> float:
 SWEEP_CYCLES = 6  # cycles sweep_period runs at each period
 
 
+def _closed_sweep(scenario: Scenario) -> bool:
+    """Whether _sweep_speeds gives sweep_period's averages: the all-leg
+    gait at phase 0, so every hand-off re-seats and the cold start begins
+    at a rising edge; no ceiling to move the caps, no slip noise, and each
+    group heating exactly in its duty window (Scenario keeps i_low below
+    the threshold, so i_high must reach it)."""
+    sig = scenario.signal
+    return (tuple(sig.mask) == (True, True) and tuple(sig.phase) == (0.0, 0.0)
+            and not scenario.terrain.ceiling and scenario.slip_noise == 0.0
+            and sig.i_high >= scenario.actuator.i_threshold - 1e-12)
+
+
+def _arc_speeds(terrain: Terrain, stand: np.ndarray, sit: np.ndarray,
+                etas: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """Sweep averages from unit-slip cold-start arcs, shape (n_eta, n_periods).
+
+    etas are the slip efficiencies to evaluate. stand and sit are either
+    shared by every efficiency, shape (n_periods, cycles), or one set per
+    efficiency, shape (n_eta, n_periods, cycles). The alternating gait
+    re-seats at every hand-off, so each cold-start stroke nets its slipped
+    arc less the re-seat loss.
+    """
+    half = terrain.reseat_loss
+    e = (etas * terrain.anchor_efficiency)[:, None, None]
+    d = (np.maximum(0.0, e * stand - half)
+         + np.maximum(0.0, e * sit - half)).sum(axis=-1)
+    return d / (SWEEP_CYCLES * periods[None, :])
+
+
+def _sweep_speeds(scenario: Scenario, etas: np.ndarray,
+                  periods: np.ndarray) -> np.ndarray:
+    """Closed-form sweep_period averages at the slip efficiencies etas,
+    shape (n_eta, n_periods); the simulator's up to rounding where
+    _closed_sweep holds."""
+    stand, sit, _, _ = stroke_arcs(scenario, periods, SWEEP_CYCLES)
+    return _arc_speeds(scenario.terrain, stand, sit, etas, periods)
+
+
 def sweep_period(scenario: Scenario, periods) -> list[tuple[float, float]]:
     """Average speed at each actuation period.
 
-    Each point reruns the scenario with period T, duration SWEEP_CYCLES*T,
-    dt T/200.
+    Each point is the scenario run with period T, duration SWEEP_CYCLES*T
+    and dt T/200. Where _closed_sweep holds, all points come from one
+    closed-form array pass (_sweep_speeds), which the tests hold within
+    1e-12 m/s of `run` but not to its bits; any other scenario is run
+    once per period.
     """
-    out = []
+    periods = list(periods)
     for period in periods:
         if not (0.5 <= period <= 20.0):
             raise OutOfRangeError("period", period, 0.5, 20.0)
-        sc = replace(
-            scenario,
-            signal=replace(scenario.signal, period=period),
-            duration=SWEEP_CYCLES * period,
-            dt=period / 200.0,
-        )
-        out.append((period, run(sc).average_speed))
-    return out
+    if _closed_sweep(scenario):
+        ter = scenario.terrain
+        eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
+                                       scenario.robot.total_mass)
+        speeds = _sweep_speeds(scenario, np.array([eta]),
+                               np.array(periods, dtype=float))[0]
+        return list(zip(periods, speeds.tolist()))
+    return [(period, run(replace(scenario, signal=replace(scenario.signal, period=period),
+                                 duration=SWEEP_CYCLES * period,
+                                 dt=period / 200.0)).average_speed)
+            for period in periods]
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,23 @@ original sequential integrator, kept as an oracle: one `step()` per `dt`,
 split at each driven group's square-wave edges, with the lag state
 updated by `advance`. The stroke engine in `ccpj.gait.run` must reproduce
 its traces (see `test_engine_oracle.py`). Only the anchor-position
-bookkeeping, which never fed the body position, has been dropped. Nothing
-in the package imports this module.
+bookkeeping, which never fed the body position, has been dropped.
+`simulated_sweep` is `sweep_period` by `ccpj.gait.run` alone, one run per
+period: the reference its closed-form path is held to. Nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ccpj.errors import InfeasibleConfinementError
-from ccpj.gait import (FRONT, REAR, ActuatorModel, Scenario, SimTrace, _beta_caps,
-                       _drive_caps)
+from ccpj import gait
+from ccpj.gait import (FRONT, REAR, SWEEP_CYCLES, ActuatorModel, Scenario, SimTrace,
+                       _beta_caps, _drive_caps)
 from ccpj.kinematics import standing_height
 from ccpj.params import GaitSignal
 
@@ -192,3 +195,13 @@ def run(scenario: Scenario) -> SimTrace:
         anchored_front=np.array(cols[6]), anchored_rear=np.array(cols[7]),
         height=np.array(cols[8]),
     )
+
+
+def simulated_sweep(scenario: Scenario, periods) -> np.ndarray:
+    """Average speed of `gait.run` at each period T, on sweep_period's
+    scenario: duration SWEEP_CYCLES*T and dt T/200."""
+    return np.array([
+        gait.run(replace(scenario, signal=replace(scenario.signal, period=period),
+                         duration=SWEEP_CYCLES * period,
+                         dt=period / 200.0)).average_speed
+        for period in periods])

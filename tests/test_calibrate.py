@@ -15,7 +15,6 @@ from ccpj.calibrate import (
     REQUIRED_DATASETS,
     CalibrationResult,
     Dataset,
-    _sweep_speeds,
     data_dir,
     fit_slip,
     fit_stiffness_table,
@@ -34,8 +33,9 @@ from ccpj.errors import (
     TooFewPointsError,
     ValidationError,
 )
-from ccpj.gait import ActuatorModel, Scenario, SlipModel, Terrain, sweep_period
+from ccpj.gait import ActuatorModel, Scenario, SlipModel, Terrain, _sweep_speeds
 from ccpj.params import GaitSignal
+from reference_gait import simulated_sweep
 
 # shipped stiffness knots, for comparing against the fitted table
 TABLE_POINTS = (
@@ -155,25 +155,24 @@ class TestStiffnessFit:
 
 class TestThermalFit:
     def test_objective_transcribes_simulator(self, template):
-        # the closed-form sweep must equal sweep_period exactly, cold start,
+        # the closed-form sweep must equal the simulator's runs, cold start,
         # re-seat losses and all; this is what makes the fit unbiased
         act = ActuatorModel(tau_heat=1.0, tau_cool=0.45)
         periods = np.array([2.0, 3.0, 4.0, 6.0, 9.0])
         smooth_friction = replace(template, terrain=Terrain(
             surface="smooth", mu_forward=0.1, mu_backward=1.0))
         for tmpl in (template, smooth_friction):
-            closed = _sweep_speeds(tmpl, act, np.array([0.66]), periods)[0]
             sc = replace(tmpl, actuator=act,
                          slip=SlipModel(eta0=0.66, c_slope=0.0, c_load=0.0))
-            sim = np.array([v for _, v in sweep_period(sc, periods)])
-            assert np.max(np.abs(closed - sim)) < 1e-12
+            closed = _sweep_speeds(sc, np.array([0.66]), periods)[0]
+            assert np.max(np.abs(closed - simulated_sweep(sc, periods))) < 1e-12
 
     def test_recovers_known_constants(self, template):
         true = ActuatorModel(tau_heat=1.4, tau_cool=0.6)
         periods = [2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0]
         sc = replace(template, actuator=true,
                      slip=SlipModel(eta0=0.7, c_slope=0.0, c_load=0.0))
-        speeds = [v * 1e3 for _, v in sweep_period(sc, periods)]
+        speeds = simulated_sweep(sc, periods) * 1e3
         ds = make_ds("synthetic_sweep", ("period_s", "speed_mm_s"),
                      list(zip(periods, speeds)))
         report = thermal_fit_report(ds, template, peak_window=(3.0, 5.0))
@@ -216,6 +215,22 @@ class TestThermalFit:
                          signal=replace(template.signal, phase=(0.3, 0.0)))
         with pytest.raises(ValidationError):
             fit_thermal(ds, phased)
+
+    def test_template_needs_a_closed_form_sweep(self, shipped_data_dir, template):
+        # at equal phases other than 0 the cold start begins mid-cycle, and
+        # the closed form misses the simulator's sweep by about 1 mm/s: the
+        # fit would match a curve the simulator never gives
+        ds = load_dataset("speed_vs_period", shipped_data_dir)
+        phased = replace(template, signal=replace(template.signal, phase=(0.7, 0.7)))
+        periods = np.arange(2.0, 10.0)
+        closed = _sweep_speeds(phased, np.array([phased.slip.eta0]), periods)[0]
+        assert np.max(np.abs(closed - simulated_sweep(phased, periods))) > 1e-3
+        ceiling = Terrain(ceiling=((-math.inf, math.inf, 50e-3),))
+        for tmpl in (phased, replace(template, slip_noise=0.05),
+                     replace(template, terrain=ceiling),
+                     replace(template, signal=replace(template.signal, i_high=0.25))):
+            with pytest.raises(ValidationError, match="closed form"):
+                fit_thermal(ds, tmpl)
 
 
 def _op_speeds_mm_s(template, slip):

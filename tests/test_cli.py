@@ -198,6 +198,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("ccpj: error[2]: ValidationError:") and "cap" in err
 
+    def test_low_current_that_heats_rejected(self, tmp_path, capsys):
+        # legs held above the threshold never cool: they stand once and stop
+        cfg = tmp_path / "hot.config"
+        cfg.write_text("[signal]\nperiod_s = 4\ni_low_a = 0.3\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: ValidationError: i_low_a=0.3 ")
+        assert "i_threshold_a=0.28" in err
+
     def test_dt_below_substep_floor_rejected(self, tmp_path, capsys):
         # every 1e-13 s step is below the engine's 1e-12 s sub-step floor:
         # the run would be a motionless trace reported as ok

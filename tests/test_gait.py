@@ -9,12 +9,14 @@ evaluates in closed form.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_gait import advance
+from reference_gait import advance, simulated_sweep
+from ccpj import gait
 from ccpj.calibrate import load_dataset
 from ccpj.config import build_scenario, load_config
 from ccpj.errors import (
@@ -167,6 +169,20 @@ class TestCurrentHeightMap:
         b = hmap.beta_cap(0.39)
         assert hmap.beta_cap(0.38) < b < hmap.beta_cap(0.40)
 
+    def test_subthreshold_peak_never_stands(self):
+        # a map anchored below the threshold gives a peak current the legs
+        # never heat at a positive cap: the closed forms must still see a
+        # flat gait, as the simulator does
+        hmap = CurrentHeightMap(anchors=((0.2, math.radians(20.0)),
+                                         (0.4, math.radians(60.0))))
+        sc = Scenario(signal=GaitSignal(period=4.0, i_high=0.25), height_map=hmap)
+        assert hmap.beta_cap(0.25) > 0.0
+        assert run(sc).displacement == 0.0
+        assert steady_cycle_displacement(sc)[0] == 0.0
+        gate = replace(sc, terrain=Terrain(ceiling=((0.05, 0.1, 40e-3),)))
+        with pytest.raises(InfeasibleConfinementError, match="no progress"):
+            navigate_confined(gate)
+
     def test_anchor_currents_must_increase(self):
         with pytest.raises(ValidationError):
             CurrentHeightMap(anchors=((0.3, 0.2), (0.3, 0.5)))
@@ -237,6 +253,14 @@ class TestScenarioValidation:
         Scenario(signal=GaitSignal(period=4.0), slip_noise=1.0)
         with pytest.raises(OutOfRangeError, match="slip_noise"):
             Scenario(signal=GaitSignal(period=4.0), slip_noise=1.5)
+
+    @pytest.mark.parametrize("i_low", [0.28 - 1e-12, 0.28, 0.3])
+    def test_low_current_that_heats_rejected(self, i_low):
+        # legs that never cool stand once and stop, while the closed forms
+        # would count a full stroke every cycle
+        with pytest.raises(ValidationError, match=r"i_low_a=.* i_threshold_a=0\.28"):
+            Scenario(signal=GaitSignal(period=4.0, i_low=i_low))
+        Scenario(signal=GaitSignal(period=4.0, i_low=0.28 - 2e-12))
 
     def test_negative_seed_rejected(self):
         for noise in (0.0, 0.1):
@@ -540,3 +564,50 @@ def test_short_runs_never_reverse_and_stay_below_ideal(period, duty):
     ideal = cycle_speed(StrokeGeometry(sc.robot.leg.leg_length,
                                        b_bot, b_top, period))
     assert trace.average_speed <= ideal + 1e-12
+
+
+# one change each that takes a scenario off sweep_period's closed form
+OFF_CLOSED_FORM = {
+    "phase": lambda sc, u: replace(sc, signal=replace(sc.signal, phase=(u, u))),
+    "offset": lambda sc, u: replace(sc, signal=replace(sc.signal, phase=(0.0, u))),
+    "noise": lambda sc, u: replace(sc, slip_noise=0.2 * u, seed=3),
+    "ceiling": lambda sc, u: replace(sc, terrain=replace(
+        sc.terrain, ceiling=((-math.inf, math.inf, (10.0 + 70.0 * u) * 1e-3),))),
+    "mask": lambda sc, u: replace(sc, signal=replace(
+        sc.signal, mask=MASKS["front_only" if u < 0.5 else "rear_only"])),
+    "subthreshold": lambda sc, u: replace(sc, signal=replace(sc.signal, i_high=0.279 * u)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(periods=st.lists(st.floats(0.5, 20.0), min_size=1, max_size=3),
+       duty=st.floats(0.2, 0.8), tau_heat=st.floats(0.1, 3.0),
+       tau_cool=st.floats(0.1, 3.0), slope_deg=st.floats(0.0, 20.0),
+       payload_g=st.floats(0.0, 5.0), surface=st.sampled_from(["ratchet", "smooth"]),
+       pitch_mm=st.floats(1.0, 30.0),
+       mu=st.one_of(st.just((0.0, math.inf)),
+                    st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 2.0))),
+       i_high=st.floats(0.28, 0.5),
+       off=st.sampled_from([None, *OFF_CLOSED_FORM]), u=st.floats(0.01, 0.99))
+def test_closed_sweep_property(periods, duty, tau_heat, tau_cool, slope_deg,
+                               payload_g, surface, pitch_mm, mu, i_high, off, u):
+    """sweep_period against gait.run on its sweep scenario: within 1e-12 m/s
+    on the closed form, which runs nothing; off it, one run per period and
+    the same bits."""
+    sc = Scenario(signal=GaitSignal(period=4.0, duty=duty, i_high=i_high),
+                  terrain=Terrain(slope=math.radians(slope_deg), surface=surface,
+                                  pitch=pitch_mm * 1e-3, mu_forward=mu[0],
+                                  mu_backward=mu[1]),
+                  actuator=ActuatorModel(tau_heat=tau_heat, tau_cool=tau_cool),
+                  payload_mass=payload_g * 1e-3)
+    if off is not None:
+        sc = OFF_CLOSED_FORM[off](sc, u)
+    with mock.patch.object(gait, "run", wraps=gait.run) as engine:
+        points = sweep_period(sc, periods)
+    assert engine.call_count == (0 if off is None else len(periods))
+    assert [p for p, _ in points] == periods
+    got, want = np.array([v for _, v in points]), simulated_sweep(sc, periods)
+    if off is None:
+        assert np.max(np.abs(got - want)) <= 1e-12
+    else:
+        assert got.tolist() == want.tolist()

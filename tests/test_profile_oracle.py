@@ -25,10 +25,11 @@ from ccpj.gait import (
     Scenario,
     SlipModel,
     Terrain,
+    _sweep_speeds,
     stroke_arcs,
-    sweep_period,
 )
 from ccpj.params import GaitSignal
+from reference_gait import simulated_sweep
 
 
 def grid_profile(template, actuator, periods, speeds):
@@ -209,7 +210,7 @@ def test_simulated_and_jittered_speeds(terrain):
     sc = replace(tmpl, actuator=true,
                  slip=SlipModel(eta0=0.7, c_slope=0.0, c_load=0.0))
     periods = np.array([2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
-    sim = np.array([v for _, v in sweep_period(sc, periods)])
+    sim = simulated_sweep(sc, periods)
     [(eta0, _)] = assert_profile_exact(tmpl, [1.4], [0.6], periods, sim)
     assert eta0 == pytest.approx(0.7, abs=1e-12)  # grid point 1400
     rng = np.random.default_rng(7)
@@ -245,7 +246,7 @@ def test_minimum_at_a_kink(lean):
         r = np.empty(2)
         r[q] = eps
         r[1 - q] = -(left[q] + lean * starts[q]) * eps / left[1 - q]
-        speeds = cal._sweep_speeds(tmpl, act, np.array([k]), periods)[0] - r
+        speeds = _sweep_speeds(replace(tmpl, actuator=act), np.array([k]), periods)[0] - r
         [(eta0, _)] = assert_profile_exact(tmpl, [act.tau_heat], [act.tau_cool],
                                            periods, speeds)
         assert abs(eta0 - k) <= 5e-4
@@ -284,7 +285,7 @@ def test_second_pass_finds_the_lower_grid_minimum():
     act = ActuatorModel(tau_heat=1.0, tau_cool=0.45)
     periods = np.array([3.0, 8.0])
     speeds = np.array([1.2097928282154813e-3, 8.018121916802907e-3])
-    sse = np.sum((cal._sweep_speeds(tmpl, act, cal.ETA0_GRID, periods)
+    sse = np.sum((_sweep_speeds(replace(tmpl, actuator=act), cal.ETA0_GRID, periods)
                   - speeds) ** 2, axis=1)
     dips = np.flatnonzero((sse[1:-1] < sse[:-2]) & (sse[1:-1] <= sse[2:])) + 1
     assert dips.tolist() == [1744, 1940]
@@ -304,7 +305,7 @@ def test_margin_keeps_a_rounding_tie():
     act = ActuatorModel(tau_heat=1.0, tau_cool=0.45)
     periods = np.array([3.0, 8.0])
     speeds = np.array([4.1925212816193436e-3, 2.0613292403100477e-3])
-    sse = np.sum((cal._sweep_speeds(tmpl, act, cal.ETA0_GRID, periods)
+    sse = np.sum((_sweep_speeds(replace(tmpl, actuator=act), cal.ETA0_GRID, periods)
                   - speeds) ** 2, axis=1)
     dips = np.flatnonzero((sse[1:-1] < sse[:-2]) & (sse[1:-1] <= sse[2:])) + 1
     assert dips.tolist() == [1843, 1849]
@@ -338,7 +339,7 @@ def test_profile_below_the_last_knot_matches_grid(data):
                                                    initial=0.0))
     assume(len(below))
     eta = cal.ETA0_GRID[below[data.draw(st.integers(0, len(below) - 1))]]
-    speeds = cal._sweep_speeds(tmpl, act, np.array([eta]), periods)[0]
+    speeds = _sweep_speeds(replace(tmpl, actuator=act), np.array([eta]), periods)[0]
     tau_heat, tau_cool = np.array(taus).T
     got = assert_profile_exact(tmpl, tau_heat, tau_cool, periods, speeds)
     assert got[true][0] <= eta and got[true][1] == 0.0
@@ -361,7 +362,7 @@ def test_profile_at_a_near_zero_sse(data):
     true = taus[data.draw(st.integers(0, len(taus) - 1))]
     eta = cal.ETA0_GRID[data.draw(st.integers(0, len(cal.ETA0_GRID) - 1))]
     act = replace(tmpl.actuator, tau_heat=true[0], tau_cool=true[1])
-    speeds = cal._sweep_speeds(tmpl, act, np.array([eta]), periods)[0]
+    speeds = _sweep_speeds(replace(tmpl, actuator=act), np.array([eta]), periods)[0]
     if data.draw(st.booleans()):
         noise = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(periods),
                                    max_size=len(periods)))
