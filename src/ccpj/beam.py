@@ -37,10 +37,10 @@ def stiffness_at(current: float, table: CalibrationTable) -> float:
     """Apparent bending stiffness (N/m) at a current, by linear interpolation.
 
     Exact at table knots. No extrapolation: currents outside the table
-    range raise OutOfRangeError.
+    range, and NaN, raise OutOfRangeError.
     """
     cur = np.asarray(table.currents)
-    if current < cur[0] - 1e-12 or current > cur[-1] + 1e-12:
+    if not cur[0] - 1e-12 <= current <= cur[-1] + 1e-12:
         raise OutOfRangeError("current_a", current, cur[0], cur[-1])
     return float(np.interp(current, cur, np.asarray(table.stiffnesses)))
 
@@ -51,9 +51,9 @@ def ei_from_apparent(k_app: float, span: float) -> float:
     Simply-supported center load: deflection = F S^3 / (48 EI), so
     EI = k_app S^3 / 48.
     """
-    if k_app <= 0.0:
+    if not 0.0 < k_app < math.inf:
         raise OutOfRangeError("k_app", k_app, 0.0, math.inf)
-    if span <= 0.0:
+    if not 0.0 < span < math.inf:
         raise OutOfRangeError("span", span, 0.0, math.inf)
     return k_app * span**3 / 48.0
 
@@ -70,9 +70,9 @@ class FlexuralModel:
     segment_length: float  # m
 
     def __post_init__(self):
-        if self.ei <= 0.0:
+        if not 0.0 < self.ei < math.inf:
             raise OutOfRangeError("ei", self.ei, 0.0, math.inf)
-        if self.segment_length <= 0.0:
+        if not 0.0 < self.segment_length < math.inf:
             raise OutOfRangeError("segment_length", self.segment_length, 0.0, math.inf)
 
     @property
@@ -101,6 +101,9 @@ class BeamShape:
         for i, th in enumerate(self.joint_angles):
             if not (abs(th) < math.pi):
                 raise OutOfRangeError(f"joint_angle[{i}]", th, -math.pi, math.pi)
+        if not all(math.isfinite(v) for v in (*self.base_position, self.base_orientation)):
+            raise ValidationError(f"base pose {self.base_position!r}, "
+                                  f"{self.base_orientation!r} is not finite")
 
     @property
     def n_segments(self) -> int:
@@ -137,7 +140,7 @@ def max_chord_deviation(shape: BeamShape, segment_length: float) -> float:
 
 def is_deployed(shape: BeamShape, params: BeamParams, tol_frac: float = 0.02) -> bool:
     """True iff the shape deviates from straight by < tol_frac * leg length."""
-    if tol_frac <= 0.0:
+    if not 0.0 < tol_frac < math.inf:
         raise OutOfRangeError("tol_frac", tol_frac, 0.0, math.inf)
     return max_chord_deviation(shape, params.bead_thickness) < tol_frac * params.leg_length
 
@@ -148,6 +151,11 @@ class LoadCase:
 
     gravity: float = GRAVITY  # m/s^2, 0 disables self-weight
     point_loads: tuple[tuple[int, float, float], ...] = ()  # (node, fx, fy) N
+
+    def __post_init__(self):
+        forces = (f for _, fx, fy in self.point_loads for f in (fx, fy))
+        if not all(math.isfinite(v) for v in (self.gravity, *forces)):
+            raise ValidationError(f"load case is not finite: {self!r}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,9 @@ class _EnergyModel:
     that pivot. For a constant world force F at point r the contributions
     are grad_d = -(r - q_d) x F and hess_dl = F . (r - q_m) with q_m the
     downstream-most of the two pivots. Support springs add a rank-1 term
-    on top of the same geometric curvature.
+    on top of the same geometric curvature. Energy, gradient and Hessian
+    are separate steps over one geometry, so a solver builds each at most
+    once per iterate.
     """
 
     def __init__(self, n_seg, seg_len, kappa, masses, gravity,
@@ -190,6 +200,15 @@ class _EnergyModel:
         else:
             self.pivot = np.arange(1, n_seg)
         self._joint_slice = slice(1, None) if pinned else slice(0, None)
+        self.eye = np.eye(self.n_dof)
+        # pivots are arc-ordered, so a Hessian entry (d, l) depends only on
+        # the downstream-most pivot: per-pivot sums are gathered by max(d, l)
+        self._order = np.maximum.outer(np.arange(self.n_dof), np.arange(self.n_dof))
+        self._hess0 = np.zeros((self.n_dof, self.n_dof))
+        self._hess0[self._joint_slice, self._joint_slice] += kappa * np.eye(self.n_joint)
+        # moved[d]: DOF d moves the spring's node (a prefix of the pivots)
+        self._moved = tuple(self.pivot <= node - 1 for node, _, _ in self.springs)
+        self._loads_of = (None, None)
 
     def unpack(self, x):
         if self.pinned:
@@ -205,21 +224,22 @@ class _EnergyModel:
         centers = 0.5 * (nodes[:-1] + nodes[1:])
         return theta, nodes, centers
 
-    def _material_points(self, nodes, centers):
-        """Positions, forces, and pivot-cutoff arc index of every load point.
-
-        A point with cutoff c is moved by DOF d iff pivot[d] <= c.
+    def _loads(self):
+        """Point-load nodes, load-point forces, and affected[d, k]: DOF d
+        moves point k. Rebuilt when the load ramp reassigns `gravity` or
+        `point_loads`; tested by identity, since -0.0 == 0.0.
         """
-        pts = [centers]
-        forces = [np.stack([np.zeros(self.n_seg),
-                            -self.masses * self.gravity], axis=1)]
-        cuts = [np.arange(self.n_seg)]
-        if self.point_loads:
-            idx = np.array([p[0] for p in self.point_loads])
-            pts.append(nodes[idx])
-            forces.append(np.array([[p[1], p[2]] for p in self.point_loads]))
-            cuts.append(idx - 1)
-        return np.concatenate(pts), np.concatenate(forces), np.concatenate(cuts)
+        if self._loads_of[0] is not self.gravity or \
+                self._loads_of[1] is not self.point_loads:
+            idx = np.array([p[0] for p in self.point_loads], dtype=int)
+            forces = np.concatenate((
+                np.stack([np.zeros(self.n_seg), -self.masses * self.gravity], axis=1),
+                np.array([[p[1], p[2]] for p in self.point_loads]).reshape(-1, 2)))
+            # a point with cutoff c is moved by DOF d iff pivot[d] <= c
+            cuts = np.concatenate((np.arange(self.n_seg), idx - 1))
+            self._load_arrays = (idx, forces, self.pivot[:, None] <= cuts[None, :])
+            self._loads_of = (self.gravity, self.point_loads)
+        return self._load_arrays
 
     def energy(self, x):
         return self._energy(*self.geometry(x))
@@ -233,109 +253,111 @@ class _EnergyModel:
             e += 0.5 * ks * (nodes[node, 1] - rest) ** 2
         return e
 
-    def energy_grad_hess(self, x, want_hess=True):
-        theta, nodes, centers = self.geometry(x)
-        e = self._energy(theta, nodes, centers)
+    def gradient(self, theta, nodes, centers):
+        """Gradient at a geometry, and the terms `hessian` takes from it."""
+        idx, forces, affected = self._loads()
         grad = np.zeros(self.n_dof)
         grad[self._joint_slice] += self.kappa * theta
-
-        pts, forces, cuts = self._material_points(nodes, centers)
+        pts = np.concatenate((centers, nodes[idx])) if idx.size else centers
         q = nodes[self.pivot]  # (n_dof, 2) pivot positions
-        # affected[d, k]: DOF d moves point k
-        affected = self.pivot[:, None] <= cuts[None, :]
         rx = pts[None, :, 0] - q[:, None, 0]
         ry = pts[None, :, 1] - q[:, None, 1]
         torque = rx * forces[None, :, 1] - ry * forces[None, :, 0]
-        grad -= np.sum(np.where(affected, torque, 0.0), axis=1)
-
+        grad -= np.where(affected, torque, 0.0).sum(axis=1)
         # springs enter the gradient as state-dependent vertical forces
         spring_jac = []
-        for node, ks, rest in self.springs:
+        for (node, ks, rest), moved in zip(self.springs, self._moved):
             dy = nodes[node, 1] - rest
-            cut = node - 1
-            moved = self.pivot <= cut
             jac = np.where(moved, nodes[node, 0] - q[:, 0], 0.0)
             grad += ks * dy * jac
-            spring_jac.append((node, ks, dy, cut, moved, jac))
+            spring_jac.append((dy, jac))
+        return grad, (nodes, q, rx, ry, spring_jac)
 
-        if not want_hess:
-            return e, grad, None
-
-        hess = np.zeros((self.n_dof, self.n_dof))
-        hess[self._joint_slice, self._joint_slice] += self.kappa * np.eye(self.n_joint)
-        # geometric curvature of constant forces: H_dl = F . (r - q_max(d,l));
-        # pivots are arc-ordered, so only the downstream-most pivot matters
-        # and the whole block collapses to a per-pivot sum.
-        fdotr = np.where(affected,
-                         (pts[None, :, 0] - q[:, None, 0]) * forces[None, :, 0]
-                         + (pts[None, :, 1] - q[:, None, 1]) * forces[None, :, 1],
+    def hessian(self, terms):
+        nodes, q, rx, ry, spring_jac = terms
+        _, forces, affected = self._loads()
+        # geometric curvature of constant forces: H_dl = F . (r - q_max(d,l))
+        fdotr = np.where(affected, rx * forces[None, :, 0] + ry * forces[None, :, 1],
                          0.0).sum(axis=1)
-        order = np.maximum.outer(np.arange(self.n_dof), np.arange(self.n_dof))
-        hess += fdotr[order]
-        for node, ks, dy, cut, moved, jac in spring_jac:
+        hess = self._hess0 + fdotr[self._order]
+        for (node, ks, _), moved, (dy, jac) in zip(self.springs, self._moved, spring_jac):
             hess += ks * np.outer(jac, jac)
-            # moved[] is a prefix along the arc-ordered pivots, so indexing
-            # the zeroed curvature by max(d,l) masks both-moved for free
+            # indexing the zeroed curvature by max(d,l) masks both-moved for free
             curv = np.where(moved, -(nodes[node, 1] - q[:, 1]), 0.0) * (ks * dy)
-            hess += curv[order]
-        return e, grad, hess
+            hess += curv[self._order]
+        return hess
+
+    def energy_grad_hess(self, x, want_hess=True):
+        geo = self.geometry(x)
+        grad, terms = self.gradient(*geo)
+        return self._energy(*geo), grad, self.hessian(terms) if want_hess else None
 
 
 def _minimize(model: _EnergyModel, x0: np.ndarray, tol_grad: float,
               max_iters: int) -> tuple[np.ndarray, list[float], float, int]:
-    """Damped Newton with Armijo backtracking. Returns (x, history, |g|, it)."""
+    """Damped Newton with Armijo backtracking. Returns (x, history, |g|, it).
+
+    An accepted step keeps the line search's geometry and energy.
+    """
     x = x0.copy()
-    e, grad, hess = model.energy_grad_hess(x)
+    geo = model.geometry(x)
+    e = model._energy(*geo)
+    grad, terms = model.gradient(*geo)
     history = [e]
-    gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+    gnorm = float(np.abs(grad).max()) if grad.size else 0.0
     for it in range(1, max_iters + 1):
         if gnorm < tol_grad:
             return x, history, gnorm, it - 1
+        hess = model.hessian(terms)
         # damp until the (possibly indefinite) Hessian factorizes
         mu = 0.0
-        scale = max(1e-12, float(np.max(np.abs(np.diag(hess)))))
         for _ in range(60):
+            damped = hess + mu * model.eye
             try:
-                l_fac = np.linalg.cholesky(hess + mu * np.eye(model.n_dof))
+                np.linalg.cholesky(damped)
                 break
             except np.linalg.LinAlgError:
+                if mu == 0.0:
+                    scale = max(1e-12, float(np.max(np.abs(np.diag(hess)))))
                 mu = max(2.0 * mu, 1e-10 * scale)
                 mu *= 8.0
         else:
-            l_fac = None
-        if l_fac is not None:
-            p = -np.linalg.solve(hess + mu * np.eye(model.n_dof), grad)
-        else:
-            p = -grad
+            damped = None
+        p = -grad if damped is None else -np.linalg.solve(damped, grad)
         slope = float(np.dot(grad, p))
         if slope >= 0.0:  # not a descent direction, fall back
             p = -grad
             slope = -float(np.dot(grad, grad))
         t = 1.0
-        accepted = False
         for _ in range(50):
-            e_new = model.energy(x + t * p)
+            x_new = x + t * p
+            geo = model.geometry(x_new)
+            e_new = model._energy(*geo)
             if e_new <= e + 1e-4 * t * slope:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break
-        x = x + t * p
-        e, grad, hess = model.energy_grad_hess(x)
+        x, e = x_new, e_new
+        grad, terms = model.gradient(*geo)
         history.append(e)
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+        gnorm = float(np.abs(grad).max()) if grad.size else 0.0
     if gnorm < tol_grad:
         return x, history, gnorm, max_iters
     raise NoConvergenceError("elastica solve", x, gnorm, len(history) - 1)
 
 
 def _solve(model: _EnergyModel, x0: np.ndarray, tol_grad: float, max_iters: int):
-    """Solve, restarting with a gravity/load ramp if the direct attempt fails."""
+    """Solve, restarting with a gravity/load ramp if the direct attempt fails.
+
+    With no gravity and no point force there is nothing to ramp: every
+    stage would be the failed solve again, so its error is raised as is.
+    """
     try:
         return _minimize(model, x0, tol_grad, max_iters)
     except NoConvergenceError:
-        pass
+        if model.gravity == 0.0 and not any(fx or fy for _, fx, fy in model.point_loads):
+            raise
     x = x0.copy()
     history_all: list[float] = []
     full = (model.gravity, model.point_loads)
@@ -414,7 +436,7 @@ def equilibrium_shape(
     )
     return EquilibriumResult(
         shape=shape,
-        energy=float(model.energy(x)),
+        energy=float(history[-1]),
         grad_norm=gnorm,
         iterations=its,
         energy_history=tuple(history),

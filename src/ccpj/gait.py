@@ -948,7 +948,7 @@ def static_load_check(current: float, load_mass: float, robot: RobotParams,
     is absolute (not payload-relative): a stance too soft to carry its own
     body already counts as collapsed.
     """
-    if load_mass < 0.0:
+    if not 0.0 <= load_mass < math.inf:
         raise OutOfRangeError("load_mass", load_mass, 0.0, math.inf)
     flex = FlexuralModel.from_current(current, table, robot.leg)
     tilt = math.radians(robot.leg_tilt_deploy)

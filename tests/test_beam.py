@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from ccpj import beam
 from ccpj.beam import (
     GRAVITY,
     N_SEG_3PB,
@@ -30,7 +31,8 @@ from ccpj.errors import (
     OutOfRangeError,
     ValidationError,
 )
-from ccpj.params import BeamParams
+from ccpj.gait import static_load_check
+from ccpj.params import BeamParams, RobotParams
 
 
 class TestStiffnessMap:
@@ -182,6 +184,54 @@ class TestEquilibrium:
         assert exc.value.grad_norm > 0.0
 
 
+class TestNonFiniteInputs:
+    """NaN and inf are rejected before they reach any arithmetic."""
+
+    def test_current(self, table):
+        with pytest.raises(OutOfRangeError):
+            stiffness_at(math.nan, table)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_flexural_rigidity(self, bad):
+        with pytest.raises(OutOfRangeError):
+            ei_from_apparent(bad, 40e-3)
+        with pytest.raises(OutOfRangeError):
+            ei_from_apparent(1.1, bad)
+        with pytest.raises(OutOfRangeError):
+            FlexuralModel(ei=bad, segment_length=3e-3)
+        with pytest.raises(OutOfRangeError):
+            FlexuralModel(ei=1e-5, segment_length=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_deployment_tolerance(self, bad):
+        with pytest.raises(OutOfRangeError):
+            is_deployed(BeamShape(joint_angles=(0.0,)), BeamParams(), tol_frac=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_load_case(self, table, bad):
+        params = BeamParams()
+        flex = FlexuralModel.from_current(0.4, table, params)
+        for load in (dict(gravity=bad), dict(point_loads=((20, 0.0, bad),)),
+                     dict(point_loads=((20, bad, 0.0),))):
+            with pytest.raises(ValidationError):
+                equilibrium_shape(params, flex, LoadCase(**load))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_initial_base_pose(self, table, bad):
+        params = BeamParams()
+        flex = FlexuralModel.from_current(0.4, table, params)
+        with pytest.raises(ValidationError):
+            initial = BeamShape(joint_angles=(0.0,) * 19, base_orientation=bad)
+            equilibrium_shape(params, flex, boundary="simply-supported", initial=initial)
+        with pytest.raises(ValidationError):
+            BeamShape(joint_angles=(0.0,) * 19, base_position=(bad, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_static_load_mass(self, table, bad):
+        with pytest.raises(OutOfRangeError):
+            static_load_check(0.4, bad, RobotParams(), table)
+
+
 class TestDeployment:
     def test_chord_deviation_frozen_values(self, table):
         params = BeamParams()
@@ -223,6 +273,24 @@ class TestThreePointBend:
         assert force * 1e3 == pytest.approx(frozen_mn, rel=1e-4)
         # secant slope recovers the apparent stiffness the test was set to
         assert force / 2e-3 == pytest.approx(k_app, rel=0.05)
+
+    def test_failed_solve_is_not_replayed(self, table, monkeypatch):
+        # gravity off and no point load: a ramp restart would be the same
+        # solve again, so the first attempt's error is raised as it was
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return minimize(*args)
+
+        minimize = beam._minimize
+        monkeypatch.setattr(beam, "_minimize", counting)
+        flex = FlexuralModel.from_current(0.0, table, BeamParams())
+        with pytest.raises(NoConvergenceError) as exc:
+            three_point_bend(BeamParams(), flex, 2.106e-3)
+        assert len(calls) == 1
+        assert exc.value.grad_norm == float.fromhex("0x1.7cc5b63e40000p-33")
+        assert exc.value.iterations == 400
 
     def test_indentation_range(self, table):
         params = BeamParams()
