@@ -336,7 +336,7 @@ def _minimize(model: _EnergyModel, x0: np.ndarray, tol_grad: float,
             if e_new <= e + 1e-4 * t * slope:
                 break
             t *= 0.5
-        else:
+        else:  # no decrease along p
             break
         x, e = x_new, e_new
         grad, terms = model.gradient(*geo)

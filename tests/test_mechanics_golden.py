@@ -44,10 +44,10 @@ STATIC_PAYLOADS_G = (0.0, 5.0, 20.0)
 
 def _text(value) -> str:
     """Exact, canonical text of a (nested) result."""
-    if isinstance(value, (bool, int, np.bool_)):
-        return repr(bool(value) if isinstance(value, np.bool_) else value)
-    if isinstance(value, (float, np.floating)):
-        return float(value).hex()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, int):  # also bool
+        return repr(value)
     if isinstance(value, str):
         return repr(value)
     if isinstance(value, np.ndarray):
