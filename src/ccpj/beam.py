@@ -380,7 +380,6 @@ def equilibrium_shape(
     load: LoadCase | None = None,
     boundary: str = "clamped",
     initial: BeamShape | None = None,
-    tol_grad: float = 1e-9,
     max_iters: int = 400,
 ) -> EquilibriumResult:
     """Minimum-energy configuration of the bead chain under load.
@@ -388,8 +387,9 @@ def equilibrium_shape(
     boundary "clamped" fixes the first bead's orientation at the base pose;
     "simply-supported" pins the base node but leaves its rotation free and
     rests the far end on a stiff vertical support. The returned shape is a
-    local energy minimum with max |dE/dtheta| < tol_grad, and its energy
-    never exceeds the initial guess's.
+    local energy minimum with max |dE/dtheta| < 1e-9, and its energy
+    never exceeds the initial guess's. max_iters, at least 1, is the
+    Newton step budget of each solve.
 
     Pass the previous solution as `initial` when sweeping current: warm
     starts keep the solver on one deterministic branch.
@@ -399,6 +399,8 @@ def equilibrium_shape(
     NoConvergenceError
         Budget exhausted; carries the last iterate and gradient norm.
     """
+    if not max_iters >= 1:
+        raise OutOfRangeError("max_iters", max_iters, 1, math.inf)
     if load is None:
         load = LoadCase()
     for node, _, _ in load.point_loads:
@@ -428,7 +430,7 @@ def equilibrium_shape(
             x0 = np.concatenate(([initial.base_orientation], x0))
     else:
         x0 = np.zeros(model.n_dof)
-    x, history, gnorm, its = _solve(model, x0, tol_grad, max_iters)
+    x, history, gnorm, its = _solve(model, x0, 1e-9, max_iters)
     phi0, theta = model.unpack(x)
     shape = BeamShape(
         joint_angles=tuple(float(t) for t in theta),
@@ -452,7 +454,6 @@ def three_point_bend(
     params: BeamParams,
     flex: FlexuralModel,
     indentation: float,
-    max_iters: int = 400,
 ) -> float:
     """Center reaction force (N) at a prescribed indentation of the bend test.
 
@@ -480,7 +481,7 @@ def three_point_bend(
         ],
         pinned=True,
     )
-    x, _, _, _ = _solve(model, np.zeros(model.n_dof), 1e-10, max_iters)
+    x, _, _, _ = _solve(model, np.zeros(model.n_dof), 1e-10, 400)
     _, nodes, _ = model.geometry(x)
     force = SUPPORT_SPRING * (nodes[center, 1] + indentation)
     return max(0.0, float(force))

@@ -39,7 +39,6 @@ from .gait import (
     _stroke_arcs,
     _sweep_speeds,
     stroke_arcs,
-    sweep_period,
 )
 from .params import CalibrationTable
 
@@ -136,11 +135,11 @@ def load_dataset(name: str, directory: Path | None = None) -> Dataset:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """One fit's outcome: what was fitted, to what, how well."""
+    """One fit's outcome: the fitted model, its constants, how well it fits."""
 
     name: str
     method: str
-    dataset: str
+    model: object  # the fitted CalibrationTable, ActuatorModel or SlipModel
     parameters: dict
     residual: float
     bounds: dict = field(default_factory=dict)
@@ -163,25 +162,20 @@ class CalibrationResult:
         return line
 
 
-def isotonic_nondecreasing(y, weights=None) -> np.ndarray:
+def isotonic_nondecreasing(y) -> np.ndarray:
     """Pool-adjacent-violators: least-squares non-decreasing fit to y."""
     y = np.asarray(y, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    # blocks of (value, weight, count), merged while out of order
+    # blocks of (mean, count), merged while out of order
     vals: list[float] = []
-    wts: list[float] = []
     cnt: list[int] = []
-    for yi, wi in zip(y, w):
+    for yi in y:
         vals.append(float(yi))
-        wts.append(float(wi))
         cnt.append(1)
         while len(vals) > 1 and vals[-2] > vals[-1]:
-            v = (vals[-2] * wts[-2] + vals[-1] * wts[-1]) / (wts[-2] + wts[-1])
-            wts[-2] += wts[-1]
+            v = (vals[-2] * cnt[-2] + vals[-1] * cnt[-1]) / (cnt[-2] + cnt[-1])
             cnt[-2] += cnt[-1]
             vals[-2] = v
             vals.pop()
-            wts.pop()
             cnt.pop()
     out = np.empty_like(y)
     pos = 0
@@ -195,8 +189,8 @@ def fit_stiffness_table(dataset: Dataset) -> CalibrationTable:
     """Monotone stiffness table from the digitized stiffness curve.
 
     Digitization noise can break monotonicity; isotonic regression repairs
-    it with the least-squares monotone fit. Adjustment details are surfaced
-    by stiffness_fit_report.
+    it with the least-squares monotone fit. stiffness_fit_report reports
+    the adjustments.
     """
     current = dataset.column("current_a")
     stiff = dataset.column("stiffness_n_m")
@@ -206,7 +200,9 @@ def fit_stiffness_table(dataset: Dataset) -> CalibrationTable:
     return CalibrationTable.from_points(zip(current, fitted))
 
 
-def _stiffness_fit_full(dataset: Dataset) -> tuple[CalibrationTable, CalibrationResult]:
+def stiffness_fit_report(dataset: Dataset) -> CalibrationResult:
+    """The stiffness table fit, warning at each isotonic adjustment larger
+    than the dataset's stated uncertainty."""
     table = fit_stiffness_table(dataset)
     raw = dataset.column("stiffness_n_m")[np.argsort(dataset.column("current_a"))]
     fitted = np.array(table.stiffnesses)
@@ -217,18 +213,13 @@ def _stiffness_fit_full(dataset: Dataset) -> tuple[CalibrationTable, Calibration
             warnings.append(
                 f"isotonic adjustment at row {i} ({a:+.3g} N/m) exceeds the "
                 f"stated {dataset.uncertainty:.0%} digitization uncertainty")
-    return table, CalibrationResult(
-        name="stiffness_table", method="isotonic regression (PAV)",
-        dataset=dataset.name,
+    return CalibrationResult(
+        name="stiffness_table", method="isotonic regression (PAV)", model=table,
         parameters={"max_adjustment_n_m": float(np.max(np.abs(adj))),
                     "k_min_n_m": fitted[0], "k_max_n_m": fitted[-1]},
         residual=float(np.sqrt(np.mean(adj ** 2))),
         warnings=tuple(warnings),
     )
-
-
-def stiffness_fit_report(dataset: Dataset) -> CalibrationResult:
-    return _stiffness_fit_full(dataset)[1]
 
 
 ETA0_GRID = np.linspace(0.0, 1.0, 2001)  # slip scales the profile chooses from
@@ -423,13 +414,27 @@ def _thermal_grid_search(template: Scenario, periods: np.ndarray,
     return best
 
 
-def _fit_thermal_full(dataset: Dataset, template: Scenario,
-                      peak_window: tuple[float, float] = SPEED_PEAK_WINDOW) -> dict:
-    """The thermal fit on a flat, unloaded template inside _closed_sweep.
+def thermal_fit_report(dataset: Dataset, template: Scenario,
+                       peak_window: tuple[float, float] = SPEED_PEAK_WINDOW) -> CalibrationResult:
+    """Actuator lag constants from the speed-vs-period curve.
 
-    The objective, the residual (sweep_period at the fit) and the peak check
-    all use sweep_period's closed form, not simulator runs; the oracle tests
-    hold that form within 1e-12 m/s of `run` on the sweep scenario.
+    Grid search over (tau_heat, tau_cool), refined by grid shrinking (711
+    candidates, profiled in blocks of whole tau_heat rows, at most one
+    9 x 9 level per block; see _thermal_grid_search). Each candidate's
+    overall slip scale is profiled out: the best of ETA0_GRID's 2001
+    points, found exactly from a few grid points of the piecewise-quadratic
+    SSE (see _profile_eta0). Most candidates need three: eta = 0 and the
+    bracket of the vertex past the last knot, where every stroke is live,
+    with a monotone bound ruling out the grid below that knot; only the
+    few the bound cannot rule out have their knots sorted and searched
+    interval by interval. The objective is an exact closed-form
+    transcription of the simulator's period sweep, so data the simulator
+    generated is recovered without bias.
+
+    The template must be flat, unloaded and admitted by _closed_sweep. The
+    residual is the RMS of the search's best SSE, which is sweep_period's
+    closed-form error at the fit, as is the peak check. Raises
+    NoFeasibleFit when the fitted curve peaks outside peak_window.
     """
     periods = dataset.column("period_s")
     speeds = dataset.column("speed_mm_s") * 1e-3
@@ -453,22 +458,19 @@ def _fit_thermal_full(dataset: Dataset, template: Scenario,
     if (template.terrain.slope != 0.0 or template.payload_mass != 0.0
             or not _closed_sweep(template)):
         raise ValidationError(
-            "fit_thermal expects a flat, unloaded template whose period sweep "
-            "has a closed form: all legs at phase (0, 0), no ceiling, no slip "
-            "noise, and i_high at or above i_threshold")
+            "the thermal fit expects a flat, unloaded template whose period "
+            "sweep has a closed form: all legs at phase (0, 0), no ceiling, no "
+            "slip noise, and i_high at or above i_threshold")
     order = np.argsort(periods)
     periods, speeds = periods[order], speeds[order]
 
-    _, tau_h, tau_c, eta0 = _thermal_grid_search(template, periods, speeds)
+    sse, tau_h, tau_c, eta0 = _thermal_grid_search(template, periods, speeds)
     fitted = replace(template.actuator, tau_heat=tau_h, tau_cool=tau_c)
-
-    sc = replace(template, actuator=fitted,
-                 slip=SlipModel(eta0=eta0, c_slope=0.0, c_load=0.0))
-    sim = np.array([v for _, v in sweep_period(sc, periods)])
-    rmse = math.sqrt(float(np.sum((sim - speeds) ** 2)) / len(periods))
+    rmse = math.sqrt(sse / len(periods))
 
     fine = np.arange(0.5, 20.0 + 1e-9, 0.01)
-    v_fine = _sweep_speeds(sc, np.array([eta0]), fine)[0]
+    v_fine = _sweep_speeds(replace(template, actuator=fitted),
+                           np.array([eta0]), fine)[0]
     peak = float(fine[int(np.argmax(v_fine))])
     if not (peak_window[0] <= peak <= peak_window[1]):
         raise NoFeasibleFitError(
@@ -476,44 +478,12 @@ def _fit_thermal_full(dataset: Dataset, template: Scenario,
             f"[{peak_window[0]}, {peak_window[1]}] s",
             best_loss=rmse)
 
-    return {"actuator": fitted, "eta0_profile": eta0, "residual": rmse,
-            "peak_s": peak, "sim_speeds": sim, "periods": periods,
-            "speeds": speeds}
-
-
-def fit_thermal(dataset: Dataset, template: Scenario,
-                peak_window: tuple[float, float] = SPEED_PEAK_WINDOW) -> ActuatorModel:
-    """Actuator lag constants from the speed-vs-period curve.
-
-    Grid search over (tau_heat, tau_cool), refined by grid shrinking (711
-    candidates, profiled in blocks of whole tau_heat rows, at most one
-    9 x 9 level per block; see _thermal_grid_search). Each candidate's
-    overall slip scale is profiled out: the best of ETA0_GRID's 2001
-    points, found exactly from a few grid points of the piecewise-quadratic
-    SSE (see _profile_eta0). Most candidates need three: eta = 0 and the
-    bracket of the vertex past the last knot, where every stroke is live,
-    with a monotone bound ruling out the grid below that knot; only the
-    few the bound cannot rule out have their knots sorted and searched
-    interval by interval. The objective is an exact closed-form
-    transcription of the simulator's period sweep, so data the simulator
-    generated is recovered without bias.
-    Raises NoFeasibleFit when the fitted curve's peak falls outside the
-    expected period window.
-    """
-    return _fit_thermal_full(dataset, template, peak_window)["actuator"]
-
-
-def thermal_fit_report(dataset: Dataset, template: Scenario,
-                       peak_window: tuple[float, float] = SPEED_PEAK_WINDOW) -> CalibrationResult:
-    full = _fit_thermal_full(dataset, template, peak_window)
-    act = full["actuator"]
     return CalibrationResult(
         name="thermal", method="grid + refinement, slip scale profiled",
-        dataset=dataset.name,
-        parameters={"tau_heat_s": act.tau_heat, "tau_cool_s": act.tau_cool,
-                    "eta0_profile": full["eta0_profile"],
-                    "peak_s": full["peak_s"]},
-        residual=full["residual"],
+        model=fitted,
+        parameters={"tau_heat_s": tau_h, "tau_cool_s": tau_c,
+                    "eta0_profile": eta0, "peak_s": peak},
+        residual=rmse,
         bounds=dict(THERMAL_BOUNDS),
     )
 
@@ -537,7 +507,13 @@ def _invert_cycle_efficiency(speed: float, period: float, s_stand: float,
     return (d + half) / s_stand
 
 
-def _fit_slip_full(dataset: Dataset, template: Scenario) -> dict:
+def slip_fit_report(dataset: Dataset, template: Scenario) -> CalibrationResult:
+    """Slip coefficients through the flat / slope / payload operating points.
+
+    Exact three-point solve of the affine efficiency model (least squares
+    when more points are given). The simulator's efficiency clamps to
+    [0,1]; the fit warns when the envelope reaches a clamp.
+    """
     slope_deg = dataset.column("slope_deg")
     payload = dataset.column("payload_g") * 1e-3
     speeds = dataset.column("speed_mm_s") * 1e-3
@@ -545,7 +521,7 @@ def _fit_slip_full(dataset: Dataset, template: Scenario) -> dict:
     if n < 3:
         raise TooFewPointsError(n, 3, what="operating points")
     if not (template.signal.mask[FRONT] and template.signal.mask[REAR]):
-        raise ValidationError("fit_slip expects an all-legs scenario template")
+        raise ValidationError("the slip fit expects an all-legs scenario template")
 
     stand, sit, _, _ = stroke_arcs(template, (template.signal.period,))
     etas = np.array([
@@ -586,29 +562,13 @@ def _fit_slip_full(dataset: Dataset, template: Scenario) -> dict:
 
     fit_eta = design @ coeff
     residual = float(np.sqrt(np.mean((fit_eta - etas) ** 2)))
-    return {"model": model, "etas": etas, "residual": residual,
-            "warnings": tuple(warnings)}
-
-
-def fit_slip(dataset: Dataset, template: Scenario) -> SlipModel:
-    """Slip coefficients through the flat / slope / payload operating points.
-
-    Exact three-point solve of the affine efficiency model (least squares
-    when more points are given). The simulator's efficiency clamps to
-    [0,1]; the fit warns when the envelope reaches a clamp.
-    """
-    return _fit_slip_full(dataset, template)["model"]
-
-
-def slip_fit_report(dataset: Dataset, template: Scenario) -> CalibrationResult:
-    full = _fit_slip_full(dataset, template)
-    m = full["model"]
     return CalibrationResult(
         name="slip", method="exact affine solve through operating points",
-        dataset=dataset.name,
-        parameters={"eta0": m.eta0, "c_slope": m.c_slope, "c_load": m.c_load},
-        residual=full["residual"],
-        warnings=full["warnings"],
+        model=model,
+        parameters={"eta0": model.eta0, "c_slope": model.c_slope,
+                    "c_load": model.c_load},
+        residual=residual,
+        warnings=tuple(warnings),
     )
 
 
@@ -616,11 +576,12 @@ REQUIRED_DATASETS = ("stiffness_vs_current", "speed_vs_period", "operating_point
 
 
 def run_calibration(directory: Path | None = None,
-                    template: Scenario | None = None) -> dict:
+                    template: Scenario | None = None) -> list[CalibrationResult]:
     """All three fits against a dataset directory.
 
-    Returns {"table", "actuator", "slip", "results"}; raises
-    FileNotFoundError naming any missing dataset file.
+    Returns the stiffness, thermal and slip results, in that order; each
+    holds its fitted model. Raises FileNotFoundError naming any missing
+    dataset file.
     """
     directory = directory or data_dir()
     missing = [n for n in REQUIRED_DATASETS
@@ -637,13 +598,8 @@ def run_calibration(directory: Path | None = None,
     ds_speed = load_dataset("speed_vs_period", directory)
     ds_ops = load_dataset("operating_points", directory)
 
-    table, res_stiff = _stiffness_fit_full(ds_stiff)
-    res_thermal = thermal_fit_report(ds_speed, template)
-    actuator = replace(template.actuator,
-                       tau_heat=res_thermal.parameters["tau_heat_s"],
-                       tau_cool=res_thermal.parameters["tau_cool_s"])
-    res_slip = slip_fit_report(ds_ops, replace(template, actuator=actuator, table=table))
-    slip = SlipModel(**res_slip.parameters)
-
-    return {"table": table, "actuator": actuator, "slip": slip,
-            "results": [res_stiff, res_thermal, res_slip]}
+    stiffness = stiffness_fit_report(ds_stiff)
+    thermal = thermal_fit_report(ds_speed, template)
+    slip = slip_fit_report(ds_ops, replace(template, actuator=thermal.model,
+                                           table=stiffness.model))
+    return [stiffness, thermal, slip]

@@ -228,7 +228,7 @@ SWEEP_DEFAULT_RANGE = {
 }
 
 
-def _sweep_speeds(param: str, values: list[float], sc: Scenario
+def _swept_speeds(param: str, values: list[float], sc: Scenario
                   ) -> list[float]:
     if param == "period":
         return [v for _, v in sweep_period(sc, values)]
@@ -255,7 +255,7 @@ def cmd_sweep(args) -> int:
 def _sweep(args, cfg: EffectiveConfig, sc: Scenario) -> int:
     out = _outdir(args)
     values = _range_values(args.range, SWEEP_DEFAULT_RANGE[args.param])
-    speeds = _sweep_speeds(args.param, values, sc)
+    speeds = _swept_speeds(args.param, values, sc)
 
     col = SWEEPABLE[args.param]
     csv_name = f"{cfg.name}_sweep_{args.param}.csv"
@@ -288,10 +288,8 @@ def _sweep(args, cfg: EffectiveConfig, sc: Scenario) -> int:
 
 def cmd_calibrate(args) -> int:
     out = _outdir(args)
-    result = cal.run_calibration()
-    table = result["table"]
-    act = result["actuator"]
-    slip = result["slip"]
+    results = cal.run_calibration()
+    table, act, slip = (r.model for r in results)
 
     points = " ".join(f"{c!r}:{k!r}" for c, k in
                       zip(table.currents, table.stiffnesses))
@@ -313,7 +311,7 @@ def cmd_calibrate(args) -> int:
         "signal": {"period_s": "4.0"},
     })
 
-    summary = "\n".join(r.summary() for r in result["results"])
+    summary = "\n".join(r.summary() for r in results)
     _write(out / "calibration_report.txt", summary + "\n")
     _emit(args, summary)
     return EXIT_OK

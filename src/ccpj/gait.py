@@ -80,7 +80,7 @@ class ActuatorModel:
     geometric stop before the cord is fully contracted.
 
     Defaults are the values calibrated against the shipped speed-vs-period
-    dataset (see calibrate.fit_thermal).
+    dataset (see calibrate.thermal_fit_report).
     """
 
     tau_heat: float = 1.25  # s
@@ -110,8 +110,8 @@ class SlipModel:
 
     Affine in sin(slope) and in payload-to-robot mass ratio, clamped to
     [0,1]. Defaults are the exact three-point solve through the shipped
-    operating points (see calibrate.fit_slip); the fractions are kept
-    symbolic so the round trip is bit-exact.
+    operating points (see calibrate.slip_fit_report); the fractions are
+    kept symbolic so the round trip is bit-exact.
     """
 
     eta0: float = 37.0 / 48.75

@@ -183,6 +183,14 @@ class TestEquilibrium:
             equilibrium_shape(params, flex, max_iters=1)
         assert exc.value.grad_norm > 0.0
 
+    @pytest.mark.parametrize("budget", [0, -5, math.nan])
+    def test_budget_below_one_rejected(self, table, budget):
+        # rejected before any solve, not reported as a failed one
+        params = BeamParams()
+        flex = FlexuralModel.from_current(0.2, table, params)
+        with pytest.raises(OutOfRangeError, match="max_iters"):
+            equilibrium_shape(params, flex, max_iters=budget)
+
 
 class TestNonFiniteInputs:
     """NaN and inf are rejected before they reach any arithmetic."""

@@ -16,9 +16,7 @@ from ccpj.calibrate import (
     CalibrationResult,
     Dataset,
     data_dir,
-    fit_slip,
     fit_stiffness_table,
-    fit_thermal,
     isotonic_nondecreasing,
     load_dataset,
     run_calibration,
@@ -117,10 +115,6 @@ class TestIsotonic:
         y = [1.0, 2.0, 2.0, 7.5]
         assert np.array_equal(isotonic_nondecreasing(y), y)
 
-    def test_weights_shift_pool(self):
-        out = isotonic_nondecreasing([1.0, 3.0, 2.0], weights=[1.0, 1.0, 3.0])
-        assert np.allclose(out, [1.0, 2.25, 2.25])
-
     def test_output_is_nondecreasing(self):
         rng = np.random.default_rng(5)
         y = rng.normal(size=50)
@@ -193,12 +187,12 @@ class TestThermalFit:
         ds = make_ds("short", ("period_s", "speed_mm_s"),
                      [[2.0, 3.0], [4.0, 8.0], [8.0, 4.0]])
         with pytest.raises(NoFeasibleFitError):
-            fit_thermal(ds, template)
+            thermal_fit_report(ds, template)
 
     def test_peak_window_enforced(self, shipped_data_dir, template):
         ds = load_dataset("speed_vs_period", shipped_data_dir)
         with pytest.raises(NoFeasibleFitError) as exc:
-            fit_thermal(ds, template, peak_window=(10.0, 12.0))
+            thermal_fit_report(ds, template, peak_window=(10.0, 12.0))
         assert exc.value.best_loss is not None and exc.value.best_loss >= 0.0
 
     def test_template_must_be_flat_alternating(self, shipped_data_dir, template):
@@ -206,15 +200,15 @@ class TestThermalFit:
         slope = replace(template,
                         terrain=replace(template.terrain, slope=0.1))
         with pytest.raises(ValidationError):
-            fit_thermal(ds, slope)
+            thermal_fit_report(ds, slope)
         masked = replace(template,
                          signal=replace(template.signal, mask=(True, False)))
         with pytest.raises(ValidationError):
-            fit_thermal(ds, masked)
+            thermal_fit_report(ds, masked)
         phased = replace(template,
                          signal=replace(template.signal, phase=(0.3, 0.0)))
         with pytest.raises(ValidationError):
-            fit_thermal(ds, phased)
+            thermal_fit_report(ds, phased)
 
     def test_template_needs_a_closed_form_sweep(self, shipped_data_dir, template):
         # at equal phases other than 0 the cold start begins mid-cycle, and
@@ -230,7 +224,7 @@ class TestThermalFit:
                      replace(template, terrain=ceiling),
                      replace(template, signal=replace(template.signal, i_high=0.25))):
             with pytest.raises(ValidationError, match="closed form"):
-                fit_thermal(ds, tmpl)
+                thermal_fit_report(ds, tmpl)
 
 
 def _op_speeds_mm_s(template, slip):
@@ -253,7 +247,7 @@ class TestSlipFit:
         design = SlipModel(eta0=0.72, c_slope=1.2, c_load=0.25)
         rows = _op_speeds_mm_s(template, design)
         ds = make_ds("ops", ("slope_deg", "payload_g", "speed_mm_s"), rows)
-        fitted = fit_slip(ds, template)
+        fitted = slip_fit_report(ds, template).model
         assert fitted.eta0 == pytest.approx(design.eta0, rel=1e-9)
         assert fitted.c_slope == pytest.approx(design.c_slope, rel=1e-9)
         assert fitted.c_load == pytest.approx(design.c_load, rel=1e-9)
@@ -266,7 +260,7 @@ class TestSlipFit:
         eta_loaded = design.efficiency(0.0, 5e-3, template.robot.total_mass)
         assert eta_loaded * 16.25e-3 < 1.5e-3  # sit stroke below the re-seat loss
         ds = make_ds("ops", ("slope_deg", "payload_g", "speed_mm_s"), rows)
-        fitted = fit_slip(ds, template)
+        fitted = slip_fit_report(ds, template).model
         assert fitted.c_load == pytest.approx(design.c_load, rel=1e-9)
 
     def test_overdetermined_least_squares(self, template):
@@ -280,26 +274,26 @@ class TestSlipFit:
         extra[2] = steady_cycle_displacement(sc)[0] / template.signal.period * 1e3
         ds = make_ds("ops4", ("slope_deg", "payload_g", "speed_mm_s"),
                      rows + [extra])
-        fitted = fit_slip(ds, template)
+        fitted = slip_fit_report(ds, template).model
         assert fitted.c_slope == pytest.approx(design.c_slope, rel=1e-8)
 
     def test_singular_design_rejected(self, template):
         rows = [[0.0, 0.0, 8.0], [15.0, 0.0, 3.0], [15.0, 0.0, 2.9]]
         ds = make_ds("dup", ("slope_deg", "payload_g", "speed_mm_s"), rows)
         with pytest.raises(SingularSystemError):
-            fit_slip(ds, template)
+            slip_fit_report(ds, template)
 
     def test_too_few_points(self, template):
         ds = make_ds("two", ("slope_deg", "payload_g", "speed_mm_s"),
                      [[0.0, 0.0, 8.0], [15.0, 0.0, 3.0]])
         with pytest.raises(TooFewPointsError):
-            fit_slip(ds, template)
+            slip_fit_report(ds, template)
 
     def test_zero_speed_point_rejected(self, template):
         ds = make_ds("zero", ("slope_deg", "payload_g", "speed_mm_s"),
                      [[0.0, 0.0, 8.0], [15.0, 0.0, 0.0], [0.0, 5.0, 0.3]])
         with pytest.raises(ValidationError):
-            fit_slip(ds, template)
+            slip_fit_report(ds, template)
 
     def test_shipped_points_warn_about_clamp(self, shipped_data_dir, template):
         ds = load_dataset("operating_points", shipped_data_dir)
@@ -320,14 +314,17 @@ class TestRunCalibration:
         assert "stiffness_vs_current" not in msg
 
     def test_full_shipped_calibration(self, shipped_data_dir):
-        out = run_calibration(shipped_data_dir)
-        assert out["table"].points == TABLE_POINTS
-        act = out["actuator"]
-        assert 0.2 <= act.tau_heat <= 3.0 and 0.1 <= act.tau_cool <= 2.0
-        assert 0.0 < out["slip"].eta0 < 1.0
-        names = [r.name for r in out["results"]]
+        results = run_calibration(shipped_data_dir)
+        names = [r.name for r in results]
         assert names == ["stiffness_table", "thermal", "slip"]
-        for r in out["results"]:
+        table, act, slip = (r.model for r in results)
+        assert table.points == TABLE_POINTS
+        assert 0.2 <= act.tau_heat <= 3.0 and 0.1 <= act.tau_cool <= 2.0
+        assert (act.tau_heat, act.tau_cool) == (results[1].parameters["tau_heat_s"],
+                                                results[1].parameters["tau_cool_s"])
+        assert slip == SlipModel(**results[2].parameters)
+        assert 0.0 < slip.eta0 < 1.0
+        for r in results:
             assert isinstance(r, CalibrationResult)
             assert "rmse=" in r.summary()
 

@@ -435,3 +435,39 @@ def test_grid_search_all_stalled_keeps_the_first_candidate(terrain):
         best = cal._thermal_grid_search(tmpl, PERIODS, speeds)
     assert best == loop_search(tmpl, PERIODS, speeds)
     assert best[1:] == (0.2, 0.1, 0.0)
+
+
+def resweep_rmse(fitted, eta0, periods, speeds):
+    """The thermal fit's residual as a second sweep at the fit computes it:
+    sweep_period's closed form at the fitted actuator and slip scale."""
+    sim = _sweep_speeds(fitted, np.array([eta0]), periods)[0]
+    return math.sqrt(float(np.sum((sim - speeds) ** 2)) / len(periods))
+
+
+# Inherits the active profile: derandomized under CI's "ci" profile, and
+# drawn afresh by the fresh-seed step, which names the default profile.
+@settings(max_examples=40, deadline=None)
+@given(taus=TAU_PAIRS, eta=st.floats(0.2, 1.0),
+       periods=st.lists(st.floats(1.0, 10.0), min_size=4, max_size=8, unique=True),
+       data=st.data())
+def test_thermal_residual_is_the_resweep_rmse_property(taus, eta, periods, data):
+    # The residual is the grid search's own best SSE. It must be the bits
+    # a re-sweep at the fitted constants gives, for data off the model too.
+    periods = np.sort(periods)
+    true = replace(TEMPLATE, actuator=replace(TEMPLATE.actuator, tau_heat=taus[0],
+                                              tau_cool=taus[1]))
+    jitter = data.draw(st.lists(st.floats(-0.05, 0.05), min_size=len(periods),
+                                max_size=len(periods)))
+    speeds_mm_s = (_sweep_speeds(true, np.array([eta]), periods)[0]
+                   * (1.0 + np.array(jitter)) * 1e3)
+    ds = cal.Dataset(name="sweep", columns=("period_s", "speed_mm_s"),
+                 rows=np.column_stack([periods, speeds_mm_s]),
+                 source="synthetic: drawn by this test", uncertainty=0.05)
+    report = cal.thermal_fit_report(ds, TEMPLATE, peak_window=(0.5, 20.0))
+    speeds = ds.column("speed_mm_s") * 1e-3  # as the fit reads them
+    sse, tau_heat, tau_cool, eta0 = cal._thermal_grid_search(TEMPLATE, periods, speeds)
+    assert report.model == replace(TEMPLATE.actuator, tau_heat=tau_heat,
+                                   tau_cool=tau_cool)
+    assert report.parameters["eta0_profile"] == eta0
+    fitted = replace(TEMPLATE, actuator=report.model)
+    assert report.residual == resweep_rmse(fitted, eta0, periods, speeds)
