@@ -287,11 +287,6 @@ class _EnergyModel:
             hess += curv[self._order]
         return hess
 
-    def energy_grad_hess(self, x, want_hess=True):
-        geo = self.geometry(x)
-        grad, terms = self.gradient(*geo)
-        return self._energy(*geo), grad, self.hessian(terms) if want_hess else None
-
 
 def _minimize(model: _EnergyModel, x0: np.ndarray, tol_grad: float,
               max_iters: int) -> tuple[np.ndarray, list[float], float, int]:

@@ -36,8 +36,6 @@ from .gait import (
     SlipModel,
     _arc_speeds,
     _closed_sweep,
-    _stroke_arcs,
-    _sweep_speeds,
     stroke_arcs,
 )
 from .params import CalibrationTable
@@ -268,9 +266,9 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
     """
     ter = template.terrain
     half = ter.reseat_loss
-    stand, sit, _, _ = _stroke_arcs(template, np.reshape(tau_heat, (-1, 1)),
-                                    np.reshape(tau_cool, (-1, 1)), periods,
-                                    SWEEP_CYCLES)
+    stand, sit, _, _ = stroke_arcs(template, periods, SWEEP_CYCLES,
+                                   (np.reshape(tau_heat, (-1, 1)),
+                                    np.reshape(tau_cool, (-1, 1))))
     n = len(stand)
     ids = np.arange(n)
     rate = ter.anchor_efficiency * np.concatenate([stand, sit], axis=2)
@@ -284,7 +282,7 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
 
     def sse_at(cand, idx):
         return np.sum((_arc_speeds(ter, stand[cand], sit[cand], ETA0_GRID[idx],
-                                   periods) - speeds) ** 2, axis=1)
+                                   scale) - speeds) ** 2, axis=1)
 
     # pass 0: each period's residual on [k, 1] is alpha*eta + beta
     live = knot <= 1.0
@@ -432,9 +430,11 @@ def thermal_fit_report(dataset: Dataset, template: Scenario,
     generated is recovered without bias.
 
     The template must be flat, unloaded and admitted by _closed_sweep. The
-    residual is the RMS of the search's best SSE, which is sweep_period's
-    closed-form error at the fit, as is the peak check. Raises
-    NoFeasibleFit when the fitted curve peaks outside peak_window.
+    residual is the RMS of the search's best SSE: the error at the fit of
+    SWEEP_CYCLES whole cold-start cycles (stroke_arcs, _arc_speeds), which
+    the peak check uses too and sweep_period's points match within
+    rounding. Raises NoFeasibleFit when the fitted curve peaks outside
+    peak_window.
     """
     periods = dataset.column("period_s")
     speeds = dataset.column("speed_mm_s") * 1e-3
@@ -469,8 +469,10 @@ def thermal_fit_report(dataset: Dataset, template: Scenario,
     rmse = math.sqrt(sse / len(periods))
 
     fine = np.arange(0.5, 20.0 + 1e-9, 0.01)
-    v_fine = _sweep_speeds(replace(template, actuator=fitted),
-                           np.array([eta0]), fine)[0]
+    stand, sit, _, _ = stroke_arcs(replace(template, actuator=fitted), fine,
+                                   SWEEP_CYCLES)
+    v_fine = _arc_speeds(template.terrain, stand, sit, np.array([eta0]),
+                         SWEEP_CYCLES * fine)[0]
     peak = float(fine[int(np.argmax(v_fine))])
     if not (peak_window[0] <= peak <= peak_window[1]):
         raise NoFeasibleFitError(

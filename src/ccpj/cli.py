@@ -38,7 +38,17 @@ from .errors import (
     TooFewPointsError,
     UnreachableError,
 )
-from .gait import Scenario, SimTrace, navigate_confined, run, sweep_period
+from .gait import (
+    FRONT,
+    Scenario,
+    SimTrace,
+    _closed_sweep,
+    _cold_start_speeds,
+    _drive_caps,
+    navigate_confined,
+    run,
+    sweep_period,
+)
 from .optimize import (
     SearchSpec,
     finest_tolerance,
@@ -230,19 +240,38 @@ SWEEP_DEFAULT_RANGE = {
 
 def _swept_speeds(param: str, values: list[float], sc: Scenario
                   ) -> list[float]:
+    """Average speed of the scenario at each value of the swept parameter.
+
+    A period sweep is sweep_period's. Otherwise each value is a variant of
+    the scenario, validated as it is built, run at the scenario's own
+    period, duration and dt. The values whose variant _closed_sweep admits
+    come from one closed-form array pass (gait._cold_start_speeds: slope
+    and payload move only the slip efficiency, current only the
+    standing-angle cap), within 1e-12 m/s of `run` but not to its bits;
+    `run` gives the others, one run each.
+    """
     if param == "period":
         return [v for _, v in sweep_period(sc, values)]
-    speeds = []
-    for v in values:
-        if param == "slope":
-            variant = replace(sc, terrain=replace(sc.terrain,
-                                                  slope=math.radians(v)))
-        elif param == "payload":
-            variant = replace(sc, payload_mass=v * 1e-3)
-        else:  # current
-            variant = replace(sc, signal=replace(sc.signal, i_high=v))
-        speeds.append(run(variant).average_speed)
-    return speeds
+    if param == "slope":
+        variants = [replace(sc, terrain=replace(sc.terrain, slope=math.radians(v)))
+                    for v in values]
+    elif param == "payload":
+        variants = [replace(sc, payload_mass=v * 1e-3) for v in values]
+    else:  # current
+        variants = [replace(sc, signal=replace(sc.signal, i_high=v)) for v in values]
+    closed = [v for v in variants if _closed_sweep(v)]
+    etas = [v.slip.efficiency(v.terrain.slope, v.payload_mass, v.robot.total_mass)
+            for v in closed]
+    caps = [_drive_caps(v)[FRONT] for v in closed]
+    # the pass holds ~100 bytes per (value, cycle): split a sweep of very
+    # long runs to bound its memory; shipped run lengths take one pass
+    size = max(1, 2**17 // math.ceil(sc.duration / sc.signal.period + 1))
+    speeds = iter([s for at in range(0, len(closed), size)
+                   for s in _cold_start_speeds(sc, [sc.signal.period], [sc.duration],
+                                               [sc.dt], etas[at:at + size],
+                                               caps[at:at + size]).tolist()])
+    return [next(speeds) if _closed_sweep(v) else run(v).average_speed
+            for v in variants]
 
 
 def cmd_sweep(args) -> int:

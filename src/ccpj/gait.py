@@ -7,24 +7,14 @@ stand-advance increment); cooling softens them and the robot sits down
 follows a first-order thermal lag through an activation window, and every
 increment is scaled by a slip efficiency degraded by slope and payload.
 
-Integration takes a fixed number of array passes per run, whatever its
-stroke count. Each dt step is split at every driven group's square-wave
-edges, and the whole sub-step grid is built at once. Over each
-constant-current run the activation is the exact exponential from the
-run's start; band angles, stroke direction and displacement increments
-follow as arrays, and the increments telescope on cos(beta), so results
-do not depend on dt beyond trace resolution. The standing-angle caps
-depend on x only through the ceiling gap ahead of the body, and x never
-decreases, so the run splits into segments of constant caps. Each
-segment is one pass: the slip-noise draws of all its strokes at once,
-each stroke's pending half-pitch loss eaten from one cumulative sum, and
-x from one accumulation. What is sequential at the anchor hand-offs is
-left to a drag gait's re-seat choice, a scalar loop over strokes on foot
-travel taken both with and without the loss. The gap is then checked at
-every row of the segment at once: the caps hold until the first row
-whose position changes the gap, the draws past it are handed back, and
-integration re-enters from that row, so caps change only at step
-boundaries.
+`run` integrates in a fixed number of array passes, whatever the stroke
+count: the sub-step grid, split at every driven group's square-wave edge,
+is built at once, the activation over each constant-current run is its
+exact exponential, and the increments telescope on cos(beta), so results
+do not depend on dt beyond trace resolution. x never decreases and moves
+the caps only through the ceiling gap ahead, so each segment of constant
+caps is one pass (see `run`). `stroke_arcs` and `_cold_start_speeds` are
+its closed forms where the caps are fixed.
 
 Ratchet re-seating: the ratchet enters the motion only through the
 half-pitch loss a claw pays when it re-seats mid-tooth, eaten from the
@@ -647,7 +637,7 @@ def run(scenario: Scenario) -> SimTrace:
     )
 
 
-def stroke_arcs(scenario: Scenario, periods, cycles: int = 0
+def stroke_arcs(scenario: Scenario, periods, cycles: int = 0, taus=None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form stroke advances at unit slip, vectorized over periods.
 
@@ -659,38 +649,46 @@ def stroke_arcs(scenario: Scenario, periods, cycles: int = 0
     geometrically, and the first stand starts from the flat posture. The
     standing-angle caps are taken once, at x=0. Slip, anchor friction and
     re-seat losses are the caller's; the simulator is the reference this
-    transcription is tested against.
+    transcription is tested against. taus = (tau_heat, tau_cool) replaces
+    the actuator's lag constants; arrays of shape (n, 1) give every output
+    a leading candidate axis, each candidate's the bits it gives alone.
     """
     act = scenario.actuator
-    return _stroke_arcs(scenario, act.tau_heat, act.tau_cool, periods, cycles)
-
-
-def _stroke_arcs(scenario: Scenario, tau_heat, tau_cool, periods, cycles: int = 0):
-    """stroke_arcs with the lag constants broadcast against the periods.
-
-    tau_heat and tau_cool replace the scenario actuator's; arrays of shape
-    (n, 1) give every output a leading candidate axis of length n. Each
-    operation is elementwise, so every candidate's values are the bits
-    stroke_arcs gives for that candidate alone.
-    """
+    tau_heat, tau_cool = taus or (act.tau_heat, act.tau_cool)
     caps = _beta_caps(scenario, 0.0, _drive_caps(scenario))
     return _arcs(scenario, _lag_band(scenario, tau_heat, tau_cool, periods, cycles),
                  caps, cycles)
 
 
-def _lag_band(scenario: Scenario, tau_heat, tau_cool, periods, cycles: int):
-    """Windowed activation [top, bottom] of each stroke, stacked on axis 0."""
+def _lag_band(scenario: Scenario, tau_heat, tau_cool, periods, cycles: int,
+              t_end=None):
+    """Windowed activation [top, bottom] of each stroke, stacked on axis 0.
+
+    t_end, shaped like periods, cuts each cold start u into cycle k + 1
+    (cycles is then the largest k + 1): the cut and every later turning
+    point are the exact lag state there, heating from the cycle's bottom a0
+    as 1 - (1 - a0)*exp(-u/tau_heat), or cooling from its top."""
     act = scenario.actuator
     duty = scenario.signal.duty
     periods = np.asarray(periods, dtype=float)
+    if t_end is not None:
+        k, u = (v[..., None] for v in np.divmod(t_end, periods))
+        cycles = int(k.max(initial=0.0)) + 1
     e_h = np.exp(-duty * periods / tau_heat)
     e_c = np.exp(-(1.0 - duty) * periods / tau_cool)
     top = (1.0 - e_h) / (1.0 - e_h * e_c)
     if cycles:
         steps = np.arange(1, cycles + 1)
-        top = top[..., None] * (1.0 - (e_h * e_c)[..., None] ** steps)
-        e_c = e_c[..., None]
-    return act.window(np.array([top, top * e_c]))
+        ss, q, e_c = top[..., None], (e_h * e_c)[..., None], e_c[..., None]
+        top = ss * (1.0 - q ** steps)
+    bot = top * e_c
+    if t_end is not None:  # cycle k + 1 heats for h, then cools for u - h
+        h = np.minimum(u, duty * periods[..., None])
+        a = 1.0 - (1.0 - ss * (1.0 - q ** k) * e_c) * np.exp(-h / tau_heat)
+        end, whole = a * np.exp((h - u) / tau_cool), steps <= k
+        top = np.where(whole, top, np.where(steps == k + 1.0, a, end))
+        bot = np.where(whole, bot, end)
+    return act.window(np.array([top, bot]))
 
 
 def _arcs(scenario: Scenario, band: np.ndarray, caps: tuple[float, float],
@@ -752,7 +750,7 @@ SWEEP_CYCLES = 6  # cycles sweep_period runs at each period
 
 
 def _closed_sweep(scenario: Scenario) -> bool:
-    """Whether _sweep_speeds gives sweep_period's averages: the all-leg
+    """Whether _cold_start_speeds gives the scenario's runs: the all-leg
     gait at phase 0, so every hand-off re-seats and the cold start begins
     at a rising edge; no ceiling to move the caps, no slip noise, and each
     group heating exactly in its duty window (Scenario keeps i_low below
@@ -764,29 +762,35 @@ def _closed_sweep(scenario: Scenario) -> bool:
 
 
 def _arc_speeds(terrain: Terrain, stand: np.ndarray, sit: np.ndarray,
-                etas: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """Sweep averages from unit-slip cold-start arcs, shape (n_eta, n_periods).
+                etas: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """Average speeds from unit-slip cold-start arcs, shape (n_eta, n_runs).
 
-    etas are the slip efficiencies to evaluate. stand and sit are either
-    shared by every efficiency, shape (n_periods, cycles), or one set per
-    efficiency, shape (n_eta, n_periods, cycles). The alternating gait
-    re-seats at every hand-off, so each cold-start stroke nets its slipped
-    arc less the re-seat loss.
-    """
+    stand and sit are either shared by the slip efficiencies etas, shape
+    (n_runs, cycles), or one set per efficiency, shape (n_eta, n_runs,
+    cycles); run j takes durations[j]. The alternating gait re-seats at
+    every hand-off, so each stroke nets its slipped arc less the loss."""
     half = terrain.reseat_loss
     e = (etas * terrain.anchor_efficiency)[:, None, None]
     d = (np.maximum(0.0, e * stand - half)
          + np.maximum(0.0, e * sit - half)).sum(axis=-1)
-    return d / (SWEEP_CYCLES * periods[None, :])
+    return d / durations
 
 
-def _sweep_speeds(scenario: Scenario, etas: np.ndarray,
-                  periods: np.ndarray) -> np.ndarray:
-    """Closed-form sweep_period averages at the slip efficiencies etas,
-    shape (n_eta, n_periods); the simulator's up to rounding where
-    _closed_sweep holds."""
-    stand, sit, _, _ = stroke_arcs(scenario, periods, SWEEP_CYCLES)
-    return _arc_speeds(scenario.terrain, stand, sit, etas, periods)
+def _cold_start_speeds(scenario: Scenario, periods, durations, dts, etas,
+                       caps) -> np.ndarray:
+    """Average speeds of runs that _closed_sweep admits, shape (n,).
+
+    Run i is the scenario at periods[i], durations[i] and dts[i] with slip
+    efficiency etas[i] and both groups' cap caps[i] (each of length n or 1),
+    from a cold start to its last row at min(duration, n*dt), n =
+    ceil(duration/dt - 1e-9): within 1e-12 m/s of `run`'s."""
+    act = scenario.actuator
+    t_end = np.minimum(durations, np.ceil(np.divide(durations, dts) - 1e-9) * dts)
+    with np.errstate(over="ignore"):  # a tau near the smallest float: exp gives 0
+        band = _lag_band(scenario, act.tau_heat, act.tau_cool, periods, 0, t_end)
+    stand, sit, _, _ = _arcs(scenario, band, (np.reshape(caps, (-1, 1)),) * 2, True)
+    return _arc_speeds(scenario.terrain, stand[:, None], sit[:, None],
+                       np.atleast_1d(etas), t_end[:, None])[:, 0]
 
 
 def sweep_period(scenario: Scenario, periods) -> list[tuple[float, float]]:
@@ -794,20 +798,20 @@ def sweep_period(scenario: Scenario, periods) -> list[tuple[float, float]]:
 
     Each point is the scenario run with period T, duration SWEEP_CYCLES*T
     and dt T/200. Where _closed_sweep holds, all points come from one
-    closed-form array pass (_sweep_speeds), which the tests hold within
-    1e-12 m/s of `run` but not to its bits; any other scenario is run
-    once per period.
+    closed-form array pass (_cold_start_speeds), which the tests hold
+    within 1e-12 m/s of `run` but not to its bits; any other scenario is
+    run once per period.
     """
     periods = list(periods)
     for period in periods:
         if not (0.5 <= period <= 20.0):
             raise OutOfRangeError("period", period, 0.5, 20.0)
     if _closed_sweep(scenario):
-        ter = scenario.terrain
+        t, ter = np.array(periods, dtype=float), scenario.terrain
         eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
                                        scenario.robot.total_mass)
-        speeds = _sweep_speeds(scenario, np.array([eta]),
-                               np.array(periods, dtype=float))[0]
+        speeds = _cold_start_speeds(scenario, t, SWEEP_CYCLES * t, t / 200.0, eta,
+                                    _drive_caps(scenario)[FRONT])
         return list(zip(periods, speeds.tolist()))
     return [(period, run(replace(scenario, signal=replace(scenario.signal, period=period),
                                  duration=SWEEP_CYCLES * period,

@@ -25,13 +25,16 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     """Round tick positions covering [lo, hi] on the 1/2/5 ladder.
 
     An empty range, or one at most 8 float spacings wide at its larger
-    end, is widened to [lo, lo + |lo|] ([0, 1] at lo = 0): a step on its
-    ladder could not move a tick.
+    end, is widened to [lo, lo + |lo|], or to [0, lo] where that
+    overflows: a step on its ladder could not move a tick. Below 1e-300,
+    whose fifth may not be a normal float, |lo| is taken as 1. A range
+    wider than the largest float is rejected, and no tick is infinite.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
         raise ValidationError(f"cannot tick non-finite range [{lo}, {hi}]")
     if hi - lo <= 8.0 * math.ulp(max(abs(lo), abs(hi))):
-        hi = lo + (abs(lo) if lo != 0.0 else 1.0)
+        hi = lo + (abs(lo) if abs(lo) >= 1e-300 else 1.0)
+        lo, hi = (lo, hi) if math.isfinite(hi) else (0.0, lo)
     raw = (hi - lo) / max(target, 2)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -43,7 +46,7 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     # at most target + 2 ticks fit; the cap bounds a step that cannot move t
     for _ in range(4 * max(target, 2)):
-        if t > hi + step * 1e-9:
+        if t > hi + step * 1e-9 or not math.isfinite(t):
             break
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step

@@ -7,8 +7,10 @@ updated by `advance`. The stroke engine in `ccpj.gait.run` must reproduce
 its traces (see `test_engine_oracle.py`). Only the anchor-position
 bookkeeping, which never fed the body position, has been dropped.
 `simulated_sweep` is `sweep_period` by `ccpj.gait.run` alone, one run per
-period: the reference its closed-form path is held to. Nothing in the
-package imports this module.
+period: the reference its closed-form path is held to. `sweep_speeds` is
+the thermal fit's objective, the SWEEP_CYCLES-cycle closed form that the
+fit's residual is checked against bit for bit. Nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
@@ -205,3 +207,14 @@ def simulated_sweep(scenario: Scenario, periods) -> np.ndarray:
                          duration=SWEEP_CYCLES * period,
                          dt=period / 200.0)).average_speed
         for period in periods])
+
+
+def sweep_speeds(scenario: Scenario, etas, periods) -> np.ndarray:
+    """The thermal fit's objective: averages over SWEEP_CYCLES whole
+    cold-start cycles at each slip efficiency in etas, shape (n_eta,
+    n_periods), with `gait._arc_speeds`' arithmetic and so its bits.
+    `sweep_period` matches it within rounding where `_closed_sweep` holds."""
+    periods = np.asarray(periods, dtype=float)
+    stand, sit, _, _ = gait.stroke_arcs(scenario, periods, SWEEP_CYCLES)
+    return gait._arc_speeds(scenario.terrain, stand, sit, np.asarray(etas),
+                            SWEEP_CYCLES * periods)

@@ -31,9 +31,9 @@ from ccpj.errors import (
     TooFewPointsError,
     ValidationError,
 )
-from ccpj.gait import ActuatorModel, Scenario, SlipModel, Terrain, _sweep_speeds
+from ccpj.gait import ActuatorModel, Scenario, SlipModel, Terrain
 from ccpj.params import GaitSignal
-from reference_gait import simulated_sweep
+from reference_gait import simulated_sweep, sweep_speeds
 
 # shipped stiffness knots, for comparing against the fitted table
 TABLE_POINTS = (
@@ -158,7 +158,7 @@ class TestThermalFit:
         for tmpl in (template, smooth_friction):
             sc = replace(tmpl, actuator=act,
                          slip=SlipModel(eta0=0.66, c_slope=0.0, c_load=0.0))
-            closed = _sweep_speeds(sc, np.array([0.66]), periods)[0]
+            closed = sweep_speeds(sc, np.array([0.66]), periods)[0]
             assert np.max(np.abs(closed - simulated_sweep(sc, periods))) < 1e-12
 
     def test_recovers_known_constants(self, template):
@@ -217,7 +217,7 @@ class TestThermalFit:
         ds = load_dataset("speed_vs_period", shipped_data_dir)
         phased = replace(template, signal=replace(template.signal, phase=(0.7, 0.7)))
         periods = np.arange(2.0, 10.0)
-        closed = _sweep_speeds(phased, np.array([phased.slip.eta0]), periods)[0]
+        closed = sweep_speeds(phased, np.array([phased.slip.eta0]), periods)[0]
         assert np.max(np.abs(closed - simulated_sweep(phased, periods))) > 1e-3
         ceiling = Terrain(ceiling=((-math.inf, math.inf, 50e-3),))
         for tmpl in (phased, replace(template, slip_noise=0.05),

@@ -19,6 +19,7 @@ from ccpj.config import (
     MASKS,
     SCHEMA,
     build_scenario,
+    data_dir,
     default_config_path,
     load_config,
 )
@@ -654,3 +655,39 @@ def test_any_value_exits_cleanly(drawn, seed, slip_noise):
                 assert math.isinf(float(val)) == unbounded_gap, line
             else:
                 assert math.isfinite(float(val)), line
+
+
+@st.composite
+def range_specs(draw):
+    """`--range a:b:step` strings: any float text at each place, a range
+    of a few plausible points, or bounds near each other and a step within
+    a few float spacings of them."""
+    kind = draw(st.sampled_from(["text", "plausible", "spacing"]))
+    if kind == "text":
+        return draw(_joined(st.one_of(NUMBER_TEXT, SMALL), 3))
+    if kind == "plausible":
+        a, span = draw(st.floats(-1.0, 20.0)), draw(st.floats(0.0, 20.0))
+        return f"{a!r}:{a + span!r}:{draw(st.floats(0.05, 5.0))!r}"
+    a = draw(st.one_of(st.floats(-1.0, 20.0), st.sampled_from([0.28, 1e17, 1e308, 5e-324])))
+    b = draw(st.sampled_from([a, math.nextafter(a, math.inf), a + 1e-9, a - 1.0]))
+    step = math.ulp(a) * draw(st.sampled_from([0.25, 1.0, 3.0, 1e3, 1e9]))
+    return f"{a!r}:{b!r}:{step!r}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(param=st.sampled_from(["slope", "payload", "current"]),
+       name=st.sampled_from(["flat_ratchet_T4", "payload_5g"]), spec=range_specs())
+def test_sweep_any_range_exits_cleanly(param, name, spec):
+    """Any --range on a slope, payload or current sweep: a clean exit code,
+    and on success one finite CSV row per value."""
+    cfg = data_dir() / "scenarios" / f"{name}.scenario"
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(["sweep", "--param", param, "--range", spec,
+                     "--config", str(cfg), "--out", tmp, "--quiet"])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            return
+        rows = (Path(tmp) / f"{name}_sweep_{param}.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(cli._range_values(spec, ""))
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row.split(",")), row

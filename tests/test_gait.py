@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_gait import advance, simulated_sweep
-from ccpj import gait
+from ccpj import cli, gait
 from ccpj.calibrate import load_dataset
 from ccpj.config import build_scenario, load_config
 from ccpj.errors import (
@@ -611,3 +611,96 @@ def test_closed_sweep_property(periods, duty, tau_heat, tau_cool, slope_deg,
         assert np.max(np.abs(got - want)) <= 1e-12
     else:
         assert got.tolist() == want.tolist()
+
+
+def _sweep_variant(sc, param, value):
+    """The variant `sweep --param` builds for one value."""
+    if param == "slope":
+        return replace(sc, terrain=replace(sc.terrain, slope=math.radians(value)))
+    if param == "payload":
+        return replace(sc, payload_mass=value * 1e-3)
+    return replace(sc, signal=replace(sc.signal, i_high=value))
+
+
+# a drawn run length in periods: anywhere in [1.01, 15], or within 1e-12 to
+# 1e-6 periods of a heat or cool edge
+RUN_CYCLES = st.one_of(
+    st.floats(1.01, 15.0).map(lambda c: (c, None)),
+    st.tuples(st.integers(1, 14), st.sampled_from(["cool", "heat"]),
+              st.floats(-12.0, -6.0), st.sampled_from([-1.0, 1.0])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(param=st.sampled_from(["slope", "payload", "current"]),
+       us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       period=st.floats(0.5, 20.0), duty=st.floats(0.2, 0.8),
+       tau_heat=st.floats(0.1, 3.0), tau_cool=st.floats(0.1, 3.0),
+       surface=st.sampled_from(["ratchet", "smooth"]), pitch_mm=st.floats(1.0, 30.0),
+       mu=st.one_of(st.just((0.0, math.inf)),
+                    st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 2.0))),
+       cycles=RUN_CYCLES, k=st.sampled_from([100, 120, 200]),
+       off=st.sampled_from([None, *OFF_CLOSED_FORM]), u=st.floats(0.01, 0.99))
+def test_closed_sweep_values_property(param, us, period, duty, tau_heat, tau_cool,
+                                      surface, pitch_mm, mu, cycles, k, off, u):
+    """Slope, payload and current sweeps against gait.run at the scenario's
+    own duration: within 1e-12 m/s where the closed form admits the value,
+    which runs nothing; off it, one run per value and the same bits."""
+    if cycles[1] is None:
+        n_cycles = cycles[0]
+    else:  # just before or after the edge where heating (whole) or cooling starts
+        whole, edge, exponent, sign = cycles
+        n_cycles = whole + (duty if edge == "cool" else 0.0) + sign * 10.0 ** exponent
+        n_cycles = n_cycles if n_cycles > 1.0 else n_cycles + duty
+    sc = Scenario(signal=GaitSignal(period=period, duty=duty),
+                  terrain=Terrain(surface=surface, pitch=pitch_mm * 1e-3,
+                                  mu_forward=mu[0], mu_backward=mu[1]),
+                  actuator=ActuatorModel(tau_heat=tau_heat, tau_cool=tau_cool),
+                  duration=n_cycles * period, dt=period / k)
+    if off is not None:
+        sc = OFF_CLOSED_FORM[off](sc, u)
+    # slope 0-20 deg, payload 0-5 g, current from the threshold to 0.5 A, or
+    # below the threshold when that is what takes the sweep off the form
+    scale = {"slope": (0.0, 20.0), "payload": (0.0, 5.0),
+             "current": (0.001, 0.279) if off == "subthreshold" else (0.28, 0.5)}
+    lo, hi = scale[param]
+    values = [lo + (hi - lo) * v for v in us]
+    engine = mock.Mock(wraps=gait.run)
+    with mock.patch.object(gait, "run", engine), mock.patch.object(cli, "run", engine):
+        got = cli._swept_speeds(param, values, sc)
+    assert engine.call_count == (0 if off is None else len(values))
+    want = [run(_sweep_variant(sc, param, v)).average_speed for v in values]
+    if off is None:
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12
+    else:
+        assert got == want
+
+
+def test_closed_sweep_current_straddles_threshold(flat_scenario):
+    # 0.20 to 0.26 A never heat: the engine runs them and they stand still;
+    # the rest come from the closed form
+    values = cli._range_values("0.20:0.40:0.02", "")
+    below = [v for v in values if v < flat_scenario.actuator.i_threshold - 1e-12]
+    assert len(below) == 4
+    engine = mock.Mock(wraps=gait.run)
+    with mock.patch.object(gait, "run", engine), mock.patch.object(cli, "run", engine):
+        got = cli._swept_speeds("current", values, flat_scenario)
+    assert [c.args[0].signal.i_high for c in engine.call_args_list] == below
+    assert got[:4] == [0.0] * 4
+    want = [run(_sweep_variant(flat_scenario, "current", v)).average_speed
+            for v in values[4:]]
+    assert np.max(np.abs(np.array(got[4:]) - want)) <= 1e-12
+
+
+def test_closed_sweep_of_long_runs_split_into_passes(flat_scenario):
+    # runs of 5000.2 cycles: 26 values fit in one pass's 2**17 (value,
+    # cycle) pairs, so 30 values take two, whose ends still match the engine
+    sc = replace(flat_scenario, duration=5000.2 * 4.0)
+    values = [0.5 * j for j in range(30)]
+    passes = mock.Mock(wraps=gait._cold_start_speeds)
+    with mock.patch.object(cli, "_cold_start_speeds", passes):
+        got = cli._swept_speeds("slope", values, sc)
+    assert [len(c.args[4]) for c in passes.call_args_list] == [26, 4]
+    for j in (0, 25, 26, 29):
+        want = run(_sweep_variant(sc, "slope", values[j])).average_speed
+        assert abs(got[j] - want) <= 1e-12

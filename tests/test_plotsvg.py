@@ -57,6 +57,25 @@ class TestNiceTicks:
         with pytest.raises(ValidationError):
             nice_ticks(0.0, float("nan"))
 
+    def test_range_wider_than_the_largest_float_rejected(self):
+        with pytest.raises(ValidationError):
+            nice_ticks(-1.7e308, 1.7e308)
+
+    @pytest.mark.parametrize("lo", [1e308, 1.7976931348623157e308])
+    def test_empty_range_near_the_largest_float_widened_down(self, lo):
+        # widening up to lo + |lo| would overflow; a sweep at one such
+        # value once raised OverflowError here
+        ticks = nice_ticks(lo, lo)
+        assert 2 <= len(ticks) <= 12 and all(map(math.isfinite, ticks))
+        assert ticks[0] == 0.0 and ticks[-1] <= lo
+
+    @pytest.mark.parametrize("lo,hi", [(5e-324, 5e-324), (5e-324, 1e-323),
+                                       (-1e-310, -1e-310)])
+    def test_subnormal_empty_range_widened_by_one(self, lo, hi):
+        # [lo, 2 lo] has no normal fifth to step by; it once raised
+        # ValueError from log10(0)
+        assert nice_ticks(lo, hi) == nice_ticks(lo, lo + 1.0)
+
 
 class TestLinePlot:
     def test_basic_document(self):

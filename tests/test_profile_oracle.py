@@ -25,11 +25,10 @@ from ccpj.gait import (
     Scenario,
     SlipModel,
     Terrain,
-    _sweep_speeds,
     stroke_arcs,
 )
 from ccpj.params import GaitSignal
-from reference_gait import simulated_sweep
+from reference_gait import simulated_sweep, sweep_speeds
 
 
 def grid_profile(template, actuator, periods, speeds):
@@ -246,7 +245,7 @@ def test_minimum_at_a_kink(lean):
         r = np.empty(2)
         r[q] = eps
         r[1 - q] = -(left[q] + lean * starts[q]) * eps / left[1 - q]
-        speeds = _sweep_speeds(replace(tmpl, actuator=act), np.array([k]), periods)[0] - r
+        speeds = sweep_speeds(replace(tmpl, actuator=act), np.array([k]), periods)[0] - r
         [(eta0, _)] = assert_profile_exact(tmpl, [act.tau_heat], [act.tau_cool],
                                            periods, speeds)
         assert abs(eta0 - k) <= 5e-4
@@ -285,7 +284,7 @@ def test_second_pass_finds_the_lower_grid_minimum():
     act = ActuatorModel(tau_heat=1.0, tau_cool=0.45)
     periods = np.array([3.0, 8.0])
     speeds = np.array([1.2097928282154813e-3, 8.018121916802907e-3])
-    sse = np.sum((_sweep_speeds(replace(tmpl, actuator=act), cal.ETA0_GRID, periods)
+    sse = np.sum((sweep_speeds(replace(tmpl, actuator=act), cal.ETA0_GRID, periods)
                   - speeds) ** 2, axis=1)
     dips = np.flatnonzero((sse[1:-1] < sse[:-2]) & (sse[1:-1] <= sse[2:])) + 1
     assert dips.tolist() == [1744, 1940]
@@ -305,7 +304,7 @@ def test_margin_keeps_a_rounding_tie():
     act = ActuatorModel(tau_heat=1.0, tau_cool=0.45)
     periods = np.array([3.0, 8.0])
     speeds = np.array([4.1925212816193436e-3, 2.0613292403100477e-3])
-    sse = np.sum((_sweep_speeds(replace(tmpl, actuator=act), cal.ETA0_GRID, periods)
+    sse = np.sum((sweep_speeds(replace(tmpl, actuator=act), cal.ETA0_GRID, periods)
                   - speeds) ** 2, axis=1)
     dips = np.flatnonzero((sse[1:-1] < sse[:-2]) & (sse[1:-1] <= sse[2:])) + 1
     assert dips.tolist() == [1843, 1849]
@@ -339,7 +338,7 @@ def test_profile_below_the_last_knot_matches_grid(data):
                                                    initial=0.0))
     assume(len(below))
     eta = cal.ETA0_GRID[below[data.draw(st.integers(0, len(below) - 1))]]
-    speeds = _sweep_speeds(replace(tmpl, actuator=act), np.array([eta]), periods)[0]
+    speeds = sweep_speeds(replace(tmpl, actuator=act), np.array([eta]), periods)[0]
     tau_heat, tau_cool = np.array(taus).T
     got = assert_profile_exact(tmpl, tau_heat, tau_cool, periods, speeds)
     assert got[true][0] <= eta and got[true][1] == 0.0
@@ -362,7 +361,7 @@ def test_profile_at_a_near_zero_sse(data):
     true = taus[data.draw(st.integers(0, len(taus) - 1))]
     eta = cal.ETA0_GRID[data.draw(st.integers(0, len(cal.ETA0_GRID) - 1))]
     act = replace(tmpl.actuator, tau_heat=true[0], tau_cool=true[1])
-    speeds = _sweep_speeds(replace(tmpl, actuator=act), np.array([eta]), periods)[0]
+    speeds = sweep_speeds(replace(tmpl, actuator=act), np.array([eta]), periods)[0]
     if data.draw(st.booleans()):
         noise = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(periods),
                                    max_size=len(periods)))
@@ -439,8 +438,9 @@ def test_grid_search_all_stalled_keeps_the_first_candidate(terrain):
 
 def resweep_rmse(fitted, eta0, periods, speeds):
     """The thermal fit's residual as a second sweep at the fit computes it:
-    sweep_period's closed form at the fitted actuator and slip scale."""
-    sim = _sweep_speeds(fitted, np.array([eta0]), periods)[0]
+    the fit's SWEEP_CYCLES closed form at the fitted actuator and slip
+    scale, which sweep_period matches within rounding."""
+    sim = sweep_speeds(fitted, np.array([eta0]), periods)[0]
     return math.sqrt(float(np.sum((sim - speeds) ** 2)) / len(periods))
 
 
@@ -458,7 +458,7 @@ def test_thermal_residual_is_the_resweep_rmse_property(taus, eta, periods, data)
                                               tau_cool=taus[1]))
     jitter = data.draw(st.lists(st.floats(-0.05, 0.05), min_size=len(periods),
                                 max_size=len(periods)))
-    speeds_mm_s = (_sweep_speeds(true, np.array([eta]), periods)[0]
+    speeds_mm_s = (sweep_speeds(true, np.array([eta]), periods)[0]
                    * (1.0 + np.array(jitter)) * 1e3)
     ds = cal.Dataset(name="sweep", columns=("period_s", "speed_mm_s"),
                  rows=np.column_stack([periods, speeds_mm_s]),
