@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -39,12 +40,9 @@ from .errors import (
     UnreachableError,
 )
 from .gait import (
-    FRONT,
     Scenario,
     SimTrace,
-    _closed_sweep,
-    _cold_start_speeds,
-    _drive_caps,
+    average_speeds,
     navigate_confined,
     run,
     sweep_period,
@@ -244,11 +242,7 @@ def _swept_speeds(param: str, values: list[float], sc: Scenario
 
     A period sweep is sweep_period's. Otherwise each value is a variant of
     the scenario, validated as it is built, run at the scenario's own
-    period, duration and dt. The values whose variant _closed_sweep admits
-    come from one closed-form array pass (gait._cold_start_speeds: slope
-    and payload move only the slip efficiency, current only the
-    standing-angle cap), within 1e-12 m/s of `run` but not to its bits;
-    `run` gives the others, one run each.
+    period, duration and dt by gait.average_speeds.
     """
     if param == "period":
         return [v for _, v in sweep_period(sc, values)]
@@ -259,19 +253,7 @@ def _swept_speeds(param: str, values: list[float], sc: Scenario
         variants = [replace(sc, payload_mass=v * 1e-3) for v in values]
     else:  # current
         variants = [replace(sc, signal=replace(sc.signal, i_high=v)) for v in values]
-    closed = [v for v in variants if _closed_sweep(v)]
-    etas = [v.slip.efficiency(v.terrain.slope, v.payload_mass, v.robot.total_mass)
-            for v in closed]
-    caps = [_drive_caps(v)[FRONT] for v in closed]
-    # the pass holds ~100 bytes per (value, cycle): split a sweep of very
-    # long runs to bound its memory; shipped run lengths take one pass
-    size = max(1, 2**17 // math.ceil(sc.duration / sc.signal.period + 1))
-    speeds = iter([s for at in range(0, len(closed), size)
-                   for s in _cold_start_speeds(sc, [sc.signal.period], [sc.duration],
-                                               [sc.dt], etas[at:at + size],
-                                               caps[at:at + size]).tolist()])
-    return [next(speeds) if _closed_sweep(v) else run(v).average_speed
-            for v in variants]
+    return average_speeds(variants)
 
 
 def cmd_sweep(args) -> int:
@@ -418,6 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="artifact output directory (default: ccpj_out)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress informational output")
+        # argparse takes a value that starts with "-" for an option unless
+        # it is a plain number: let "--range -5:5:5" be a range
+        p._negative_number_matcher = re.compile(r"-\.?\d")
 
     p = sub.add_parser("simulate", help="run one scenario")
     common(p)

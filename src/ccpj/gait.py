@@ -13,8 +13,8 @@ is built at once, the activation over each constant-current run is its
 exact exponential, and the increments telescope on cos(beta), so results
 do not depend on dt beyond trace resolution. x never decreases and moves
 the caps only through the ceiling gap ahead, so each segment of constant
-caps is one pass (see `run`). `stroke_arcs` and `_cold_start_speeds` are
-its closed forms where the caps are fixed.
+caps is one pass (see `run`). Where the caps are fixed, `stroke_arcs` is
+its closed form, and `average_speeds` uses it for any run it admits.
 
 Ratchet re-seating: the ratchet enters the motion only through the
 half-pitch loss a claw pays when it re-seats mid-tooth, eaten from the
@@ -354,10 +354,10 @@ def _drive_caps(scenario: Scenario) -> tuple[float, float]:
     threshold, stays flat whatever the map says: its cap is 0.
     """
     hmap, sig = scenario.resolved_height_map(), scenario.signal
-    heats = sig.i_high >= scenario.actuator.i_threshold - 1e-12
-    cap_f, cap_r = (min(hmap.beta_cap(sig.i_high), BETA_MAX)
-                    if heats and sig.mask[g] else 0.0 for g in (FRONT, REAR))
-    return cap_f, cap_r
+    if not sig.i_high >= scenario.actuator.i_threshold - 1e-12:
+        return 0.0, 0.0
+    cap = min(hmap.beta_cap(sig.i_high), BETA_MAX)
+    return (cap if sig.mask[FRONT] else 0.0), (cap if sig.mask[REAR] else 0.0)
 
 
 def _gap_beta(scenario: Scenario, gap: float) -> float:
@@ -750,11 +750,11 @@ SWEEP_CYCLES = 6  # cycles sweep_period runs at each period
 
 
 def _closed_sweep(scenario: Scenario) -> bool:
-    """Whether _cold_start_speeds gives the scenario's runs: the all-leg
-    gait at phase 0, so every hand-off re-seats and the cold start begins
-    at a rising edge; no ceiling to move the caps, no slip noise, and each
-    group heating exactly in its duty window (Scenario keeps i_low below
-    the threshold, so i_high must reach it)."""
+    """Whether average_speeds takes the scenario's run in closed form: the
+    all-leg gait at phase 0, so every hand-off re-seats and the cold start
+    begins at a rising edge; no ceiling to move the caps, no slip noise,
+    and each group heating exactly in its duty window (Scenario keeps i_low
+    below the threshold, so i_high must reach it)."""
     sig = scenario.signal
     return (tuple(sig.mask) == (True, True) and tuple(sig.phase) == (0.0, 0.0)
             and not scenario.terrain.ceiling and scenario.slip_noise == 0.0
@@ -776,47 +776,56 @@ def _arc_speeds(terrain: Terrain, stand: np.ndarray, sit: np.ndarray,
     return d / durations
 
 
-def _cold_start_speeds(scenario: Scenario, periods, durations, dts, etas,
-                       caps) -> np.ndarray:
-    """Average speeds of runs that _closed_sweep admits, shape (n,).
+def average_speeds(variants) -> list[float]:
+    """Average speed of each scenario's run, in order.
 
-    Run i is the scenario at periods[i], durations[i] and dts[i] with slip
-    efficiency etas[i] and both groups' cap caps[i] (each of length n or 1),
-    from a cold start to its last row at min(duration, n*dt), n =
-    ceil(duration/dt - 1e-9): within 1e-12 m/s of `run`'s."""
-    act = scenario.actuator
-    t_end = np.minimum(durations, np.ceil(np.divide(durations, dts) - 1e-9) * dts)
-    with np.errstate(over="ignore"):  # a tau near the smallest float: exp gives 0
-        band = _lag_band(scenario, act.tau_heat, act.tau_cool, periods, 0, t_end)
-    stand, sit, _, _ = _arcs(scenario, band, (np.reshape(caps, (-1, 1)),) * 2, True)
-    return _arc_speeds(scenario.terrain, stand[:, None], sit[:, None],
-                       np.atleast_1d(etas), t_end[:, None])[:, 0]
+    The variants share the actuator, duty, robot and claw; each may set its
+    own period, duration, dt, slope, payload and high current. Runs that
+    _closed_sweep admits come from closed-form passes of at most 2**17
+    (run, cycle) pairs, each a cold start to its last row at min(duration,
+    n*dt), n = ceil(duration/dt - 1e-9), with every stroke netted as `run`
+    nets it: the tests hold them within 1e-12 m/s of `run` but not to its
+    bits. Every other variant is run once.
+    """
+    admitted = [(v, _closed_sweep(v)) for v in variants]
+    closed = [v for v, ok in admitted if ok]
+    speeds = []
+    if closed:
+        sc, act = closed[0], closed[0].actuator
+        periods, durations, dts = np.array(
+            [(v.signal.period, v.duration, v.dt) for v in closed]).T
+        etas = np.array([v.slip.efficiency(v.terrain.slope, v.payload_mass,
+                                           v.robot.total_mass) for v in closed])
+        caps = np.array([_drive_caps(v)[FRONT] for v in closed])[:, None]
+        t_end = np.minimum(durations, np.ceil(durations / dts - 1e-9) * dts)
+        # a pass holds ~100 bytes per (run, cycle): split long runs to bound it
+        size = max(1, 2**17 // int(np.max(t_end // periods) + 1))
+        for cut in (slice(at, at + size) for at in range(0, len(closed), size)):
+            with np.errstate(over="ignore"):  # a tau near the smallest float: exp gives 0
+                band = _lag_band(sc, act.tau_heat, act.tau_cool, periods[cut], 0,
+                                 t_end[cut])
+            stand, sit, _, _ = _arcs(sc, band, (caps[cut],) * 2, True)
+            speeds += _arc_speeds(sc.terrain, stand[:, None], sit[:, None],
+                                  etas[cut], t_end[cut, None])[:, 0].tolist()
+    speeds = iter(speeds)
+    return [next(speeds) if ok else run(v).average_speed for v, ok in admitted]
 
 
 def sweep_period(scenario: Scenario, periods) -> list[tuple[float, float]]:
     """Average speed at each actuation period.
 
     Each point is the scenario run with period T, duration SWEEP_CYCLES*T
-    and dt T/200. Where _closed_sweep holds, all points come from one
-    closed-form array pass (_cold_start_speeds), which the tests hold
-    within 1e-12 m/s of `run` but not to its bits; any other scenario is
-    run once per period.
+    and dt T/200, by average_speeds: in closed form where _closed_sweep
+    holds, by `run` otherwise.
     """
     periods = list(periods)
     for period in periods:
         if not (0.5 <= period <= 20.0):
             raise OutOfRangeError("period", period, 0.5, 20.0)
-    if _closed_sweep(scenario):
-        t, ter = np.array(periods, dtype=float), scenario.terrain
-        eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
-                                       scenario.robot.total_mass)
-        speeds = _cold_start_speeds(scenario, t, SWEEP_CYCLES * t, t / 200.0, eta,
-                                    _drive_caps(scenario)[FRONT])
-        return list(zip(periods, speeds.tolist()))
-    return [(period, run(replace(scenario, signal=replace(scenario.signal, period=period),
-                                 duration=SWEEP_CYCLES * period,
-                                 dt=period / 200.0)).average_speed)
-            for period in periods]
+    return list(zip(periods, average_speeds(
+        replace(scenario, signal=replace(scenario.signal, period=period),
+                duration=SWEEP_CYCLES * period, dt=period / 200.0)
+        for period in periods)))
 
 
 @dataclass(frozen=True)

@@ -112,26 +112,22 @@ def _check_unimodal(xs, ys, tol_y: float):
             raise NotUnimodalError(xs, ys)
 
 
-def optimize_period(spec: SearchSpec, scenario: Scenario,
-                    objective: Callable[[float], float] | None = None,
-                    ) -> tuple[float, float]:
+def optimize_period(spec: SearchSpec, scenario: Scenario) -> tuple[float, float]:
     """Actuation period with the highest average speed on [lo, hi].
 
     A 5-point coarse sweep guards the unimodality assumption before the
     golden-section search runs; a valley between two coarse peaks raises
-    NotUnimodal. `objective` overrides the simulated speed, for search
-    verification against closed forms.
+    NotUnimodal.
     """
-    if objective is None:
-        def objective(period: float) -> float:
-            return sweep_period(scenario, [period])[0][1]
+    def speed(period: float) -> float:
+        return sweep_period(scenario, [period])[0][1]
 
     n = 5
     xs = [spec.lo + k * (spec.hi - spec.lo) / (n - 1) for k in range(n)]
-    ys = [objective(x) for x in xs]
+    ys = [speed(x) for x in xs]
     tol_y = 1e-9 + 1e-6 * max(abs(y) for y in ys)
     _check_unimodal(xs, ys, tol_y)
-    return golden_section_max(objective, spec.lo, spec.hi, spec.tolerance)
+    return golden_section_max(speed, spec.lo, spec.hi, spec.tolerance)
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,24 @@ class TestSweep:
                      "--out", str(tmp_path)]) == 2
         assert "empty sweep range" in capsys.readouterr().err
 
+    def test_negative_range(self, tmp_path, scenario_path):
+        # "-5:5:5" after --range is its value, not an unknown option
+        cfg = str(scenario_path("flat_ratchet_T4"))
+        for out, spec in (("split", ["--range", "-5:5:5"]), ("joined", ["--range=-5:5:5"])):
+            assert main(["sweep", "--param", "slope", *spec, "--config", cfg,
+                         "--out", str(tmp_path / out), "--quiet"]) == 0
+        split, joined = ((tmp_path / out / "flat_ratchet_T4_sweep_slope.csv").read_bytes()
+                         for out in ("split", "joined"))
+        assert split == joined and len(split.splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize", "report"])
+    @pytest.mark.parametrize("spec", ["-5:5:5", "-.5:1:0.5", "-1e-3:1:1"])
+    def test_negative_range_parsed(self, command, spec):
+        args = cli.build_parser().parse_args([command, "--param", "period", "--range", spec]
+                                             if command != "report" else
+                                             [command, "--range", spec])
+        assert args.range == spec
+
     @pytest.mark.parametrize("command, spec, message", [
         ("sweep", "nan:5:1", "finite"),
         ("sweep", "3:inf:1", "finite"),

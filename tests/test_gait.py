@@ -33,6 +33,7 @@ from ccpj.gait import (
     Scenario,
     SlipModel,
     Terrain,
+    average_speeds,
     drag_width,
     gait_width,
     navigate_confined,
@@ -665,8 +666,7 @@ def test_closed_sweep_values_property(param, us, period, duty, tau_heat, tau_coo
              "current": (0.001, 0.279) if off == "subthreshold" else (0.28, 0.5)}
     lo, hi = scale[param]
     values = [lo + (hi - lo) * v for v in us]
-    engine = mock.Mock(wraps=gait.run)
-    with mock.patch.object(gait, "run", engine), mock.patch.object(cli, "run", engine):
+    with mock.patch.object(gait, "run", wraps=gait.run) as engine:
         got = cli._swept_speeds(param, values, sc)
     assert engine.call_count == (0 if off is None else len(values))
     want = [run(_sweep_variant(sc, param, v)).average_speed for v in values]
@@ -682,8 +682,7 @@ def test_closed_sweep_current_straddles_threshold(flat_scenario):
     values = cli._range_values("0.20:0.40:0.02", "")
     below = [v for v in values if v < flat_scenario.actuator.i_threshold - 1e-12]
     assert len(below) == 4
-    engine = mock.Mock(wraps=gait.run)
-    with mock.patch.object(gait, "run", engine), mock.patch.object(cli, "run", engine):
+    with mock.patch.object(gait, "run", wraps=gait.run) as engine:
         got = cli._swept_speeds("current", values, flat_scenario)
     assert [c.args[0].signal.i_high for c in engine.call_args_list] == below
     assert got[:4] == [0.0] * 4
@@ -693,14 +692,12 @@ def test_closed_sweep_current_straddles_threshold(flat_scenario):
 
 
 def test_closed_sweep_of_long_runs_split_into_passes(flat_scenario):
-    # runs of 5000.2 cycles: 26 values fit in one pass's 2**17 (value,
-    # cycle) pairs, so 30 values take two, whose ends still match the engine
+    # runs of 5000.2 cycles: 26 runs fit in one pass's 2**17 (run, cycle)
+    # pairs, so 30 runs take two, whose ends still match the engine
     sc = replace(flat_scenario, duration=5000.2 * 4.0)
-    values = [0.5 * j for j in range(30)]
-    passes = mock.Mock(wraps=gait._cold_start_speeds)
-    with mock.patch.object(cli, "_cold_start_speeds", passes):
-        got = cli._swept_speeds("slope", values, sc)
-    assert [len(c.args[4]) for c in passes.call_args_list] == [26, 4]
+    variants = [_sweep_variant(sc, "slope", 0.5 * j) for j in range(30)]
+    with mock.patch.object(gait, "_arc_speeds", wraps=gait._arc_speeds) as passes:
+        got = average_speeds(variants)
+    assert [len(c.args[3]) for c in passes.call_args_list] == [26, 4]
     for j in (0, 25, 26, 29):
-        want = run(_sweep_variant(sc, "slope", values[j])).average_speed
-        assert abs(got[j] - want) <= 1e-12
+        assert abs(got[j] - run(variants[j]).average_speed) <= 1e-12

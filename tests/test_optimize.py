@@ -2,10 +2,12 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ccpj import optimize
 from ccpj.errors import (
     AllMasksInfeasibleError,
     InfeasibleConfinementError,
@@ -82,11 +84,17 @@ class TestGoldenSection:
         assert len(calls) < 2000
 
 
+def planted_sweep(speed):
+    """A stand-in for sweep_period whose speed at each period is speed(T)."""
+    return mock.patch.object(optimize, "sweep_period",
+                             lambda sc, periods: [(t, speed(t)) for t in periods])
+
+
 class TestOptimizePeriod:
     def test_planted_peak(self, flat_scenario):
         spec = SearchSpec(lo=2.0, hi=10.0, tolerance=0.01)
-        x, y = optimize_period(spec, flat_scenario,
-                               objective=lambda t: -(t - 5.0) ** 2)
+        with planted_sweep(lambda t: -(t - 5.0) ** 2):
+            x, y = optimize_period(spec, flat_scenario)
         assert x == pytest.approx(5.0, abs=0.02)
 
     def test_bimodal_objective_rejected(self, flat_scenario):
@@ -95,8 +103,8 @@ class TestOptimizePeriod:
                     + math.exp(-((t - 8.5) ** 2) / 2.0))
 
         spec = SearchSpec(lo=2.0, hi=10.0, tolerance=0.05)
-        with pytest.raises(NotUnimodalError) as exc:
-            optimize_period(spec, flat_scenario, objective=two_bumps)
+        with planted_sweep(two_bumps), pytest.raises(NotUnimodalError) as exc:
+            optimize_period(spec, flat_scenario)
         assert len(exc.value.xs) == 5 and len(exc.value.ys) == 5
 
     def test_simulated_peak_near_four_seconds(self, flat_scenario):
