@@ -353,9 +353,7 @@ def cmd_optimize(args) -> int:
         if sc.table is None:
             raise ConfigError(
                 "current optimization needs a [stiffness_table]")
-        res = max_feasible_current(gap, sc.robot, sc.table,
-                                   height_map=sc.height_map,
-                                   i_threshold=sc.actuator.i_threshold)
+        res = max_feasible_current(gap, sc)
         lines.append(res.summary())
     else:
         choice = select_mask(sc)

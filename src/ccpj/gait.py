@@ -14,7 +14,8 @@ exact exponential, and the increments telescope on cos(beta), so results
 do not depend on dt beyond trace resolution. x never decreases and moves
 the caps only through the ceiling gap ahead, so each segment of constant
 caps is one pass (see `run`). Where the caps are fixed, `stroke_arcs` is
-its closed form, and `average_speeds` uses it for any run it admits.
+its closed form, and `average_speeds` and `sweep_period` use it for any
+run they admit.
 
 Ratchet re-seating: the ratchet enters the motion only through the
 half-pitch loss a claw pays when it re-seats mid-tooth, eaten from the
@@ -129,8 +130,7 @@ class CurrentHeightMap:
     anchors: tuple[tuple[float, float], ...]  # (current A, beta rad), increasing
 
     @classmethod
-    def default(cls, robot: RobotParams,
-                i_threshold: float = 0.28) -> "CurrentHeightMap":
+    def default(cls, robot: RobotParams, i_threshold: float) -> "CurrentHeightMap":
         beta_40mm = beta_for_height(40e-3, robot.leg.leg_length, robot.height_offset)
         return cls(anchors=(
             (i_threshold, math.radians(20.0)),
@@ -776,38 +776,49 @@ def _arc_speeds(terrain: Terrain, stand: np.ndarray, sit: np.ndarray,
     return d / durations
 
 
+def _closed_speeds(sc: Scenario, periods, durations, dts, etas, i_highs
+                   ) -> list[float]:
+    """Average speeds of closed-form runs that share sc's actuator, duty,
+    robot, claw and height map; run j takes periods[j], durations[j],
+    dts[j], slip efficiency etas[j] and high current i_highs[j] (arrays).
+
+    Each run is a cold start to its last row at min(duration, n*dt),
+    n = ceil(duration/dt - 1e-9), with every stroke netted as `run` nets
+    it, in passes of at most 2**17 (run, cycle) pairs. The map is taken
+    once and its cap once per distinct high current.
+    """
+    act, hmap = sc.actuator, sc.resolved_height_map()
+    cap_of = {i: min(hmap.beta_cap(i), BETA_MAX) for i in set(i_highs.tolist())}
+    caps = np.array([cap_of[i] for i in i_highs.tolist()])[:, None]
+    t_end = np.minimum(durations, np.ceil(durations / dts - 1e-9) * dts)
+    # a pass holds ~100 bytes per (run, cycle): split long runs to bound it
+    size = max(1, 2**17 // int(np.max(t_end // periods, initial=0.0) + 1))
+    speeds = []
+    for cut in (slice(at, at + size) for at in range(0, len(periods), size)):
+        with np.errstate(over="ignore"):  # a tau near the smallest float: exp gives 0
+            band = _lag_band(sc, act.tau_heat, act.tau_cool, periods[cut], 0,
+                             t_end[cut])
+        stand, sit, _, _ = _arcs(sc, band, (caps[cut],) * 2, True)
+        speeds += _arc_speeds(sc.terrain, stand[:, None], sit[:, None],
+                              etas[cut], t_end[cut, None])[:, 0].tolist()
+    return speeds
+
+
 def average_speeds(variants) -> list[float]:
     """Average speed of each scenario's run, in order.
 
-    The variants share the actuator, duty, robot and claw; each may set its
-    own period, duration, dt, slope, payload and high current. Runs that
-    _closed_sweep admits come from closed-form passes of at most 2**17
-    (run, cycle) pairs, each a cold start to its last row at min(duration,
-    n*dt), n = ceil(duration/dt - 1e-9), with every stroke netted as `run`
-    nets it: the tests hold them within 1e-12 m/s of `run` but not to its
-    bits. Every other variant is run once.
+    The variants share the actuator, duty, robot, claw and height map; each
+    may set its own period, duration, dt, slope, payload and high current.
+    Runs that _closed_sweep admits come from _closed_speeds: the tests hold
+    them within 1e-12 m/s of `run` but not to its bits. Every other variant
+    is run once.
     """
     admitted = [(v, _closed_sweep(v)) for v in variants]
     closed = [v for v, ok in admitted if ok]
-    speeds = []
-    if closed:
-        sc, act = closed[0], closed[0].actuator
-        periods, durations, dts = np.array(
-            [(v.signal.period, v.duration, v.dt) for v in closed]).T
-        etas = np.array([v.slip.efficiency(v.terrain.slope, v.payload_mass,
-                                           v.robot.total_mass) for v in closed])
-        caps = np.array([_drive_caps(v)[FRONT] for v in closed])[:, None]
-        t_end = np.minimum(durations, np.ceil(durations / dts - 1e-9) * dts)
-        # a pass holds ~100 bytes per (run, cycle): split long runs to bound it
-        size = max(1, 2**17 // int(np.max(t_end // periods) + 1))
-        for cut in (slice(at, at + size) for at in range(0, len(closed), size)):
-            with np.errstate(over="ignore"):  # a tau near the smallest float: exp gives 0
-                band = _lag_band(sc, act.tau_heat, act.tau_cool, periods[cut], 0,
-                                 t_end[cut])
-            stand, sit, _, _ = _arcs(sc, band, (caps[cut],) * 2, True)
-            speeds += _arc_speeds(sc.terrain, stand[:, None], sit[:, None],
-                                  etas[cut], t_end[cut, None])[:, 0].tolist()
-    speeds = iter(speeds)
+    speeds = iter(_closed_speeds(closed[0], *np.array(
+        [(v.signal.period, v.duration, v.dt, v.slip.efficiency(
+            v.terrain.slope, v.payload_mass, v.robot.total_mass), v.signal.i_high)
+         for v in closed]).T) if closed else ())
     return [next(speeds) if ok else run(v).average_speed for v, ok in admitted]
 
 
@@ -815,17 +826,26 @@ def sweep_period(scenario: Scenario, periods) -> list[tuple[float, float]]:
     """Average speed at each actuation period.
 
     Each point is the scenario run with period T, duration SWEEP_CYCLES*T
-    and dt T/200, by average_speeds: in closed form where _closed_sweep
-    holds, by `run` otherwise.
+    and dt T/200. Where _closed_sweep holds, the whole sweep is one
+    _closed_speeds call on the period array and builds no Scenario: a
+    period in [0.5, 20] s passes every check such a variant would run.
+    Otherwise each period is run by `run`, one after another.
     """
     periods = list(periods)
     for period in periods:
         if not (0.5 <= period <= 20.0):
             raise OutOfRangeError("period", period, 0.5, 20.0)
-    return list(zip(periods, average_speeds(
-        replace(scenario, signal=replace(scenario.signal, period=period),
-                duration=SWEEP_CYCLES * period, dt=period / 200.0)
-        for period in periods)))
+    if not _closed_sweep(scenario):
+        return [(period, run(replace(
+            scenario, signal=replace(scenario.signal, period=period),
+            duration=SWEEP_CYCLES * period, dt=period / 200.0)).average_speed)
+            for period in periods]
+    t = np.array(periods, dtype=float)
+    eta = scenario.slip.efficiency(scenario.terrain.slope, scenario.payload_mass,
+                                   scenario.robot.total_mass)
+    return list(zip(periods, _closed_speeds(
+        scenario, t, SWEEP_CYCLES * t, t / 200.0, np.full(len(t), eta),
+        np.full(len(t), scenario.signal.i_high))))
 
 
 @dataclass(frozen=True)

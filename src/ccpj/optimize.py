@@ -22,14 +22,13 @@ from .errors import (
 from .gait import (
     LOOKAHEAD,
     MASKS,
-    CurrentHeightMap,
     FeasibilityReport,
     Scenario,
+    _closed_sweep,
     navigate_confined,
     sweep_period,
 )
 from .kinematics import standing_height
-from .params import CalibrationTable, RobotParams
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,31 +59,64 @@ def finest_tolerance(lo: float, hi: float) -> float:
     return 4.0 * math.ulp(max(abs(lo), abs(hi)))
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float) -> tuple[float, float]:
-    """Maximum of a unimodal f on [lo, hi] to abscissa resolution tol.
+# Comparisons golden_section_max looks past the point it needs: a batch
+# holds that point and the 2 + 4 + 8 + 16 points the next four could need,
+# whichever way they go, so 3 batches replace the shipped search's 14
+# one-point calls. A closed-form sweep costs ~80 us a call plus ~0.7 us a
+# period, and depths 3 to 6 timed within 10% of each other on
+# flat_ratchet_T4; 4 was the fastest.
+STEPS_AHEAD = 4
 
-    Returns the best (x, f(x)) actually evaluated, so the reported value
-    is always a true sample of the objective. tol must exceed
-    finest_tolerance(lo, hi).
+
+def _ahead(a: float, b: float, c: float, d: float, tol: float,
+           steps: int) -> list[float]:
+    """Every point the next `steps` comparisons of golden_section_max could
+    need from bracket [a, b] with inner points c < d, by its arithmetic."""
+    if steps == 0:
+        return []
+    if not (b - a) > tol:
+        return [0.5 * (a + b)]
+    c_left = d - GOLDEN * (d - a)  # fc >= fd: [a, d] with inner (c_left, c)
+    d_right = c + GOLDEN * (b - c)  # else: [c, b] with inner (d, d_right)
+    return [c_left, d_right, *_ahead(a, d, c_left, c, tol, steps - 1),
+            *_ahead(c, b, d, d_right, tol, steps - 1)]
+
+
+def golden_section_max(f: Callable[[list[float]], list[float]], lo: float,
+                       hi: float, tol: float) -> tuple[float, float]:
+    """Maximum of a unimodal objective on [lo, hi] to abscissa resolution tol.
+
+    f is a batch objective: it maps a list of abscissae to their values, or
+    to the values of a leading part of the list, at least the first. Each
+    call asks for the point the search needs next, then for every point
+    the next STEPS_AHEAD comparisons could need. f must give the same value
+    for the same abscissa, which is evaluated once. The search is the
+    sequential golden section: the same points in the same order, the
+    same comparisons. Returns the best (x, f(x)) it needed, so the
+    reported value is always a true sample of the objective. tol must
+    exceed finest_tolerance(lo, hi).
     """
     if not hi > lo:
         raise ValidationError(f"degenerate bracket [{lo!r}, {hi!r}]")
     if not tol > finest_tolerance(lo, hi):
         raise OutOfRangeError("tol", tol, finest_tolerance(lo, hi), math.inf)
     best_x, best_y = lo, -math.inf
+    known: dict[float, float] = {}
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
 
-    def eval_at(x: float) -> float:
+    def eval_at(x: float, *also: float) -> float:
         nonlocal best_x, best_y
-        y = f(x)
+        if x not in known:
+            xs = list(dict.fromkeys([x, *also, *_ahead(a, b, c, d, tol, STEPS_AHEAD)]))
+            known.update(zip(xs, f(xs)))
+        y = known[x]
         if y > best_y:
             best_x, best_y = x, y
         return y
 
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = eval_at(c), eval_at(d)
+    fc, fd = eval_at(c, d), eval_at(d)
     while (b - a) > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -117,17 +149,20 @@ def optimize_period(spec: SearchSpec, scenario: Scenario) -> tuple[float, float]
 
     A 5-point coarse sweep guards the unimodality assumption before the
     golden-section search runs; a valley between two coarse peaks raises
-    NotUnimodal.
+    NotUnimodal. Each batch of periods is one sweep_period call. Off the
+    closed form every period is a run, so the search asks for the one
+    period it needs and runs nothing ahead.
     """
-    def speed(period: float) -> float:
-        return sweep_period(scenario, [period])[0][1]
+    def speeds(periods: list[float]) -> list[float]:
+        return [v for _, v in sweep_period(scenario, periods)]
 
     n = 5
     xs = [spec.lo + k * (spec.hi - spec.lo) / (n - 1) for k in range(n)]
-    ys = [speed(x) for x in xs]
+    ys = speeds(xs)
     tol_y = 1e-9 + 1e-6 * max(abs(y) for y in ys)
     _check_unimodal(xs, ys, tol_y)
-    return golden_section_max(speed, spec.lo, spec.hi, spec.tolerance)
+    objective = speeds if _closed_sweep(scenario) else lambda ps: speeds(ps[:1])
+    return golden_section_max(objective, spec.lo, spec.hi, spec.tolerance)
 
 
 @dataclass(frozen=True)
@@ -148,25 +183,25 @@ class CurrentSearchResult:
                 f"gap_mm={self.gap_m * 1e3:.6g}")
 
 
-def max_feasible_current(gap: float, robot: RobotParams,
-                         table: CalibrationTable, *,
-                         height_map: CurrentHeightMap | None = None,
-                         i_threshold: float = 0.28,
+def max_feasible_current(gap: float, scenario: Scenario, *,
                          resolution: float = 0.005) -> CurrentSearchResult:
     """Largest drive current whose standing height stays under `gap`.
 
-    Bisection over the calibration table's current range at the given
-    resolution, returning the feasible (low) end of the final bracket.
-    Currents below the engagement threshold never stand up at all, so
-    when even the threshold current is too tall the search returns None
-    and recommends the front-leg-only crawl instead.
+    Bisection over the scenario's calibration table's current range at the
+    given resolution, returning the feasible (low) end of the final
+    bracket. Heights come from the scenario's robot and current-to-angle
+    map. Currents below the actuator's engagement threshold never stand up
+    at all, so when even the threshold current is too tall the search
+    returns None and recommends the front-leg-only crawl instead.
     """
     if gap <= 0.0:
         raise OutOfRangeError("gap", gap, 0.0, math.inf)
     if resolution <= 0.0:
         raise OutOfRangeError("resolution", resolution, 0.0, math.inf)
-    hmap = height_map if height_map is not None else CurrentHeightMap.default(
-        robot, i_threshold)
+    table, robot = scenario.table, scenario.robot
+    if table is None:
+        raise ValidationError("max_feasible_current needs a calibration table")
+    hmap = scenario.resolved_height_map()
     leg = robot.leg.leg_length
 
     def height(i_high: float) -> float:
@@ -176,7 +211,7 @@ def max_feasible_current(gap: float, robot: RobotParams,
     if height(i_max) <= gap:
         return CurrentSearchResult(current=i_max, recommendation=None,
                                    gap_m=gap, height_m=height(i_max))
-    lo = max(i_threshold, table.currents[0])
+    lo = max(scenario.actuator.i_threshold, table.currents[0])
     if height(lo) > gap:
         return CurrentSearchResult(current=None, recommendation="front_only",
                                    gap_m=gap, height_m=None)

@@ -208,8 +208,9 @@ def test_criterion_05_solver_against_oracles():
                 xt = x.copy()
                 xt[j] = t
                 return -brute.energy(xt)
-            best_t, _ = golden_section_max(along, x[j] - 0.6, x[j] + 0.6,
-                                           tol=1e-11)
+            # one energy a call: the point the search needs, none ahead
+            best_t, _ = golden_section_max(lambda ts: [along(ts[0])],
+                                           x[j] - 0.6, x[j] + 0.6, tol=1e-11)
             moved = max(moved, abs(best_t - x[j]))
             x[j] = best_t
         if moved < 1e-11:
@@ -287,7 +288,7 @@ def test_criterion_08_confined_navigation():
     assert report40.mask_used == "all"
 
     table = CalibrationTable.from_points(TABLE_POINTS)
-    res = max_feasible_current(40e-3, RobotParams(), table)
+    res = max_feasible_current(40e-3, replace(gate40, table=table))
     print(f"criterion 8: gap 40 mm -> max current {res.current:.4f} A, "
           f"gap 20 mm -> front-only")
     assert res.current <= 0.38 + 1e-9

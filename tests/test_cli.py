@@ -693,11 +693,11 @@ def range_specs(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(param=st.sampled_from(["slope", "payload", "current"]),
+@given(param=st.sampled_from(["period", "slope", "payload", "current"]),
        name=st.sampled_from(["flat_ratchet_T4", "payload_5g"]), spec=range_specs())
 def test_sweep_any_range_exits_cleanly(param, name, spec):
-    """Any --range on a slope, payload or current sweep: a clean exit code,
-    and on success one finite CSV row per value."""
+    """Any --range on a period, slope, payload or current sweep: a clean
+    exit code, and on success one finite CSV row per value."""
     cfg = data_dir() / "scenarios" / f"{name}.scenario"
     with tempfile.TemporaryDirectory() as tmp:
         code = main(["sweep", "--param", param, "--range", spec,
@@ -709,3 +709,26 @@ def test_sweep_any_range_exits_cleanly(param, name, spec):
     assert len(rows) == len(cli._range_values(spec, ""))
     for row in rows:
         assert all(math.isfinite(float(v)) for v in row.split(",")), row
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(name=st.sampled_from(["flat_ratchet_T4", "payload_5g"]),
+       mask=st.sampled_from([None, "front_only"]), spec=range_specs())
+def test_optimize_any_range_exits_cleanly(name, mask, spec):
+    """Any --range on a period search: a clean exit code, and on success a
+    finite optimum. In process: a bracket outside [0.5, 20] s fails the
+    coarse sweep before the search, and a tolerance above 4 float spacings
+    of 20 s ends it within ~75 steps, so no drawn range runs long."""
+    cfg = data_dir() / "scenarios" / f"{name}.scenario"
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(["optimize", "--param", "period", "--range", spec,
+                     "--config", str(cfg), "--out", tmp, "--quiet",
+                     *(["--mask", mask] if mask else [])])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            return
+        report = (Path(tmp) / f"{name}_optimize_period_report.txt").read_text()
+    found = re.search(r"^result = optimize_period: period_s=(\S+), speed_mm_s=(\S+)$",
+                      report, re.M)
+    assert found, report
+    assert all(math.isfinite(float(v)) for v in found.groups()), report

@@ -7,13 +7,14 @@ update `advance` is the reference stepper's, the rule `gait._activation`
 evaluates in closed form.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference_gait import advance, simulated_sweep
 from ccpj import cli, gait
@@ -28,6 +29,7 @@ from ccpj.gait import (
     BRACE_SHARE,
     MASKS,
     MAX_STEPS,
+    SWEEP_CYCLES,
     ActuatorModel,
     CurrentHeightMap,
     Scenario,
@@ -153,12 +155,12 @@ class TestSlipModel:
 
 class TestCurrentHeightMap:
     def test_below_threshold_never_stands(self, robot):
-        hmap = CurrentHeightMap.default(robot)
+        hmap = CurrentHeightMap.default(robot, ActuatorModel().i_threshold)
         assert hmap.beta_cap(0.1) == 0.0
         assert hmap.beta_cap(0.27) == 0.0
 
     def test_anchor_points(self, robot):
-        hmap = CurrentHeightMap.default(robot)
+        hmap = CurrentHeightMap.default(robot, ActuatorModel().i_threshold)
         assert hmap.beta_cap(0.28) == pytest.approx(math.radians(20.0))
         assert hmap.beta_cap(0.40) == pytest.approx(math.radians(60.0))
         h038 = standing_height(robot.leg.leg_length, hmap.beta_cap(0.38),
@@ -166,7 +168,7 @@ class TestCurrentHeightMap:
         assert h038 == pytest.approx(40e-3, abs=1e-12)
 
     def test_interpolates_between_anchors(self, robot):
-        hmap = CurrentHeightMap.default(robot)
+        hmap = CurrentHeightMap.default(robot, ActuatorModel().i_threshold)
         b = hmap.beta_cap(0.39)
         assert hmap.beta_cap(0.38) < b < hmap.beta_cap(0.40)
 
@@ -435,6 +437,19 @@ class TestSweepPeriod:
         with pytest.raises(OutOfRangeError):
             sweep_period(flat_scenario, [21.0])
 
+    @pytest.mark.parametrize("scenario, digest", [
+        (Scenario(signal=GaitSignal(period=4.0)),
+         "6ae579e0ee15f7ea905f29f749c2661027404888ad0a2c600bdcec321f261ec6"),
+        (Scenario(signal=GaitSignal(period=4.0, i_high=0.38, duty=0.4),
+                  terrain=Terrain(slope=0.1, surface="smooth"), payload_mass=1e-3,
+                  actuator=ActuatorModel(tau_heat=0.9)),
+         "8a1232e1354603a656d38c8b368ddb62cdf7be6ed2fc972545a240aa0d54e534"),
+    ])
+    def test_thousand_periods_pinned(self, scenario, digest):
+        # sha256 of the speeds' bytes as one Scenario per period gave them
+        speeds = [v for _, v in sweep_period(scenario, np.linspace(0.5, 20.0, 1001))]
+        assert hashlib.sha256(np.array(speeds).tobytes()).hexdigest() == digest
+
 
 class TestSlopeAndPayload:
     def test_frozen_slope_speed(self):
@@ -612,6 +627,47 @@ def test_closed_sweep_property(periods, duty, tau_heat, tau_cool, slope_deg,
         assert np.max(np.abs(got - want)) <= 1e-12
     else:
         assert got.tolist() == want.tolist()
+
+
+def _period_edges(test):
+    """The sweep's shortest and longest periods, from the default build and
+    from a scenario at the drawn ranges' far ends."""
+    for period in (0.5, 20.0):
+        test = example(period=period, base=4.0, cycles=6.15, k=100.0, duty=0.5,
+                       i_high=0.4, i_low=0.0, tau_heat=1.25, tau_cool=0.5,
+                       slope_deg=0.0, payload_g=0.0)(test)
+        test = example(period=period, base=20.0, cycles=1.01, k=1e4, duty=0.99,
+                       i_high=MAX_CURRENT_A, i_low=0.27, tau_heat=1e-3,
+                       tau_cool=10.0, slope_deg=-30.0, payload_g=50.0)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@_period_edges
+@given(period=st.one_of(st.sampled_from([0.5, 20.0, math.nextafter(0.5, 1.0),
+                                         math.nextafter(20.0, 0.0)]),
+                        st.floats(0.5, 20.0)),
+       base=st.floats(0.5, 20.0), cycles=st.floats(1.01, 50.0), k=st.floats(100.0, 1e4),
+       duty=st.floats(0.01, 0.99), i_high=st.floats(0.28, MAX_CURRENT_A),
+       i_low=st.floats(0.0, 0.27), tau_heat=st.floats(1e-3, 10.0),
+       tau_cool=st.floats(1e-3, 10.0), slope_deg=st.floats(-30.0, 30.0),
+       payload_g=st.floats(0.0, 50.0))
+def test_closed_sweep_period_variant_property(period, base, cycles, k, duty, i_high,
+                                              i_low, tau_heat, tau_cool, slope_deg,
+                                              payload_g):
+    """On the closed form sweep_period builds no Scenario per period. The
+    one it stands for, at any period in [0.5, 20] s from any scenario,
+    passes every check its construction runs, and average_speeds on it
+    gives the sweep's bits."""
+    sc = Scenario(signal=GaitSignal(period=base, duty=duty, i_high=i_high, i_low=i_low),
+                  terrain=Terrain(slope=math.radians(slope_deg)),
+                  actuator=ActuatorModel(tau_heat=tau_heat, tau_cool=tau_cool),
+                  payload_mass=payload_g * 1e-3, duration=cycles * base, dt=base / k)
+    variant = replace(sc, signal=replace(sc.signal, period=period),
+                      duration=SWEEP_CYCLES * period, dt=period / 200.0)
+    with mock.patch.object(gait, "run") as engine:
+        assert sweep_period(sc, [period]) == [(period, average_speeds([variant])[0])]
+    assert engine.call_count == 0
 
 
 def _sweep_variant(sc, param, value):

@@ -6,8 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ccpj import optimize
+import reference_optimize
+from ccpj import gait, optimize
 from ccpj.errors import (
     AllMasksInfeasibleError,
     InfeasibleConfinementError,
@@ -15,7 +17,14 @@ from ccpj.errors import (
     OutOfRangeError,
     ValidationError,
 )
-from ccpj.gait import CurrentHeightMap, Scenario, Terrain, navigate_confined
+from ccpj.gait import (
+    MASKS,
+    ActuatorModel,
+    CurrentHeightMap,
+    Scenario,
+    Terrain,
+    navigate_confined,
+)
 from ccpj.kinematics import standing_height
 from ccpj.optimize import (
     FeasibilityReport,
@@ -42,15 +51,20 @@ class TestSearchSpec:
             SearchSpec(tolerance=0.0)
 
 
+def each(f):
+    """A batch objective that evaluates f at every abscissa it is given."""
+    return lambda xs: [f(x) for x in xs]
+
+
 class TestGoldenSection:
     @pytest.mark.parametrize("peak", [3.3, 2.05, 9.9])
     def test_finds_quadratic_peak(self, peak):
-        x, y = golden_section_max(lambda t: -(t - peak) ** 2, 2.0, 10.0, 1e-4)
+        x, y = golden_section_max(each(lambda t: -(t - peak) ** 2), 2.0, 10.0, 1e-4)
         assert x == pytest.approx(peak, abs=2e-4)
         assert y == -(x - peak) ** 2  # reported value is a true sample
 
     def test_kinked_objective(self):
-        x, _ = golden_section_max(lambda t: 10.0 - abs(t - 5.1), 2.0, 10.0, 1e-4)
+        x, _ = golden_section_max(each(lambda t: 10.0 - abs(t - 5.1)), 2.0, 10.0, 1e-4)
         assert x == pytest.approx(5.1, abs=2e-4)
 
     def test_matches_brute_force_grid(self):
@@ -60,14 +74,14 @@ class TestGoldenSection:
         lo, hi = 0.5, 3.0
         grid = np.linspace(lo, hi, 20001)
         brute = max(f(g) for g in grid)
-        x, y = golden_section_max(f, lo, hi, 1e-5)
+        x, y = golden_section_max(each(f), lo, hi, 1e-5)
         assert y >= brute - 1e-8
 
     def test_degenerate_bracket_rejected(self):
         with pytest.raises(ValidationError):
-            golden_section_max(lambda t: t, 2.0, 2.0, 0.1)
+            golden_section_max(each(lambda t: t), 2.0, 2.0, 0.1)
         with pytest.raises(OutOfRangeError):
-            golden_section_max(lambda t: t, 0.0, 1.0, 0.0)
+            golden_section_max(each(lambda t: t), 0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("lo, hi", [(2.0, 10.0), (-1e6, 3.0), (0.5, 0.5 + 1e-12),
                                         (1e300, 1.5e300)])
@@ -77,17 +91,114 @@ class TestGoldenSection:
         finest = finest_tolerance(lo, hi)
         for tol in (1e-300, finest):
             with pytest.raises(OutOfRangeError):
-                golden_section_max(lambda t: -t * t, lo, hi, tol)
+                golden_section_max(each(lambda t: -t * t), lo, hi, tol)
         calls = []
-        golden_section_max(lambda t: calls.append(t) or -abs(t - 0.3 * (lo + hi)),
+        golden_section_max(each(lambda t: calls.append(t) or -abs(t - 0.3 * (lo + hi))),
                            lo, hi, math.nextafter(finest, math.inf))
         assert len(calls) < 2000
+
+    def test_batches_look_ahead(self):
+        # the first batch holds c, d and the 2 + 4 + 8 + 16 points the next
+        # four comparisons could need, the second the needed point and its
+        # 30. Golden-section paths meet, so 4 and 4 of those are repeats,
+        # asked once. The last holds the points to the end of the search.
+        batches = []
+
+        def f(xs):
+            batches.append(len(xs))
+            return [-(x - 3.3) ** 2 for x in xs]
+
+        golden_section_max(f, 2.0, 10.0, 0.05)
+        assert batches == [28, 27, 5]
+
+
+# Objectives of s = (t - lo)/(hi - lo) in [0, 1], so that one drawn shape
+# fits any bracket: a smooth peak, plateaus and steps whose comparisons tie
+# (fc == fd), a constant, and two peaks, which the search need not resolve.
+SHAPES = {
+    "peak": lambda p, q, k: lambda s: -(s - p) ** 2,
+    "plateaus": lambda p, q, k: lambda s: -float(math.floor(abs(s - p) * k)),
+    "rounded": lambda p, q, k: lambda s: round((1.0 - abs(s - p)) * k) / k,
+    "step": lambda p, q, k: lambda s: 1.0 if s >= p else 0.0,
+    "constant": lambda p, q, k: lambda s: 0.0,
+    "two_peaks": lambda p, q, k: lambda s: max(1.0 - 8.0 * abs(s - p),
+                                               0.9 - 8.0 * abs(s - q)),
+}
+
+
+@st.composite
+def searches(draw):
+    """(lo, hi, tol, objective): brackets from a few float spacings to wide,
+    at small and huge magnitudes, and tolerances from below the finest
+    accepted to wider than the bracket."""
+    lo = draw(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.5, 2.0, 1e300, -1e-300])))
+    width = draw(st.one_of(st.floats(0.0, 10.0), st.sampled_from([1e-12, 1e-15, 5e-16])))
+    hi = lo + width * max(1.0, abs(lo))
+    finest = finest_tolerance(lo, hi)
+    tol = draw(st.one_of(
+        st.floats(-12.0, 0.5).map(lambda e: (hi - lo) * 10.0 ** e),
+        st.floats(0.25, 1e3).map(lambda k: finest * k),
+        st.just(math.nextafter(finest, math.inf))))
+    shape = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    g = shape(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)),
+              draw(st.sampled_from([1, 3, 10, 1000])))
+    return lo, hi, tol, lambda t: g((t - lo) / (hi - lo))
+
+
+@settings(max_examples=300, deadline=None)
+@given(search=searches(), first_only=st.booleans())
+def test_batched_search_property(search, first_only):
+    """golden_section_max against the sequential search it replaced: the
+    same (x, y) bit for bit, and each batch asked for exactly when the
+    sequential path reaches a point no earlier batch answered, led by that
+    point. first_only answers only the first point of each batch, as
+    optimize_period does off the closed form."""
+    lo, hi, tol, f = search
+    path, batches = [], []
+
+    def one(t):
+        path.append(t)
+        return f(t)
+
+    def batch(xs):
+        batches.append(list(xs))
+        return [f(x) for x in (xs[:1] if first_only else xs)]
+
+    try:
+        want = reference_optimize.golden_section_max(one, lo, hi, tol)
+    except (ValidationError, OutOfRangeError) as err:
+        with pytest.raises(type(err)):
+            golden_section_max(batch, lo, hi, tol)
+        assert batches == []
+        return
+    got = golden_section_max(batch, lo, hi, tol)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    known, calls = set(), iter(batches)
+    for x in path:
+        if x not in known:
+            xs = next(calls)
+            assert xs[0] == x
+            known.update(xs[:1] if first_only else xs)
+    assert next(calls, None) is None
 
 
 def planted_sweep(speed):
     """A stand-in for sweep_period whose speed at each period is speed(T)."""
     return mock.patch.object(optimize, "sweep_period",
                              lambda sc, periods: [(t, speed(t)) for t in periods])
+
+
+# optimize_period on the flat T = 4 s scenario as the sequential search,
+# one sweep_period call per period, found it: lo, hi, tolerance -> (s, m/s)
+SEQUENTIAL_OPTIMA = {
+    (2.0, 10.0, 0.05): (3.978433730165718, 0.00850457810477184),
+    (1.5, 9.5, 0.05): (3.984558435060147, 0.008509380187710058),
+    (3.0, 5.0, 0.25): (3.9868443825035755, 0.008509619960585272),
+    (0.5, 20.0, 0.01): (3.984660575932667, 0.008509459906782105),
+    (2.5, 6.5, 1e-6): (3.9861750117406274, 0.008510640331084366),
+    (0.5, 2.0, 0.05): (1.987804071866325, 0.0036339354676980635),
+    (9.0, 19.0, 0.3): (9.081306187557834, 0.0037439548119832028),
+}
 
 
 class TestOptimizePeriod:
@@ -113,6 +224,32 @@ class TestOptimizePeriod:
         assert 3.5 <= period <= 4.5
         assert speed == pytest.approx(8.50e-3, abs=0.05e-3)
 
+    @pytest.mark.parametrize("bracket, optimum", list(SEQUENTIAL_OPTIMA.items()))
+    def test_optimum_pinned(self, flat_scenario, bracket, optimum):
+        assert optimize_period(SearchSpec(*bracket), flat_scenario) == optimum
+
+    def test_shipped_search_batched(self, flat_scenario):
+        # the coarse sweep and three batches, where one period a call took 19
+        with mock.patch.object(optimize, "sweep_period",
+                               wraps=optimize.sweep_period) as sweeps, \
+                mock.patch.object(gait, "run") as engine:
+            optimize_period(SearchSpec(2.0, 10.0, 0.05), flat_scenario)
+        assert sweeps.call_count == 4
+        assert engine.call_count == 0
+
+    def test_engine_search_point_by_point(self, flat_scenario):
+        # front_only is off the closed form: every period needed is one run,
+        # and none is run ahead of the search
+        front = replace(flat_scenario,
+                        signal=replace(flat_scenario.signal, mask=MASKS["front_only"]))
+        with mock.patch.object(optimize, "sweep_period",
+                               wraps=optimize.sweep_period) as sweeps, \
+                mock.patch.object(gait, "run", wraps=gait.run) as engine:
+            optimum = optimize_period(SearchSpec(2.0, 10.0, 0.05), front)
+        assert optimum == (3.978433730165718, 0.005858235135396176)
+        assert engine.call_count == 19
+        assert [len(c.args[1]) for c in sweeps.call_args_list] == [5] + [1] * 14
+
     def test_flat_zero_objective(self, flat_scenario):
         # sub-threshold drive never moves: constant zero is (weakly) unimodal
         quiet = replace(flat_scenario,
@@ -122,49 +259,75 @@ class TestOptimizePeriod:
         assert speed == 0.0
 
 
+@pytest.fixture
+def gated(robot, table):
+    """The default build with its stiffness table: what the current search reads."""
+    return Scenario(signal=GaitSignal(period=4.0), robot=robot, table=table)
+
+
 class TestMaxFeasibleCurrent:
-    def test_40mm_gap(self, robot, table):
-        res = max_feasible_current(40e-3, robot, table)
+    def test_40mm_gap(self, gated):
+        res = max_feasible_current(40e-3, gated)
         assert res.current == pytest.approx(0.3775, abs=1e-6)
         assert res.recommendation is None
         assert res.height_m <= 40e-3
         assert res.height_m == pytest.approx(39.7475e-3, abs=1e-6)
         assert "current_a=" in res.summary()
 
-    def test_20mm_gap_needs_front_only(self, robot, table):
-        res = max_feasible_current(20e-3, robot, table)
+    def test_20mm_gap_needs_front_only(self, gated):
+        res = max_feasible_current(20e-3, gated)
         assert res.current is None
         assert res.recommendation == "front_only"
         assert res.height_m is None
         assert "front_only" in res.summary()
 
-    def test_tall_gap_allows_full_current(self, robot, table):
-        res = max_feasible_current(63.5e-3, robot, table)
-        assert res.current == table.currents[-1] == 0.40
-        res2 = max_feasible_current(0.1, robot, table)
+    def test_tall_gap_allows_full_current(self, gated):
+        res = max_feasible_current(63.5e-3, gated)
+        assert res.current == gated.table.currents[-1] == 0.40
+        res2 = max_feasible_current(0.1, gated)
         assert res2.current == 0.40
 
-    def test_monotone_in_gap(self, robot, table):
+    def test_monotone_in_gap(self, gated):
         # start above the threshold-current standing height (about 29.4 mm),
         # below which no feasible current exists at all
         gaps = np.linspace(30e-3, 63e-3, 34)
-        currents = [max_feasible_current(g, robot, table).current for g in gaps]
+        currents = [max_feasible_current(g, gated).current for g in gaps]
         assert all(c is not None for c in currents)
         assert all(b >= a - 1e-12 for a, b in zip(currents, currents[1:]))
 
-    def test_height_at_result_fits(self, robot, table):
-        hmap = CurrentHeightMap.default(robot)
+    def test_height_at_result_fits(self, robot, gated):
+        hmap = CurrentHeightMap.default(robot, ActuatorModel().i_threshold)
         for gap in (30e-3, 45e-3, 55e-3):
-            res = max_feasible_current(gap, robot, table)
+            res = max_feasible_current(gap, gated)
             h = standing_height(robot.leg.leg_length, hmap.beta_cap(res.current),
                                 robot.height_offset)
             assert h <= gap + 1e-12
 
-    def test_validation(self, robot, table):
+    def test_validation(self, gated):
         with pytest.raises(OutOfRangeError):
-            max_feasible_current(0.0, robot, table)
+            max_feasible_current(0.0, gated)
         with pytest.raises(OutOfRangeError):
-            max_feasible_current(40e-3, robot, table, resolution=0.0)
+            max_feasible_current(40e-3, gated, resolution=0.0)
+        with pytest.raises(ValidationError):
+            max_feasible_current(40e-3, replace(gated, table=None))
+
+    def test_map_and_threshold_from_scenario(self, gated):
+        # a map that stands only 10 deg at a 0.33 A threshold fits under a
+        # 25 mm gap, where the default map at 0.28 A does not; the search's
+        # low end is the scenario's threshold
+        robot = gated.robot
+        hmap = CurrentHeightMap(anchors=((0.33, math.radians(10.0)),
+                                         (0.40, math.radians(60.0))))
+        sc = replace(gated, height_map=hmap,
+                     actuator=replace(gated.actuator, i_threshold=0.33))
+        assert max_feasible_current(25e-3, gated).current is None
+        res = max_feasible_current(25e-3, sc)
+        assert res.current == 0.334375
+        assert res.height_m == standing_height(
+            robot.leg.leg_length, hmap.beta_cap(res.current), robot.height_offset)
+        assert res.height_m <= 25e-3
+        assert max_feasible_current(25e-3, replace(sc, actuator=gated.actuator)
+                                    ).current == 0.33625000000000005
 
 
 class TestPredictedTransit:
