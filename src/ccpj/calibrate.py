@@ -28,14 +28,12 @@ from .errors import (
 )
 from .config import data_dir
 from .gait import (
-    FRONT,
-    REAR,
     SWEEP_CYCLES,
     ActuatorModel,
     Scenario,
     SlipModel,
-    _arc_speeds,
     _closed_sweep,
+    _net_advance,
     stroke_arcs,
 )
 from .params import CalibrationTable
@@ -237,8 +235,9 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
     is nondecreasing and the SSE is a convex quadratic A*eta^2 + 2*B*eta
     + C between consecutive knots. Over one interval the grid minimum lies
     on one of the two grid points that bracket the interval's vertex
-    clipped into it. Exact values use _arc_speeds' own arithmetic, so they
-    and the tie-break are the full grid's bit for bit.
+    clipped into it. Exact values net each stroke with gait._net_advance,
+    the closed forms' one stroke rule, so they and the tie-break are the
+    full grid's bit for bit.
 
     Pass 0 sorts nothing. Past K, the largest knot at or below eta = 1 (0
     if there is none), every stroke that goes live in [0, 1] is live, so
@@ -281,8 +280,9 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
     margin = 1e-12 * np.sum((np.sum(r, axis=2) + np.abs(speeds)) ** 2, axis=1)
 
     def sse_at(cand, idx):
-        return np.sum((_arc_speeds(ter, stand[cand], sit[cand], ETA0_GRID[idx],
-                                   scale) - speeds) ** 2, axis=1)
+        e = (ETA0_GRID[idx] * ter.anchor_efficiency)[:, None, None]
+        d = _net_advance(ter, e, stand[cand], sit[cand], True).sum(axis=2)
+        return np.sum((d / scale - speeds) ** 2, axis=1)
 
     # pass 0: each period's residual on [k, 1] is alpha*eta + beta
     live = knot <= 1.0
@@ -431,10 +431,10 @@ def thermal_fit_report(dataset: Dataset, template: Scenario,
 
     The template must be flat, unloaded and admitted by _closed_sweep. The
     residual is the RMS of the search's best SSE: the error at the fit of
-    SWEEP_CYCLES whole cold-start cycles (stroke_arcs, _arc_speeds), which
-    the peak check uses too and sweep_period's points match within
-    rounding. Raises NoFeasibleFit when the fitted curve peaks outside
-    peak_window.
+    SWEEP_CYCLES whole cold-start cycles (stroke_arcs netted by
+    gait._net_advance), which the peak check uses too and sweep_period's
+    points match within rounding. Raises NoFeasibleFit when the fitted
+    curve peaks outside peak_window.
     """
     periods = dataset.column("period_s")
     speeds = dataset.column("speed_mm_s") * 1e-3
@@ -471,8 +471,8 @@ def thermal_fit_report(dataset: Dataset, template: Scenario,
     fine = np.arange(0.5, 20.0 + 1e-9, 0.01)
     stand, sit, _, _ = stroke_arcs(replace(template, actuator=fitted), fine,
                                    SWEEP_CYCLES)
-    v_fine = _arc_speeds(template.terrain, stand, sit, np.array([eta0]),
-                         SWEEP_CYCLES * fine)[0]
+    v_fine = _net_advance(template.terrain, eta0 * template.terrain.anchor_efficiency,
+                          stand, sit, True).sum(axis=-1) / (SWEEP_CYCLES * fine)
     peak = float(fine[int(np.argmax(v_fine))])
     if not (peak_window[0] <= peak <= peak_window[1]):
         raise NoFeasibleFitError(
@@ -522,10 +522,13 @@ def slip_fit_report(dataset: Dataset, template: Scenario) -> CalibrationResult:
     n = len(speeds)
     if n < 3:
         raise TooFewPointsError(n, 3, what="operating points")
-    if not (template.signal.mask[FRONT] and template.signal.mask[REAR]):
+    if not template.all_legs:
         raise ValidationError("the slip fit expects an all-legs scenario template")
 
     stand, sit, _, _ = stroke_arcs(template, (template.signal.period,))
+    if not stand[0] > 0.0:  # no efficiency moves a cycle without strokes
+        raise ValidationError("the slip fit expects a template whose legs stand up: "
+                              "its steady cycle has no stand stroke")
     etas = np.array([
         _invert_cycle_efficiency(float(v), template.signal.period,
                                  float(stand[0]), float(sit[0]),

@@ -14,8 +14,9 @@ exact exponential, and the increments telescope on cos(beta), so results
 do not depend on dt beyond trace resolution. x never decreases and moves
 the caps only through the ceiling gap ahead, so each segment of constant
 caps is one pass (see `run`). Where the caps are fixed, `stroke_arcs` is
-its closed form, and `average_speeds` and `sweep_period` use it for any
-run they admit.
+its closed form, and `_net_advance` nets its strokes, the one closed-form
+stroke rule behind `steady_cycle_displacement`, `average_speeds`,
+`sweep_period` and the thermal fit.
 
 Ratchet re-seating: the ratchet enters the motion only through the
 half-pitch loss a claw pays when it re-seats mid-tooth, eaten from the
@@ -314,6 +315,18 @@ class Scenario:
         mask = tuple(self.signal.mask)
         return next((name for name, m in MASKS.items() if m == mask), "none")
 
+    @property
+    def all_legs(self) -> bool:
+        """Both groups driven: the alternating gait."""
+        return all(self.signal.mask)
+
+    @property
+    def stroke_efficiency(self) -> float:
+        """Share of each ideal stroke realized: the slip efficiency at the
+        scenario's slope and payload times the claw's anchor efficiency."""
+        return self.slip.efficiency(self.terrain.slope, self.payload_mass,
+                                    self.robot.total_mass) * self.terrain.anchor_efficiency
+
 
 FRONT, REAR = 0, 1  # group indices: the front leg, the rear pair
 
@@ -512,9 +525,7 @@ def run(scenario: Scenario) -> SimTrace:
     a_r = (a_f if (sig.mask[FRONT], sig.phase[FRONT]) == (sig.mask[REAR], sig.phase[REAR])
            else _activation(scenario, s0, s1, REAR))
     w_f, w_r = act.window(a_f), act.window(a_r)
-    scale = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
-                                     scenario.robot.total_mass) * ter.anchor_efficiency
-    alternating = sig.mask[FRONT] and sig.mask[REAR]
+    scale = scenario.stroke_efficiency
     rng = (np.random.default_rng(scenario.seed)
            if scenario.slip_noise > 0.0 else None)
 
@@ -575,7 +586,7 @@ def run(scenario: Scenario) -> SimTrace:
             """Advance per sub-step when stroke j starts owing loss[j]."""
             return np.maximum(0.0, stroke - np.maximum(0.0, np.asarray(loss)[k] - before))
 
-        if alternating:
+        if scenario.all_legs:
             # every hand-off re-seats a fully unloaded claw mid-tooth
             loss = [pending] + [ter.reseat_loss] * n_h
         else:
@@ -618,7 +629,7 @@ def run(scenario: Scenario) -> SimTrace:
             # hand back the draws of the strokes past the cut
             rng.bit_generator.state = saved
             rng.standard_normal(j)
-        if not alternating:
+        if not scenario.all_legs:
             slide = slid[j]
             slide[phase] += float(np.sum(np.abs(inc[first[j]:cut] + lever[first[j]:cut])))
 
@@ -713,37 +724,36 @@ def steady_cycle_displacement(scenario: Scenario) -> tuple[float, float, float]:
 
     Returns (displacement_m, beta_top, beta_bot) for the front group.
     Mirrors the simulator's steady cycle exactly, including the re-grip
-    rule, by solving the loss booleans self-consistently.
+    rule, through `_net_advance`'s self-consistent re-seat losses.
     """
     s_stand, s_sit, b_top, b_bot = (
         float(v[0]) for v in stroke_arcs(scenario, (scenario.signal.period,)))
-    return _cycle_advance(scenario, s_stand, s_sit), b_top, b_bot
+    return float(_net_advance(scenario.terrain, scenario.stroke_efficiency, s_stand,
+                              s_sit, scenario.all_legs)), b_top, b_bot
 
 
-def _cycle_advance(scenario: Scenario, s_stand: float, s_sit: float) -> float:
-    """Net advance (m) of one steady cycle from its unit-slip stroke arcs."""
-    ter = scenario.terrain
-    eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
-                                   scenario.robot.total_mass)
-    eta *= ter.anchor_efficiency
-    half = ter.reseat_loss
+def _net_advance(terrain: Terrain, e, stand, sit, alternating: bool):
+    """Net advance (m) of each cycle from its unit-slip stroke arcs,
+    elementwise over the stroke efficiency e and the arcs.
 
-    def net(raw, reseats):
-        return max(0.0, raw - (half if reseats else 0.0))
+    Each stroke nets max(0, e * arc - loss). The alternating gait pays the
+    re-seat loss at every hand-off. A drag gait's claw re-seats only after
+    sliding a full tooth, which depends on the other stroke's net advance:
+    its losses are that rule's fixed point, at most 8 rounds."""
+    half = terrain.reseat_loss
 
-    # the alternating gait re-seats at every hand-off. A drag gait's claw
-    # re-seats only after sliding a full tooth, and how far it slid depends
-    # on the other stroke's net advance: iterate the fixed point.
-    loss_stand, loss_sit = True, True
-    alternating = scenario.signal.mask[FRONT] and scenario.signal.mask[REAR]
+    def net(arc, loss):
+        return np.maximum(0.0, e * arc - loss)
+
+    loss_stand = loss_sit = half
     for _ in range(0 if alternating else 8):
-        slide_front = net(eta * s_sit, loss_sit) + s_stand  # during sit
-        slide_rear = net(eta * s_stand, loss_stand) + s_sit
-        new = (slide_front >= ter.pitch - 1e-12, slide_rear >= ter.pitch - 1e-12)
-        if new == (loss_stand, loss_sit):
+        # each foot's slide: the front's during sit, the rear's during stand
+        new = (np.where(net(sit, loss_sit) + stand >= terrain.pitch - 1e-12, half, 0.0),
+               np.where(net(stand, loss_stand) + sit >= terrain.pitch - 1e-12, half, 0.0))
+        if (new[0] == loss_stand).all() and (new[1] == loss_sit).all():
             break
         loss_stand, loss_sit = new
-    return net(eta * s_stand, loss_stand) + net(eta * s_sit, loss_sit)
+    return net(stand, loss_stand) + net(sit, loss_sit)
 
 
 SWEEP_CYCLES = 6  # cycles sweep_period runs at each period
@@ -756,36 +766,22 @@ def _closed_sweep(scenario: Scenario) -> bool:
     and each group heating exactly in its duty window (Scenario keeps i_low
     below the threshold, so i_high must reach it)."""
     sig = scenario.signal
-    return (tuple(sig.mask) == (True, True) and tuple(sig.phase) == (0.0, 0.0)
+    return (scenario.all_legs and tuple(sig.phase) == (0.0, 0.0)
             and not scenario.terrain.ceiling and scenario.slip_noise == 0.0
             and sig.i_high >= scenario.actuator.i_threshold - 1e-12)
-
-
-def _arc_speeds(terrain: Terrain, stand: np.ndarray, sit: np.ndarray,
-                etas: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """Average speeds from unit-slip cold-start arcs, shape (n_eta, n_runs).
-
-    stand and sit are either shared by the slip efficiencies etas, shape
-    (n_runs, cycles), or one set per efficiency, shape (n_eta, n_runs,
-    cycles); run j takes durations[j]. The alternating gait re-seats at
-    every hand-off, so each stroke nets its slipped arc less the loss."""
-    half = terrain.reseat_loss
-    e = (etas * terrain.anchor_efficiency)[:, None, None]
-    d = (np.maximum(0.0, e * stand - half)
-         + np.maximum(0.0, e * sit - half)).sum(axis=-1)
-    return d / durations
 
 
 def _closed_speeds(sc: Scenario, periods, durations, dts, etas, i_highs
                    ) -> list[float]:
     """Average speeds of closed-form runs that share sc's actuator, duty,
     robot, claw and height map; run j takes periods[j], durations[j],
-    dts[j], slip efficiency etas[j] and high current i_highs[j] (arrays).
+    dts[j], stroke efficiency etas[j] (`Scenario.stroke_efficiency`, so
+    anchor friction included) and high current i_highs[j] (arrays).
 
     Each run is a cold start to its last row at min(duration, n*dt),
-    n = ceil(duration/dt - 1e-9), with every stroke netted as `run` nets
-    it, in passes of at most 2**17 (run, cycle) pairs. The map is taken
-    once and its cap once per distinct high current.
+    n = ceil(duration/dt - 1e-9), every stroke netted by `_net_advance`
+    as `run` nets it, in passes of at most 2**17 (run, cycle) pairs. The
+    map is taken once and its cap once per distinct high current.
     """
     act, hmap = sc.actuator, sc.resolved_height_map()
     cap_of = {i: min(hmap.beta_cap(i), BETA_MAX) for i in set(i_highs.tolist())}
@@ -799,8 +795,8 @@ def _closed_speeds(sc: Scenario, periods, durations, dts, etas, i_highs
             band = _lag_band(sc, act.tau_heat, act.tau_cool, periods[cut], 0,
                              t_end[cut])
         stand, sit, _, _ = _arcs(sc, band, (caps[cut],) * 2, True)
-        speeds += _arc_speeds(sc.terrain, stand[:, None], sit[:, None],
-                              etas[cut], t_end[cut, None])[:, 0].tolist()
+        d = _net_advance(sc.terrain, etas[cut, None], stand, sit, True)
+        speeds += (d.sum(axis=-1) / t_end[cut]).tolist()
     return speeds
 
 
@@ -816,8 +812,7 @@ def average_speeds(variants) -> list[float]:
     admitted = [(v, _closed_sweep(v)) for v in variants]
     closed = [v for v, ok in admitted if ok]
     speeds = iter(_closed_speeds(closed[0], *np.array(
-        [(v.signal.period, v.duration, v.dt, v.slip.efficiency(
-            v.terrain.slope, v.payload_mass, v.robot.total_mass), v.signal.i_high)
+        [(v.signal.period, v.duration, v.dt, v.stroke_efficiency, v.signal.i_high)
          for v in closed]).T) if closed else ())
     return [next(speeds) if ok else run(v).average_speed for v, ok in admitted]
 
@@ -841,10 +836,9 @@ def sweep_period(scenario: Scenario, periods) -> list[tuple[float, float]]:
             duration=SWEEP_CYCLES * period, dt=period / 200.0)).average_speed)
             for period in periods]
     t = np.array(periods, dtype=float)
-    eta = scenario.slip.efficiency(scenario.terrain.slope, scenario.payload_mass,
-                                   scenario.robot.total_mass)
     return list(zip(periods, _closed_speeds(
-        scenario, t, SWEEP_CYCLES * t, t / 200.0, np.full(len(t), eta),
+        scenario, t, SWEEP_CYCLES * t, t / 200.0,
+        np.full(len(t), scenario.stroke_efficiency),
         np.full(len(t), scenario.signal.i_high))))
 
 
@@ -863,7 +857,7 @@ class FeasibilityReport:
 
 def _mask_width(scenario: Scenario) -> float:
     """Worst-case lateral extent of the scenario's gait."""
-    if scenario.mask_name() == "all":
+    if scenario.all_legs:
         # the all-leg gait sits flat every cycle, its widest posture
         return gait_width(scenario.robot, 0.0)
     return drag_width(scenario.robot)
@@ -882,12 +876,14 @@ def _progress_gap_requirement(scenario: Scenario) -> float:
     hi = standing_height(robot.leg.leg_length, BETA_MAX, robot.height_offset)
     band = _lag_band(scenario, act.tau_heat, act.tau_cool, (scenario.signal.period,), 0)
     cap_f, cap_r = _drive_caps(scenario)
+    e, all_legs = scenario.stroke_efficiency, scenario.all_legs
 
     def advances(gap):
         beta_gap = _gap_beta(scenario, gap)
         stand, sit, _, _ = _arcs(scenario, band, (min(cap_f, beta_gap),
                                                   min(cap_r, beta_gap)), 0)
-        return _cycle_advance(scenario, float(stand[0]), float(sit[0])) > 1e-12
+        return _net_advance(scenario.terrain, e, float(stand[0]), float(sit[0]),
+                            all_legs) > 1e-12
 
     if not advances(hi):
         return math.inf

@@ -212,9 +212,12 @@ def simulated_sweep(scenario: Scenario, periods) -> np.ndarray:
 def sweep_speeds(scenario: Scenario, etas, periods) -> np.ndarray:
     """The thermal fit's objective: averages over SWEEP_CYCLES whole
     cold-start cycles at each slip efficiency in etas, shape (n_eta,
-    n_periods), with `gait._arc_speeds`' arithmetic and so its bits.
-    `sweep_period` matches it within rounding where `_closed_sweep` holds."""
+    n_periods), each stroke netted by `gait._net_advance` and so with the
+    thermal fit's bits. `sweep_period` matches it within rounding where
+    `_closed_sweep` holds."""
     periods = np.asarray(periods, dtype=float)
     stand, sit, _, _ = gait.stroke_arcs(scenario, periods, SWEEP_CYCLES)
-    return gait._arc_speeds(scenario.terrain, stand, sit, np.asarray(etas),
-                            SWEEP_CYCLES * periods)
+    ter = scenario.terrain
+    e = (np.asarray(etas) * ter.anchor_efficiency)[:, None, None]
+    d = gait._net_advance(ter, e, stand, sit, True).sum(axis=-1)
+    return d / (SWEEP_CYCLES * periods)

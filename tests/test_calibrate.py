@@ -10,11 +10,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from ccpj import gait
 from ccpj.calibrate import (
     REQUIRED_DATASETS,
     CalibrationResult,
     Dataset,
+    _invert_cycle_efficiency,
     data_dir,
     fit_stiffness_table,
     isotonic_nondecreasing,
@@ -289,6 +292,15 @@ class TestSlipFit:
         with pytest.raises(TooFewPointsError):
             slip_fit_report(ds, template)
 
+    def test_template_whose_legs_never_heat_rejected(self, template):
+        # 0.25 A peaks below the 0.28 A threshold: both stroke arcs are 0,
+        # and no efficiency moves the steady cycle
+        rows = _op_speeds_mm_s(template, SlipModel())
+        ds = make_ds("ops", ("slope_deg", "payload_g", "speed_mm_s"), rows)
+        cold = replace(template, signal=replace(template.signal, i_high=0.25))
+        with pytest.raises(ValidationError, match="stand"):
+            slip_fit_report(ds, cold)
+
     def test_zero_speed_point_rejected(self, template):
         ds = make_ds("zero", ("slope_deg", "payload_g", "speed_mm_s"),
                      [[0.0, 0.0, 8.0], [15.0, 0.0, 0.0], [0.0, 5.0, 0.3]])
@@ -300,6 +312,31 @@ class TestSlipFit:
         report = slip_fit_report(ds, template)
         assert any("clamps" in w for w in report.warnings)
         assert report.residual < 1e-9  # exact solve through three points
+
+
+@settings(max_examples=200, deadline=None)
+@given(stalled=st.booleans(), stand_mm=st.floats(1.0, 60.0),
+       sit_ratio=st.floats(0.05, 2.0), pitch_mm=st.floats(0.5, 8.0),
+       u=st.floats(0.01, 0.99), period=st.floats(0.5, 20.0))
+def test_invert_cycle_efficiency_round_trip_property(stalled, stand_mm, sit_ratio,
+                                                     pitch_mm, u, period):
+    """_invert_cycle_efficiency undoes gait._net_advance on the all-legs
+    gait, on the branch where both strokes advance and on the one where the
+    sit stroke stalls under the re-seat loss."""
+    ter = Terrain(pitch=pitch_mm * 1e-3)
+    half = ter.reseat_loss
+    s_stand, s_sit = stand_mm * 1e-3, sit_ratio * stand_mm * 1e-3
+    if stalled:  # e * s_sit < half < e * s_stand
+        lo, hi = half / s_stand, min(1.0, half / s_sit)
+        assume(sit_ratio <= 0.9)
+    else:  # both strokes net more than the loss
+        lo, hi = half / min(s_stand, s_sit), 1.0
+    assume(lo < hi)
+    e = lo + u * (hi - lo)
+    d = gait._net_advance(ter, e, np.array([s_stand]), np.array([s_sit]), True)[0]
+    assert (e * s_sit <= half) == stalled and e * s_stand > half
+    got = _invert_cycle_efficiency(d / period, period, s_stand, s_sit, half)
+    assert got == pytest.approx(e, rel=1e-12)
 
 
 class TestRunCalibration:

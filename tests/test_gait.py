@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reference_gait import advance, simulated_sweep
 from ccpj import cli, gait
@@ -415,6 +415,34 @@ class TestSteadyCycle:
                 assert run(sc).average_speed <= ideal + 1e-12
 
 
+@settings(max_examples=150, deadline=None)
+@given(mask=st.sampled_from(sorted(MASKS)), surface=st.sampled_from(["ratchet", "smooth"]),
+       pitch_mm=st.floats(0.5, 8.0),
+       mu=st.one_of(st.just((0.0, math.inf)),
+                    st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 2.0))),
+       slope_deg=st.floats(-5.0, 20.0), payload_g=st.floats(0.0, 5.0),
+       period=st.floats(0.5, 8.0), duty=st.floats(0.3, 0.7),
+       tau_heat=st.floats(0.3, 2.5), tau_cool=st.floats(0.1, 1.5))
+def test_steady_cycle_property(mask, surface, pitch_mm, mu, slope_deg, payload_g,
+                               period, duty, tau_heat, tau_cool):
+    """steady_cycle_displacement, whose drag-gait re-seat losses are a fixed
+    point, against run's last cycle once the lag has settled: the cycle
+    starts after n cycles with (e_h*e_c)**n <= 1e-14."""
+    q = math.exp(-duty * period / tau_heat - (1.0 - duty) * period / tau_cool)
+    n = next((k for k in range(1, 401) if q ** k <= 1e-14), None)
+    assume(n is not None)
+    sc = Scenario(signal=GaitSignal(period=period, duty=duty, mask=MASKS[mask]),
+                  terrain=Terrain(slope=math.radians(slope_deg), surface=surface,
+                                  pitch=pitch_mm * 1e-3, mu_forward=mu[0],
+                                  mu_backward=mu[1]),
+                  actuator=ActuatorModel(tau_heat=tau_heat, tau_cool=tau_cool),
+                  payload_mass=payload_g * 1e-3,
+                  duration=(n + 1) * period, dt=period / 200.0)
+    x = run(sc).x
+    d_closed, _, _ = steady_cycle_displacement(sc)
+    assert x[200 * (n + 1)] - x[200 * n] == pytest.approx(d_closed, rel=1e-10, abs=1e-15)
+
+
 class TestSweepPeriod:
     def test_frozen_speed_curve(self, flat_scenario):
         frozen_mm_s = {
@@ -752,8 +780,8 @@ def test_closed_sweep_of_long_runs_split_into_passes(flat_scenario):
     # pairs, so 30 runs take two, whose ends still match the engine
     sc = replace(flat_scenario, duration=5000.2 * 4.0)
     variants = [_sweep_variant(sc, "slope", 0.5 * j) for j in range(30)]
-    with mock.patch.object(gait, "_arc_speeds", wraps=gait._arc_speeds) as passes:
+    with mock.patch.object(gait, "_net_advance", wraps=gait._net_advance) as passes:
         got = average_speeds(variants)
-    assert [len(c.args[3]) for c in passes.call_args_list] == [26, 4]
+    assert [len(c.args[1]) for c in passes.call_args_list] == [26, 4]
     for j in (0, 25, 26, 29):
         assert abs(got[j] - run(variants[j]).average_speed) <= 1e-12
