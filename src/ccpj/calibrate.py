@@ -529,12 +529,17 @@ def slip_fit_report(dataset: Dataset, template: Scenario) -> CalibrationResult:
     if not stand[0] > 0.0:  # no efficiency moves a cycle without strokes
         raise ValidationError("the slip fit expects a template whose legs stand up: "
                               "its steady cycle has no stand stroke")
+    anchor = template.terrain.anchor_efficiency
+    if not anchor > 0.0:  # the claws keep nothing of any stroke
+        raise ValidationError("the slip fit expects a template whose claws anchor: "
+                              "its anchor efficiency is 0")
+    # each inversion gives the whole stroke efficiency, slip times anchor
     etas = np.array([
         _invert_cycle_efficiency(float(v), template.signal.period,
                                  float(stand[0]), float(sit[0]),
                                  template.terrain.reseat_loss)
         for v in speeds
-    ])
+    ]) / anchor
 
     total = template.robot.total_mass
     design = np.column_stack([

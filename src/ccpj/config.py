@@ -3,10 +3,12 @@
 INI-style configs with units spelled in the key names (period_s,
 gap_mm, payload_g) so a reader can never mistake a millimeter for a
 meter. A scenario file overlays the shipped defaults; the merged result
-builds the simulator objects and hashes to a reproducible digest. The
-defaults file is read on every load but parsed and converted once per
-process for each distinct text, so a process that loads many scenarios
-pays for the defaults once.
+builds the simulator objects and hashes to a reproducible digest. One
+table, SCHEMA, names each key's converter and the dataclass field its
+value sets, so a key absent from both files takes that dataclass's own
+default. The defaults file is read on every load but parsed and
+converted once per process for each distinct text, so a process that
+loads many scenarios pays for the defaults once.
 """
 
 from __future__ import annotations
@@ -26,62 +28,65 @@ from .params import BeamParams, CalibrationTable, GaitSignal, RobotParams
 
 SCHEMA_VERSION = 1
 
-# section -> key -> converter tag. Anything not listed here is rejected.
-# Numbers must be finite, except under "float_inf" and in the x-bounds of
-# "regions", where an infinite value means "no limit".
-SCHEMA: dict[str, dict[str, str]] = {
-    "meta": {"schema_version": "int", "name": "str"},
+# section -> key -> (converter tag, the field its value sets). Anything not
+# listed here is rejected. Each section's fields build one parameter object
+# in build_scenario, [run]'s the Scenario's own; None sets no field. Numbers
+# must be finite, except under "float_inf" and in the x-bounds of "regions",
+# where an infinite value means "no limit".
+SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
+    "meta": {"schema_version": ("int", None), "name": ("str", None)},
     "beam": {
-        "n_beads": "int",
-        "bead_thickness_mm": "len",
-        "slack_mm": "len",
-        "leg_length_mm": "len",
-        "beam_mass_g": "mass",
-        "span_3pb_mm": "len",
+        "n_beads": ("int", "n_beads"),
+        "bead_thickness_mm": ("len", "bead_thickness"),
+        "slack_mm": ("len", "slack"),
+        "leg_length_mm": ("len", "leg_length"),
+        "beam_mass_g": ("mass", "beam_mass"),
+        "span_3pb_mm": ("len", "span_3pb"),
     },
     "robot": {
-        "leg_tilt_deploy_deg": "float",
-        "total_mass_g": "mass",
-        "freestanding_height_mm": "len",
-        "height_offset_mm": "len",
-        "deployed_width_mm": "len",
-        "compact_box_mm": "box",
-        "deployed_box_mm": "box",
+        "leg_tilt_deploy_deg": ("float", "leg_tilt_deploy"),
+        "total_mass_g": ("mass", "total_mass"),
+        "freestanding_height_mm": ("len", "freestanding_height"),
+        "height_offset_mm": ("len", "height_offset"),
+        "deployed_width_mm": ("len", "deployed_width"),
+        "compact_box_mm": ("box", "compact_box"),
+        "deployed_box_mm": ("box", "deployed_box"),
     },
-    "stiffness_table": {"points_a_n_m": "pairs"},
+    "stiffness_table": {"points_a_n_m": ("pairs", "points")},
     "actuator": {
-        "tau_heat_s": "float",
-        "tau_cool_s": "float",
-        "i_threshold_a": "float",
-        "a_on": "float",
-        "a_sat": "float",
+        "tau_heat_s": ("float", "tau_heat"),
+        "tau_cool_s": ("float", "tau_cool"),
+        "i_threshold_a": ("float", "i_threshold"),
+        "a_on": ("float", "a_on"),
+        "a_sat": ("float", "a_sat"),
     },
-    "slip": {"eta0": "float", "c_slope": "float", "c_load": "float"},
-    "height_map": {"anchors_a_deg": "pairs"},
+    "slip": {"eta0": ("float", "eta0"), "c_slope": ("float", "c_slope"),
+             "c_load": ("float", "c_load")},
+    "height_map": {"anchors_a_deg": ("pairs", "anchors")},
     "signal": {
-        "period_s": "float",
-        "duty": "float",
-        "i_high_a": "float",
-        "i_low_a": "float",
-        "mask": "mask",
-        "phase": "pair",
+        "period_s": ("float", "period"),
+        "duty": ("float", "duty"),
+        "i_high_a": ("float", "i_high"),
+        "i_low_a": ("float", "i_low"),
+        "mask": ("mask", "mask"),
+        "phase": ("pair", "phase"),
     },
     "terrain": {
-        "slope_deg": "float",
-        "surface": "str",
-        "pitch_mm": "len",
-        "ceiling_gap_mm": "len",
-        "ceiling_region_mm": "regions",
-        "tunnel_width_mm": "len",
-        "mu_forward": "float",
-        "mu_backward": "float_inf",
+        "slope_deg": ("float", "slope"),
+        "surface": ("str", "surface"),
+        "pitch_mm": ("len", "pitch"),
+        "ceiling_gap_mm": ("len", None),
+        "ceiling_region_mm": ("regions", "ceiling"),
+        "tunnel_width_mm": ("len", "tunnel_width"),
+        "mu_forward": ("float", "mu_forward"),
+        "mu_backward": ("float_inf", "mu_backward"),
     },
     "run": {
-        "duration_s": "float",
-        "dt_s": "float",
-        "payload_g": "mass",
-        "seed": "int",
-        "slip_noise": "float",
+        "duration_s": ("float", "duration"),
+        "dt_s": ("float", "dt"),
+        "payload_g": ("mass", "payload_mass"),
+        "seed": ("int", "seed"),
+        "slip_noise": ("float", "slip_noise"),
     },
 }
 
@@ -207,14 +212,14 @@ def _overlay(parser: configparser.ConfigParser, path: Path,
             raise ConfigError(
                 f"{path}: unknown section [{section}] "
                 f"(known: {', '.join(sorted(SCHEMA))})")
-        tags = SCHEMA[section]
+        keys = SCHEMA[section]
         for key, val in parser.items(section):
-            if key not in tags:
+            if key not in keys:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [{section}] "
-                    f"(known: {', '.join(sorted(tags))})")
+                    f"(known: {', '.join(sorted(keys))})")
             try:
-                values[(section, key)] = _convert(tags[key], val)
+                values[(section, key)] = _convert(keys[key][0], val)
             except ValueError as err:
                 raise ConfigError(
                     f"{path} [{section}] {key}: cannot parse {val!r}: {err}"
@@ -276,119 +281,50 @@ def load_config(path: str | Path) -> EffectiveConfig:
                            raw=raw, digest=digest)
 
 
-def build_beam(cfg: EffectiveConfig) -> BeamParams:
-    d = BeamParams()
-    return BeamParams(
-        n_beads=cfg.get("beam", "n_beads", d.n_beads),
-        bead_thickness=cfg.get("beam", "bead_thickness_mm", d.bead_thickness),
-        slack=cfg.get("beam", "slack_mm", d.slack),
-        leg_length=cfg.get("beam", "leg_length_mm", d.leg_length),
-        beam_mass=cfg.get("beam", "beam_mass_g", d.beam_mass),
-        span_3pb=cfg.get("beam", "span_3pb_mm", d.span_3pb),
-    )
-
-
-def build_robot(cfg: EffectiveConfig) -> RobotParams:
-    leg = build_beam(cfg)
-    d = RobotParams()
-    tilt = cfg.get("robot", "leg_tilt_deploy_deg", d.leg_tilt_deploy)
-    free = cfg.get("robot", "freestanding_height_mm", d.freestanding_height)
-    offset = cfg.get("robot", "height_offset_mm")
-    if offset is None:
-        # body height above the leg tips when fully stood
-        offset = free - leg.leg_length * math.sin(math.radians(tilt))
-    return RobotParams(
-        leg=leg,
-        leg_tilt_deploy=tilt,
-        total_mass=cfg.get("robot", "total_mass_g", d.total_mass),
-        height_offset=offset,
-        freestanding_height=free,
-        deployed_width=cfg.get("robot", "deployed_width_mm", d.deployed_width),
-        compact_box=cfg.get("robot", "compact_box_mm", d.compact_box),
-        deployed_box=cfg.get("robot", "deployed_box_mm", d.deployed_box),
-    )
-
-
-def build_table(cfg: EffectiveConfig) -> CalibrationTable | None:
-    points = cfg.get("stiffness_table", "points_a_n_m")
-    if points is None:
-        return None
-    return CalibrationTable.from_points(points)
-
-
-def build_actuator(cfg: EffectiveConfig) -> ActuatorModel:
-    d = ActuatorModel()
-    return ActuatorModel(
-        tau_heat=cfg.get("actuator", "tau_heat_s", d.tau_heat),
-        tau_cool=cfg.get("actuator", "tau_cool_s", d.tau_cool),
-        i_threshold=cfg.get("actuator", "i_threshold_a", d.i_threshold),
-        a_on=cfg.get("actuator", "a_on", d.a_on),
-        a_sat=cfg.get("actuator", "a_sat", d.a_sat),
-    )
-
-
-def build_slip(cfg: EffectiveConfig) -> SlipModel:
-    d = SlipModel()
-    return SlipModel(
-        eta0=cfg.get("slip", "eta0", d.eta0),
-        c_slope=cfg.get("slip", "c_slope", d.c_slope),
-        c_load=cfg.get("slip", "c_load", d.c_load),
-    )
-
-
-def build_height_map(cfg: EffectiveConfig) -> CurrentHeightMap | None:
-    anchors = cfg.get("height_map", "anchors_a_deg")
-    if anchors is None:
-        return None
-    return CurrentHeightMap(anchors=tuple(
-        (cur, math.radians(deg)) for cur, deg in anchors))
-
-
-def build_signal(cfg: EffectiveConfig) -> GaitSignal:
-    d = GaitSignal(period=1.0)
-    return GaitSignal(
-        period=cfg.require("signal", "period_s"),
-        duty=cfg.get("signal", "duty", d.duty),
-        i_high=cfg.get("signal", "i_high_a", d.i_high),
-        i_low=cfg.get("signal", "i_low_a", d.i_low),
-        mask=cfg.get("signal", "mask", d.mask),
-        phase=cfg.get("signal", "phase", d.phase),
-    )
-
-
-def build_terrain(cfg: EffectiveConfig) -> Terrain:
-    d = Terrain()
-    ceiling = list(cfg.get("terrain", "ceiling_region_mm", ()))
-    gap = cfg.get("terrain", "ceiling_gap_mm")
-    if gap is not None:
-        ceiling.append((-math.inf, math.inf, gap))
-    return Terrain(
-        slope=math.radians(cfg.get("terrain", "slope_deg", 0.0)),
-        surface=cfg.get("terrain", "surface", d.surface),
-        pitch=cfg.get("terrain", "pitch_mm", d.pitch),
-        ceiling=tuple(ceiling),
-        tunnel_width=cfg.get("terrain", "tunnel_width_mm", d.tunnel_width),
-        mu_forward=cfg.get("terrain", "mu_forward", d.mu_forward),
-        mu_backward=cfg.get("terrain", "mu_backward", d.mu_backward),
-    )
+def _fields(cfg: EffectiveConfig, section: str) -> dict:
+    """Field -> value of each key of section that the config sets."""
+    return {field: cfg.values[(section, key)]
+            for key, (_, field) in SCHEMA[section].items()
+            if field is not None and (section, key) in cfg.values}
 
 
 def build_scenario(cfg: EffectiveConfig) -> Scenario:
-    """Assemble the full simulation scenario the config describes."""
-    return Scenario(
-        signal=build_signal(cfg),
-        robot=build_robot(cfg),
-        terrain=build_terrain(cfg),
-        actuator=build_actuator(cfg),
-        slip=build_slip(cfg),
-        height_map=build_height_map(cfg),
-        table=build_table(cfg),
-        payload_mass=cfg.get("run", "payload_g", 0.0),
-        duration=cfg.get("run", "duration_s", 24.6),
-        dt=cfg.get("run", "dt_s", 0.04),
-        seed=cfg.get("run", "seed", 0),
-        slip_noise=cfg.get("run", "slip_noise", 0.0),
-    )
+    """Assemble the full simulation scenario the config describes.
+
+    Each section's values set the fields SCHEMA names, and an absent key
+    keeps its dataclass's default. The objects are built in a fixed order
+    (signal, beam, robot, terrain, actuator, slip, height map, table), so
+    a config with several faults always raises the same first error.
+    """
+    cfg.require("signal", "period_s")
+    signal = GaitSignal(**_fields(cfg, "signal"))
+    leg = BeamParams(**_fields(cfg, "beam"))
+    robot = _fields(cfg, "robot")
+    if "height_offset" not in robot:
+        # body height above the leg tips when fully stood
+        tilt = robot.get("leg_tilt_deploy", RobotParams.leg_tilt_deploy)
+        robot["height_offset"] = (robot.get("freestanding_height",
+                                            RobotParams.freestanding_height)
+                                  - leg.leg_length * math.sin(math.radians(tilt)))
+    robot = RobotParams(leg=leg, **robot)
+    terrain = _fields(cfg, "terrain")
+    terrain["slope"] = math.radians(terrain.get("slope", 0.0))
+    gap = cfg.get("terrain", "ceiling_gap_mm")
+    if gap is not None:
+        terrain["ceiling"] = (*terrain.get("ceiling", ()), (-math.inf, math.inf, gap))
+    terrain = Terrain(**terrain)
+    actuator = ActuatorModel(**_fields(cfg, "actuator"))
+    slip = SlipModel(**_fields(cfg, "slip"))
+    height_map = _fields(cfg, "height_map")
+    if height_map:
+        height_map["anchors"] = tuple(
+            (cur, math.radians(deg)) for cur, deg in height_map["anchors"])
+    table = _fields(cfg, "stiffness_table")
+    return Scenario(signal=signal, robot=robot, terrain=terrain, actuator=actuator,
+                    slip=slip,
+                    height_map=CurrentHeightMap(**height_map) if height_map else None,
+                    table=CalibrationTable(**table) if table else None,
+                    **_fields(cfg, "run"))
 
 
 def write_config(path: str | Path, sections: dict[str, dict[str, str]]):

@@ -255,6 +255,25 @@ class TestSlipFit:
         assert fitted.c_slope == pytest.approx(design.c_slope, rel=1e-9)
         assert fitted.c_load == pytest.approx(design.c_load, rel=1e-9)
 
+    def test_recovery_on_a_claw_with_friction(self, template):
+        # the inversion gives slip times anchor efficiency (0.8 here): the
+        # fit must divide the anchor share out, not read it as slip
+        claw = replace(template, terrain=Terrain(mu_forward=0.2, mu_backward=1.0))
+        design = SlipModel(eta0=0.72, c_slope=1.2, c_load=0.25)
+        ds = make_ds("ops", ("slope_deg", "payload_g", "speed_mm_s"),
+                     _op_speeds_mm_s(claw, design))
+        fitted = slip_fit_report(ds, claw).model
+        assert fitted.eta0 == pytest.approx(design.eta0, rel=1e-9)
+        assert fitted.c_slope == pytest.approx(design.c_slope, rel=1e-9)
+        assert fitted.c_load == pytest.approx(design.c_load, rel=1e-9)
+
+    def test_claw_that_never_anchors_rejected(self, template):
+        rows = _op_speeds_mm_s(template, SlipModel())
+        ds = make_ds("ops", ("slope_deg", "payload_g", "speed_mm_s"), rows)
+        slick = replace(template, terrain=Terrain(mu_forward=0.5, mu_backward=0.5))
+        with pytest.raises(ValidationError, match="anchor"):
+            slip_fit_report(ds, slick)
+
     def test_recovery_through_stalled_sit_stroke(self, template):
         # a heavy payload stalls the sit stroke entirely; the piecewise
         # inversion must still pick the right branch
@@ -333,8 +352,9 @@ def test_invert_cycle_efficiency_round_trip_property(stalled, stand_mm, sit_rati
         lo, hi = half / min(s_stand, s_sit), 1.0
     assume(lo < hi)
     e = lo + u * (hi - lo)
+    # within rounding of a branch end, e * arc can land on the other side
+    assume((e * s_sit <= half) == stalled and e * s_stand > half)
     d = gait._net_advance(ter, e, np.array([s_stand]), np.array([s_sit]), True)[0]
-    assert (e * s_sit <= half) == stalled and e * s_stand > half
     got = _invert_cycle_efficiency(d / period, period, s_stand, s_sit, half)
     assert got == pytest.approx(e, rel=1e-12)
 

@@ -624,7 +624,7 @@ SHAPED_TEXT = {
 SCHEMA_ENTRIES = st.sampled_from(
     [(section, key) for section, keys in SCHEMA.items() for key in keys]
 ).flatmap(lambda e: st.tuples(
-    st.just(e), st.one_of(SHAPED_TEXT[SCHEMA[e[0]][e[1]]], ANY_TEXT)))
+    st.just(e), st.one_of(SHAPED_TEXT[SCHEMA[e[0]][e[1]][0]], ANY_TEXT)))
 
 
 def _threshold_edges(test):

@@ -10,22 +10,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_config
 from ccpj import config
 from ccpj.config import (
     MASKS,
     SCHEMA,
     SCHEMA_VERSION,
-    build_height_map,
-    build_robot,
     build_scenario,
-    build_signal,
-    build_table,
-    build_terrain,
     default_config_path,
     load_config,
     write_config,
 )
-from ccpj.errors import ConfigError
+from ccpj.errors import CcpjError, ConfigError
 from ccpj.gait import ActuatorModel, SlipModel
 from ccpj.params import BeamParams, GaitSignal, RobotParams
 
@@ -100,7 +96,7 @@ class TestLoadConfig:
         p = write(tmp_path, "[meta]\nname = bare\n")
         cfg = load_config(p)  # defaults provide everything except period_s
         with pytest.raises(ConfigError, match=r"period_s.*\[signal\]"):
-            build_signal(cfg)
+            build_scenario(cfg)
 
 
 class TestUnitConversion:
@@ -130,7 +126,7 @@ payload_g = 5.0
     def test_constant_ceiling_gap(self, tmp_path):
         p = write(tmp_path, "[signal]\nperiod_s = 4\n"
                             "[terrain]\nceiling_gap_mm = 30\n")
-        ter = build_terrain(load_config(p))
+        ter = build_scenario(load_config(p)).terrain
         assert (-math.inf, math.inf, 30e-3) in ter.ceiling
 
     def test_mask_parse(self, tmp_path):
@@ -138,7 +134,7 @@ payload_g = 5.0
                           ("rear_only", (False, True))]:
             p = write(tmp_path, f"[signal]\nperiod_s = 4\nmask = {raw}\n",
                       name=f"m_{raw}.config")
-            assert build_signal(load_config(p)).mask == mask
+            assert build_scenario(load_config(p)).signal.mask == mask
 
     def test_bad_mask(self, tmp_path):
         p = write(tmp_path, "[signal]\nperiod_s = 4\nmask = left_only\n")
@@ -148,8 +144,31 @@ payload_g = 5.0
     def test_height_map_degrees(self, tmp_path):
         p = write(tmp_path, "[signal]\nperiod_s = 4\n"
                             "[height_map]\nanchors_a_deg = 0.28:20 0.4:60\n")
-        hmap = build_height_map(load_config(p))
+        hmap = build_scenario(load_config(p)).height_map
         assert hmap.beta_cap(0.4) == pytest.approx(math.radians(60.0))
+
+
+# A valid value for every key with a field, none of them the shipped default.
+EVERY_KEY = {
+    "beam": {"n_beads": "21", "bead_thickness_mm": "2.9", "slack_mm": "1.5",
+             "leg_length_mm": "62.0", "beam_mass_g": "0.45", "span_3pb_mm": "39.0"},
+    "robot": {"leg_tilt_deploy_deg": "55.0", "total_mass_g": "2.2",
+              "freestanding_height_mm": "63.0", "height_offset_mm": "10.0",
+              "deployed_width_mm": "65.0", "compact_box_mm": "14:16:72",
+              "deployed_box_mm": "104:119:63"},
+    "stiffness_table": {"points_a_n_m": "0:1.0 0.4:60"},
+    "actuator": {"tau_heat_s": "1.2", "tau_cool_s": "0.6", "i_threshold_a": "0.27",
+                 "a_on": "0.3", "a_sat": "0.7"},
+    "slip": {"eta0": "0.7", "c_slope": "1.9", "c_load": "0.3"},
+    "height_map": {"anchors_a_deg": "0.28:20 0.4:55"},
+    "signal": {"period_s": "5.0", "duty": "0.4", "i_high_a": "0.35",
+               "i_low_a": "0.05", "mask": "front_only", "phase": "0.25:0.5"},
+    "terrain": {"slope_deg": "10.0", "surface": "smooth", "pitch_mm": "2.5",
+                "ceiling_gap_mm": "50", "ceiling_region_mm": "10:110:40",
+                "tunnel_width_mm": "60", "mu_forward": "0.1", "mu_backward": "0.9"},
+    "run": {"duration_s": "12.0", "dt_s": "0.02", "payload_g": "1.0", "seed": "3",
+            "slip_noise": "0.1"},
+}
 
 
 class TestBuilders:
@@ -173,16 +192,33 @@ class TestBuilders:
     def test_height_offset_derived_from_tilt(self, tmp_path):
         p = write(tmp_path, "[signal]\nperiod_s = 4\n"
                             "[robot]\nleg_tilt_deploy_deg = 45\n")
-        robot = build_robot(load_config(p))
+        robot = build_scenario(load_config(p)).robot
         want = 63.5e-3 - 65e-3 * math.sin(math.radians(45.0))
         assert robot.height_offset == pytest.approx(want)
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in SCHEMA.items() if section != "meta"
+        for key in keys])
+    def test_every_key_sets_its_field(self, tmp_path, section, key):
+        """Each key, alone over the defaults, moves the Scenario exactly as
+        the per-section builders did: a key that sets no field, or the
+        wrong one, fails here."""
+        base, one = tmp_path / "base.config", tmp_path / "one.config"
+        write_config(base, {"signal": {"period_s": "4.5"}})
+        sections = {"signal": {"period_s": "4.5"}}
+        sections.setdefault(section, {})[key] = EVERY_KEY[section][key]
+        write_config(one, sections)
+        cfg = load_config(one)
+        sc, want = build_scenario(cfg), reference_config.build_scenario(cfg)
+        assert sc == want and repr(sc) == repr(want)
+        assert sc != build_scenario(load_config(base))
 
     def test_table_absent_without_defaults(self, tmp_path, monkeypatch):
         # a data directory with no tripodbot.default: nothing to merge over
         monkeypatch.setenv("CCPJ_DATA_DIR", str(tmp_path))
         p = write(tmp_path, "[signal]\nperiod_s = 4\n")
         cfg = load_config(p)
-        assert build_table(cfg) is None
+        assert build_scenario(cfg).table is None
 
 
 class TestWriteConfig:
@@ -250,7 +286,7 @@ def oracle_load(path: Path) -> tuple:
                         f"{file}: unknown key {key!r} in [{section}] "
                         f"(known: {', '.join(sorted(SCHEMA[section]))})")
                 try:
-                    values[(section, key)] = config._convert(SCHEMA[section][key], val)
+                    values[(section, key)] = config._convert(SCHEMA[section][key][0], val)
                 except ValueError as err:
                     raise ConfigError(
                         f"{file} [{section}] {key}: cannot parse {val!r}: {err}"
@@ -279,6 +315,16 @@ def outcome(load, path: Path):
         return load(path)
     except ConfigError as err:
         return f"ConfigError: {err}"
+
+
+def built(build, cfg):
+    """The Scenario a builder returns and its repr, or the type and message
+    of the error it raises."""
+    try:
+        scenario = build(cfg)
+    except CcpjError as err:
+        return f"{type(err).__name__}: {err}"
+    return scenario, repr(scenario)
 
 
 def defaults_copy(directory: Path, line: str = "n_beads = 20") -> Path:
@@ -365,19 +411,23 @@ ENTRY = st.sampled_from(
     [(section, key) for section, keys in SCHEMA.items() for key in keys]
     + [("beam", "bogus"), ("motor", "volts")]
 ).flatmap(lambda e: st.tuples(st.just(e), st.one_of(
-    SHAPED_TEXT[SCHEMA[e[0]][e[1]]] if e[1] in SCHEMA.get(e[0], {}) else JUNK,
+    SHAPED_TEXT[SCHEMA[e[0]][e[1]][0]] if e[1] in SCHEMA.get(e[0], {}) else JUNK,
     JUNK)))
 
 
 @settings(deadline=None, max_examples=200)
 @given(entries=st.lists(ENTRY, max_size=8),
        line=st.sampled_from([None, None, None, "n_beads = 20", "n_beads = 21",
-                             "n_beads = 20\nbogus = 1"]))
-def test_overlay_matches_oracle_property(entries, line):
+                             "n_beads = 20\nbogus = 1"]),
+       period=st.sampled_from([None, "4.0"]))
+def test_overlay_matches_oracle_property(entries, line, period):
     """Any overlay, over the shipped defaults or an edited copy: the same
     values, raw strings, digest and name as a from-scratch parse, or the
-    same error."""
-    sections = {}
+    same error; and from a loaded config the same Scenario as the
+    per-section builders, or the same first error."""
+    # the defaults set no period: half the overlays start with one, so that
+    # more of them get past build_scenario's first check
+    sections = {} if period is None else {"signal": {"period_s": period}}
     for (section, key), value in entries:
         sections.setdefault(section, {})[key] = value
     text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
@@ -392,3 +442,6 @@ def test_overlay_matches_oracle_property(entries, line):
         want = outcome(oracle_load, path)
         assert outcome(loaded, path) == want
         assert outcome(loaded, path) == want  # warm
+        if not isinstance(want, str):
+            cfg = load_config(path)
+            assert built(build_scenario, cfg) == built(reference_config.build_scenario, cfg)
