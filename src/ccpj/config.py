@@ -30,9 +30,11 @@ SCHEMA_VERSION = 1
 
 # section -> key -> (converter tag, the field its value sets). Anything not
 # listed here is rejected. Each section's fields build one parameter object
-# in build_scenario, [run]'s the Scenario's own; None sets no field. Numbers
-# must be finite, except under "float_inf" and in the x-bounds of "regions",
-# where an infinite value means "no limit".
+# in build_scenario, [run]'s the Scenario's own; None sets no field. Lengths
+# and masses convert to meters and kilograms, and angles ("angle", and the
+# second of each "angle_pairs" pair) from degrees to radians. Numbers must be
+# finite, except under "float_inf" and in the x-bounds of "regions", where an
+# infinite value means "no limit".
 SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
     "meta": {"schema_version": ("int", None), "name": ("str", None)},
     "beam": {
@@ -62,7 +64,7 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
     },
     "slip": {"eta0": ("float", "eta0"), "c_slope": ("float", "c_slope"),
              "c_load": ("float", "c_load")},
-    "height_map": {"anchors_a_deg": ("pairs", "anchors")},
+    "height_map": {"anchors_a_deg": ("angle_pairs", "anchors")},
     "signal": {
         "period_s": ("float", "period"),
         "duty": ("float", "duty"),
@@ -72,7 +74,7 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "phase": ("pair", "phase"),
     },
     "terrain": {
-        "slope_deg": ("float", "slope"),
+        "slope_deg": ("angle", "slope"),
         "surface": ("str", "surface"),
         "pitch_mm": ("len", "pitch"),
         "ceiling_gap_mm": ("len", None),
@@ -106,6 +108,8 @@ def _convert(tag: str, raw: str):
         return _number(raw)
     if tag == "float_inf":
         return _number(raw, allow_inf=True)
+    if tag == "angle":
+        return math.radians(_number(raw))
     if tag == "str":
         return raw.strip()
     if tag == "len":
@@ -120,11 +124,12 @@ def _convert(tag: str, raw: str):
     if tag == "pair":
         a, b = raw.split(":")
         return (_number(a), _number(b))
-    if tag == "pairs":
+    if tag in ("pairs", "angle_pairs"):
         out = []
         for item in raw.split():
             a, b = item.split(":")
-            out.append((_number(a), _number(b)))
+            a, b = _number(a), _number(b)
+            out.append((a, math.radians(b) if tag == "angle_pairs" else b))
         if not out:
             raise ValueError("empty list")
         return tuple(out)
@@ -308,7 +313,6 @@ def build_scenario(cfg: EffectiveConfig) -> Scenario:
                                   - leg.leg_length * math.sin(math.radians(tilt)))
     robot = RobotParams(leg=leg, **robot)
     terrain = _fields(cfg, "terrain")
-    terrain["slope"] = math.radians(terrain.get("slope", 0.0))
     gap = cfg.get("terrain", "ceiling_gap_mm")
     if gap is not None:
         terrain["ceiling"] = (*terrain.get("ceiling", ()), (-math.inf, math.inf, gap))
@@ -316,9 +320,6 @@ def build_scenario(cfg: EffectiveConfig) -> Scenario:
     actuator = ActuatorModel(**_fields(cfg, "actuator"))
     slip = SlipModel(**_fields(cfg, "slip"))
     height_map = _fields(cfg, "height_map")
-    if height_map:
-        height_map["anchors"] = tuple(
-            (cur, math.radians(deg)) for cur, deg in height_map["anchors"])
     table = _fields(cfg, "stiffness_table")
     return Scenario(signal=signal, robot=robot, terrain=terrain, actuator=actuator,
                     slip=slip,

@@ -708,10 +708,7 @@ def _arcs(scenario: Scenario, band: np.ndarray, caps: tuple[float, float],
     leg = scenario.robot.leg.leg_length
     beta_f = band * caps[0]
     cos_f = np.cos(beta_f)
-    # equal caps give the rear group the front's angles, and so its cosines
-    # (caps are two floats, or one array of caps passed as both)
-    same = caps[1] is caps[0] or caps[1] == caps[0]
-    cos_r = cos_f if same else np.cos(band * caps[1])
+    cos_r = np.cos(band * caps[1])
     # each stand rises from the previous cycle's bottom, the first from flat
     cos_start = cos_f[1]
     if cycles:

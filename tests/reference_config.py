@@ -4,15 +4,25 @@ Each builder below repeats its section's keys and its dataclass's defaults.
 `ccpj.config.build_scenario`, which reads both from `SCHEMA` instead, must
 give an `==` Scenario for every config, or raise the same first error (see
 `test_config.py`). Nothing in the package imports this module.
+
+`load_config` now converts the two angle keys to radians, so the builders
+read those keys' degrees from the raw text, through the converters the
+keys had before (`_degrees`).
 """
 
 from __future__ import annotations
 
 import math
 
-from ccpj.config import EffectiveConfig
+from ccpj.config import EffectiveConfig, _convert
 from ccpj.gait import ActuatorModel, CurrentHeightMap, Scenario, SlipModel, Terrain
 from ccpj.params import BeamParams, CalibrationTable, GaitSignal, RobotParams
+
+
+def _degrees(cfg: EffectiveConfig, section: str, key: str, tag: str, default=None):
+    """An angle key's value in degrees, as the `tag` converter reads its text."""
+    raw = cfg.raw.get((section, key))
+    return default if raw is None else _convert(tag, raw)
 
 
 def build_beam(cfg: EffectiveConfig) -> BeamParams:
@@ -76,7 +86,7 @@ def build_slip(cfg: EffectiveConfig) -> SlipModel:
 
 
 def build_height_map(cfg: EffectiveConfig) -> CurrentHeightMap | None:
-    anchors = cfg.get("height_map", "anchors_a_deg")
+    anchors = _degrees(cfg, "height_map", "anchors_a_deg", "pairs")
     if anchors is None:
         return None
     return CurrentHeightMap(anchors=tuple(
@@ -102,7 +112,7 @@ def build_terrain(cfg: EffectiveConfig) -> Terrain:
     if gap is not None:
         ceiling.append((-math.inf, math.inf, gap))
     return Terrain(
-        slope=math.radians(cfg.get("terrain", "slope_deg", 0.0)),
+        slope=math.radians(_degrees(cfg, "terrain", "slope_deg", "float", 0.0)),
         surface=cfg.get("terrain", "surface", d.surface),
         pitch=cfg.get("terrain", "pitch_mm", d.pitch),
         ceiling=tuple(ceiling),

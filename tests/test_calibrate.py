@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ccpj import gait
 from ccpj.calibrate import (
@@ -337,11 +337,16 @@ class TestSlipFit:
 @given(stalled=st.booleans(), stand_mm=st.floats(1.0, 60.0),
        sit_ratio=st.floats(0.05, 2.0), pitch_mm=st.floats(0.5, 8.0),
        u=st.floats(0.01, 0.99), period=st.floats(0.5, 20.0))
+# e * s_sit rounds onto the far side of the sit stroke's stall kink
+@example(stalled=False, stand_mm=1.0, sit_ratio=0.5000000000000001, pitch_mm=1.0,
+         u=0.5, period=1.0)
 def test_invert_cycle_efficiency_round_trip_property(stalled, stand_mm, sit_ratio,
                                                      pitch_mm, u, period):
     """_invert_cycle_efficiency undoes gait._net_advance on the all-legs
     gait, on the branch where both strokes advance and on the one where the
-    sit stroke stalls under the re-seat loss."""
+    sit stroke stalls under the re-seat loss. A draw near the kink may
+    round onto the other branch; the advance is continuous there, so it
+    must round-trip all the same."""
     ter = Terrain(pitch=pitch_mm * 1e-3)
     half = ter.reseat_loss
     s_stand, s_sit = stand_mm * 1e-3, sit_ratio * stand_mm * 1e-3
@@ -352,8 +357,7 @@ def test_invert_cycle_efficiency_round_trip_property(stalled, stand_mm, sit_rati
         lo, hi = half / min(s_stand, s_sit), 1.0
     assume(lo < hi)
     e = lo + u * (hi - lo)
-    # within rounding of a branch end, e * arc can land on the other side
-    assume((e * s_sit <= half) == stalled and e * s_stand > half)
+    assume(e * s_stand > half)  # the cycle advances
     d = gait._net_advance(ter, e, np.array([s_stand]), np.array([s_sit]), True)[0]
     got = _invert_cycle_efficiency(d / period, period, s_stand, s_sit, half)
     assert got == pytest.approx(e, rel=1e-12)

@@ -399,12 +399,13 @@ def _joined(part, n):
 
 SHAPED_TEXT = {
     "int": st.integers(-5, 40).map(str),
-    "float": SMALL, "float_inf": SMALL, "len": SMALL, "mass": SMALL,
+    "float": SMALL, "float_inf": SMALL, "len": SMALL, "mass": SMALL, "angle": SMALL,
     "str": st.sampled_from(["smooth", "ratchet", "ice", "a/b"]),
     "mask": st.sampled_from([*MASKS, "both"]),
     "pair": _joined(st.floats(0.0, 1.0).map(repr), 2),
     "box": _joined(SMALL, 3),
     "pairs": st.lists(_joined(SMALL, 2), min_size=1, max_size=4).map(" ".join),
+    "angle_pairs": st.lists(_joined(SMALL, 2), min_size=1, max_size=4).map(" ".join),
     "regions": st.lists(_joined(SMALL, 3), min_size=1, max_size=2).map(" ".join),
 }
 ENTRY = st.sampled_from(
