@@ -5,9 +5,9 @@ Each builder below repeats its section's keys and its dataclass's defaults.
 give an `==` Scenario for every config, or raise the same first error (see
 `test_config.py`). Nothing in the package imports this module.
 
-`load_config` now converts the two angle keys to radians, so the builders
-read those keys' degrees from the raw text, through the converters the
-keys had before (`_degrees`).
+`load_config` gives the two angle keys in radians, so these builders read
+those keys' degrees from the raw text, through the converters the keys had
+when the builders were written (`_degrees`).
 """
 
 from __future__ import annotations
