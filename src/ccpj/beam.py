@@ -105,13 +105,9 @@ class BeamShape:
             raise ValidationError(f"base pose {self.base_position!r}, "
                                   f"{self.base_orientation!r} is not finite")
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.joint_angles) + 1
-
 
 def node_positions(shape: BeamShape, segment_length: float) -> np.ndarray:
-    """(n_segments+1, 2) array of node coordinates, base node first."""
+    """(len(joint_angles) + 2, 2) array of node coordinates, base node first."""
     theta = np.asarray(shape.joint_angles, dtype=float)
     phi = shape.base_orientation + np.concatenate(([0.0], np.cumsum(theta)))
     steps = segment_length * np.stack([np.cos(phi), np.sin(phi)], axis=1)

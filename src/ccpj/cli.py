@@ -3,7 +3,8 @@
 Subcommands: simulate, sweep, calibrate, optimize, report. All artifacts
 (CSV traces, SVG figures, text reports) are deterministic: no
 timestamps, fixed formatting, so reruns of a shipped scenario are
-byte-identical. Exit codes: 0 ok, 2 configuration, 3 simulation, 4 data.
+byte-identical. Exit codes: 0 ok, else the error class's `exit_code`
+(2 configuration, 3 simulation, 4 data).
 """
 
 from __future__ import annotations
@@ -27,18 +28,7 @@ from .config import (
     load_config,
     write_config,
 )
-from .errors import (
-    CcpjError,
-    ConfigError,
-    EmptyDatasetError,
-    InfeasibleConfinementError,
-    NoConvergenceError,
-    NoFeasibleFitError,
-    NotUnimodalError,
-    SingularSystemError,
-    TooFewPointsError,
-    UnreachableError,
-)
+from .errors import CcpjError, ConfigError, InfeasibleConfinementError
 from .gait import (
     Scenario,
     SimTrace,
@@ -56,12 +46,7 @@ from .optimize import (
 )
 from .plotsvg import line_plot
 
-EXIT_OK, EXIT_CONFIG, EXIT_SIM, EXIT_DATA = 0, 2, 3, 4
-
-SIM_ERRORS = (InfeasibleConfinementError, NotUnimodalError,
-              NoConvergenceError, UnreachableError)
-DATA_ERRORS = (FileNotFoundError, EmptyDatasetError, TooFewPointsError,
-               SingularSystemError, NoFeasibleFitError)
+EXIT_OK, EXIT_DATA = 0, 4
 
 
 @dataclass
@@ -209,7 +194,7 @@ def _simulate(args, cfg: EffectiveConfig, sc: Scenario) -> int:
     _write(out / csv_name, trace.to_csv())
     svg_name = f"{cfg.name}_displacement.svg"
     _write(out / svg_name, line_plot(
-        [("x", trace.t, trace.x * 1e3)],
+        trace.t, trace.x * 1e3,
         xlabel="time (s)", ylabel="displacement (mm)",
         title=f"{cfg.name}: displacement vs time"))
     report = RunReport(name=cfg.name, digest=cfg.digest,
@@ -281,7 +266,7 @@ def _sweep(args, cfg: EffectiveConfig, sc: Scenario) -> int:
                   f"max at {values[k_best]:.6g} s")
     svg_name = f"{cfg.name}_sweep_{args.param}.svg"
     _write(out / svg_name, line_plot(
-        [("speed", values, [s * 1e3 for s in speeds])],
+        values, [s * 1e3 for s in speeds],
         xlabel=col, ylabel="speed (mm/s)",
         title=f"{cfg.name}: speed vs {args.param}", marker=marker))
 
@@ -440,12 +425,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SIM_ERRORS as err:
-        return _fail(EXIT_SIM, err)
-    except DATA_ERRORS as err:
+    except FileNotFoundError as err:  # a dataset file the loader cannot open
         return _fail(EXIT_DATA, err)
     except CcpjError as err:
-        return _fail(EXIT_CONFIG, err)
+        return _fail(err.exit_code, err)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Every error raised by the package derives from CcpjError so callers (and the
 CLI) can catch one type. Subclasses carry enough structured state to be
-reported without string parsing.
+reported without string parsing, and each class carries the `ccpj` exit
+code of its fault: 2 configuration (the default), 3 simulation, 4 data.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 class CcpjError(Exception):
     """Base class for all ccpj errors."""
+
+    exit_code = 2
 
 
 class ValidationError(CcpjError):
@@ -67,6 +70,8 @@ class NonMonotoneStiffnessError(ValidationError):
 class TooFewPointsError(ValidationError):
     """A table or dataset needs more rows than it has."""
 
+    exit_code = 4
+
     def __init__(self, n: int, need: int, what: str = "table"):
         self.n = n
         self.need = need
@@ -75,6 +80,8 @@ class TooFewPointsError(ValidationError):
 
 class UnreachableError(CcpjError):
     """A kinematic target is outside what the geometry can deliver."""
+
+    exit_code = 3
 
     def __init__(self, message: str, requested: float, limit: float):
         self.requested = requested
@@ -89,6 +96,8 @@ class NoConvergenceError(CcpjError):
     restart from the best point found.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, last_iterate, grad_norm: float, iterations: int):
         self.last_iterate = last_iterate
         self.grad_norm = grad_norm
@@ -102,9 +111,13 @@ class NoConvergenceError(CcpjError):
 class SingularSystemError(CcpjError):
     """A linear solve inside a fit or solver met a singular matrix."""
 
+    exit_code = 4
+
 
 class InfeasibleConfinementError(CcpjError):
     """No gait mode can pass the requested confinement."""
+
+    exit_code = 3
 
     def __init__(self, message: str, required_mm: float, available_mm: float):
         self.reason = message  # without the (needs, has) suffix
@@ -142,9 +155,13 @@ class AllMasksInfeasibleError(InfeasibleConfinementError):
 class EmptyDatasetError(ValidationError):
     """A calibration dataset contained no usable rows."""
 
+    exit_code = 4
+
 
 class NoFeasibleFitError(CcpjError):
     """Calibration search finished but no candidate satisfied the constraints."""
+
+    exit_code = 4
 
     def __init__(self, message: str, best_loss: float | None = None):
         self.best_loss = best_loss
@@ -153,6 +170,8 @@ class NoFeasibleFitError(CcpjError):
 
 class NotUnimodalError(CcpjError):
     """Objective sampled on the search bracket is not single-peaked."""
+
+    exit_code = 3
 
     def __init__(self, xs, ys):
         self.xs = list(xs)

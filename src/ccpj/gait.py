@@ -143,14 +143,21 @@ class CurrentHeightMap:
         cur = [a[0] for a in self.anchors]
         if len(cur) < 2 or any(b <= a for a, b in zip(cur, cur[1:])):
             raise ValidationError("height map anchors must have increasing currents")
+        for _, beta in self.anchors:
+            if not (0.0 <= beta <= BETA_MAX):  # NaN fails too
+                raise OutOfRangeError("height map angle", beta, 0.0, BETA_MAX)
 
     def beta_cap(self, i_high: float) -> float:
-        """Standing-angle ceiling (rad) for a square wave peaking at i_high."""
+        """Standing-angle ceiling (rad) for a square wave peaking at i_high.
+
+        Never above the highest anchor angle: np.interp can round an ulp
+        past its anchors just below an anchor current.
+        """
         cur = [a[0] for a in self.anchors]
         if i_high < cur[0] - 1e-12:
             return 0.0
         beta = [a[1] for a in self.anchors]
-        return float(np.interp(i_high, cur, beta))
+        return min(float(np.interp(i_high, cur, beta)), max(beta))
 
 
 # Finest ratchet pitch accepted (m), 1/3000 of the shipped teeth: a
@@ -253,7 +260,13 @@ MAX_STEPS = 10**6
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one simulation run needs."""
+    """Everything one simulation run needs.
+
+    `height_map=None` builds `CurrentHeightMap.default` for the robot and
+    the actuator's threshold, so every scenario holds the map it runs with.
+    `dataclasses.replace` keeps that map: pass `height_map=None` with a
+    new `robot` or `i_threshold` to rebuild it.
+    """
 
     signal: GaitSignal
     robot: RobotParams = field(default_factory=RobotParams)
@@ -305,11 +318,9 @@ class Scenario:
                 f"i_low_a={self.signal.i_low!r} must be below i_threshold_a="
                 f"{self.actuator.i_threshold!r}: the legs would never cool"
             )
-
-    def resolved_height_map(self) -> CurrentHeightMap:
-        if self.height_map is not None:
-            return self.height_map
-        return CurrentHeightMap.default(self.robot, self.actuator.i_threshold)
+        if self.height_map is None:
+            object.__setattr__(self, "height_map", CurrentHeightMap.default(
+                self.robot, self.actuator.i_threshold))
 
     def mask_name(self) -> str:
         mask = tuple(self.signal.mask)
@@ -339,25 +350,28 @@ def _gap_at(scenario: Scenario, x):
     return scenario.terrain.gap_over(x - leg / 2.0, x + leg + LOOKAHEAD)
 
 
-def _beta_caps(scenario: Scenario, x: float,
+def _beta_caps(scenario: Scenario, gap: float,
                drive: tuple[float, float]) -> tuple[float, float]:
-    """Standing-angle ceiling per group at body position x.
+    """Standing-angle ceiling per group under a ceiling gap (m).
 
     Clips the current->angle map's caps, `drive` (`_drive_caps`, taken
-    once by the caller), by any ceiling. The ceiling is applied over a
-    conservative envelope ahead of the body so the robot ducks before
+    once by the caller), to the highest angle that fits under the gap; an
+    infinite gap leaves them as they are. `_gap_at` takes the gap over a
+    conservative envelope ahead of the body, so the robot ducks before
     its reach enters the region.
     """
-    cap_f, cap_r = drive
-    gap = _gap_at(scenario, x)
-    if gap < scenario.robot.height_offset - 1e-12:
+    robot = scenario.robot
+    if gap < robot.height_offset - 1e-12:
         raise InfeasibleConfinementError(
             "gap below the fully-flat body height",
-            required_mm=scenario.robot.height_offset * 1e3,
+            required_mm=robot.height_offset * 1e3,
             available_mm=gap * 1e3,
         )
-    beta_gap = _gap_beta(scenario, gap)
-    return min(cap_f, beta_gap), min(cap_r, beta_gap)
+    if not math.isfinite(gap):
+        return drive
+    leg, offset = robot.leg.leg_length, robot.height_offset
+    beta_gap = beta_for_height(min(gap, standing_height(leg, BETA_MAX, offset)), leg, offset)
+    return min(drive[0], beta_gap), min(drive[1], beta_gap)
 
 
 def _drive_caps(scenario: Scenario) -> tuple[float, float]:
@@ -366,19 +380,11 @@ def _drive_caps(scenario: Scenario) -> tuple[float, float]:
     A group whose wave never heats, masked off or peaking below the
     threshold, stays flat whatever the map says: its cap is 0.
     """
-    hmap, sig = scenario.resolved_height_map(), scenario.signal
+    sig = scenario.signal
     if not sig.i_high >= scenario.actuator.i_threshold - 1e-12:
         return 0.0, 0.0
-    cap = min(hmap.beta_cap(sig.i_high), BETA_MAX)
+    cap = scenario.height_map.beta_cap(sig.i_high)
     return (cap if sig.mask[FRONT] else 0.0), (cap if sig.mask[REAR] else 0.0)
-
-
-def _gap_beta(scenario: Scenario, gap: float) -> float:
-    """Highest standing angle (rad) that fits under a ceiling gap (m)."""
-    if not math.isfinite(gap):
-        return BETA_MAX
-    leg, offset = scenario.robot.leg.leg_length, scenario.robot.height_offset
-    return beta_for_height(min(gap, standing_height(leg, BETA_MAX, offset)), leg, offset)
 
 
 def _switch_after(signal: GaitSignal, t: np.ndarray, phase: float) -> np.ndarray:
@@ -540,8 +546,9 @@ def run(scenario: Scenario) -> SimTrace:
     row = 0
     while True:
         b = row_at[row]
+        gap = _gap_at(scenario, x[b])
         try:
-            cap_f, cap_r = _beta_caps(scenario, x[b], drive)
+            cap_f, cap_r = _beta_caps(scenario, gap, drive)
         except InfeasibleConfinementError as err:
             if row == 0:  # the starting posture: no time stamp
                 raise
@@ -551,7 +558,6 @@ def run(scenario: Scenario) -> SimTrace:
         caps.append((row, cap_f, cap_r))
         if b == len(s0):
             break
-        gap = _gap_at(scenario, x[b])
         bf, br = w_f[b:] * cap_f, w_r[b:] * cap_r
         cos_f, cos_r = np.cos(bf), np.cos(br)
         dbf, dbr = np.diff(bf), np.diff(br)
@@ -666,7 +672,7 @@ def stroke_arcs(scenario: Scenario, periods, cycles: int = 0, taus=None
     """
     act = scenario.actuator
     tau_heat, tau_cool = taus or (act.tau_heat, act.tau_cool)
-    caps = _beta_caps(scenario, 0.0, _drive_caps(scenario))
+    caps = _beta_caps(scenario, _gap_at(scenario, 0.0), _drive_caps(scenario))
     return _arcs(scenario, _lag_band(scenario, tau_heat, tau_cool, periods, cycles),
                  caps, cycles)
 
@@ -781,10 +787,10 @@ def _closed_speeds(sc: Scenario, periods, durations, dts, etas, i_highs
     Each run is a cold start to its last row at min(duration, n*dt),
     n = ceil(duration/dt - 1e-9), every stroke netted by `_net_advance`
     as `run` nets it, in passes of at most 2**17 (run, cycle) pairs. The
-    map is taken once and its cap once per distinct high current.
+    height map's cap is taken once per distinct high current.
     """
-    act, hmap = sc.actuator, sc.resolved_height_map()
-    cap_of = {i: min(hmap.beta_cap(i), BETA_MAX) for i in set(i_highs.tolist())}
+    act = sc.actuator
+    cap_of = {i: sc.height_map.beta_cap(i) for i in set(i_highs.tolist())}
     caps = np.array([cap_of[i] for i in i_highs.tolist()])[:, None]
     t_end = np.minimum(durations, np.ceil(durations / dts - 1e-9) * dts)
     # a pass holds ~100 bytes per (run, cycle): split long runs to bound it
@@ -852,7 +858,6 @@ class FeasibilityReport:
     max_height_m: float
     predicted_cycle_advance_m: float
     width_required_m: float
-    width_available_m: float
 
 
 def _mask_width(scenario: Scenario) -> float:
@@ -875,13 +880,11 @@ def _progress_gap_requirement(scenario: Scenario) -> float:
     lo = robot.height_offset + 1e-9
     hi = standing_height(robot.leg.leg_length, BETA_MAX, robot.height_offset)
     band = _lag_band(scenario, act.tau_heat, act.tau_cool, (scenario.signal.period,), 0)
-    cap_f, cap_r = _drive_caps(scenario)
+    drive = _drive_caps(scenario)
     e, all_legs = scenario.stroke_efficiency, scenario.all_legs
 
     def advances(gap):
-        beta_gap = _gap_beta(scenario, gap)
-        stand, sit, _, _ = _arcs(scenario, band, (min(cap_f, beta_gap),
-                                                  min(cap_r, beta_gap)), 0)
+        stand, sit, _, _ = _arcs(scenario, band, _beta_caps(scenario, gap, drive), 0)
         return _net_advance(scenario.terrain, e, float(stand[0]), float(sit[0]),
                             all_legs) > 1e-12
 
@@ -942,7 +945,6 @@ def navigate_confined(scenario: Scenario) -> tuple[SimTrace, FeasibilityReport]:
         max_height_m=float(np.max(trace.height)),
         predicted_cycle_advance_m=d_cycle,
         width_required_m=width_need,
-        width_available_m=width_have,
     )
     return trace, report
 

@@ -201,11 +201,11 @@ def max_feasible_current(gap: float, scenario: Scenario, *,
     table, robot = scenario.table, scenario.robot
     if table is None:
         raise ValidationError("max_feasible_current needs a calibration table")
-    hmap = scenario.resolved_height_map()
     leg = robot.leg.leg_length
 
     def height(i_high: float) -> float:
-        return standing_height(leg, hmap.beta_cap(i_high), robot.height_offset)
+        return standing_height(leg, scenario.height_map.beta_cap(i_high),
+                               robot.height_offset)
 
     i_max = table.currents[-1]
     if height(i_max) <= gap:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ValidationError
 from .fixedfmt import format_columns
 
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+STROKE = "#1f77b4"  # the curve's colour
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 46
@@ -63,32 +63,27 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def line_plot(series, xlabel: str, ylabel: str, title: str,
+def line_plot(xs, ys, xlabel: str, ylabel: str, title: str,
               marker: tuple[float, float, str] | None = None) -> str:
-    """SVG for one or more (label, xs, ys) series.
+    """SVG of one curve through the points (xs, ys).
 
-    `xs` and `ys` are equal-length sequences or arrays of finite numbers;
-    a length mismatch, or a NaN or infinite value anywhere (the marker
-    included), raises `ValidationError`. `marker` drops an annotated
-    point, e.g. the argmax of a sweep. Each polyline is mapped to pixels
-    as one array expression and written by `fixedfmt.format_columns`'s
-    table gathers, to the same bytes as formatting each point with
-    `f"{v:.2f}"`. The title, axis and series labels and the marker text
-    are XML-escaped.
+    `xs` and `ys` are equal-length, non-empty sequences or arrays of
+    finite numbers; an empty curve, a length mismatch, or a NaN or
+    infinite value anywhere (the marker included), raises
+    `ValidationError`. `marker` drops an annotated point, e.g. the argmax
+    of a sweep. The polyline is mapped to pixels as one array expression
+    and written by `fixedfmt.format_columns`'s table gathers, to the same
+    bytes as formatting each point with `f"{v:.2f}"`. The title, axis
+    labels and the marker text are XML-escaped.
     """
-    if not series:
-        raise ValidationError("line_plot needs at least one series")
-    arrays = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-              for label, xs, ys in series]
-    for label, xs, ys in arrays:
-        if xs.shape != ys.shape:
-            raise ValidationError(f"line_plot series {label!r} has "
-                                  f"{len(xs)} xs but {len(ys)} ys")
-    if not any(xs.size for _, xs, _ in arrays):
-        raise ValidationError("line_plot got only empty series")
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape:
+        raise ValidationError(f"line_plot has {len(xs)} xs but {len(ys)} ys")
+    if not xs.size:
+        raise ValidationError("line_plot got an empty curve")
     mx, my = ([], []) if marker is None else ([marker[0]], [marker[1]])
-    xs_all = np.concatenate([*(xs for _, xs, _ in arrays), mx])
-    ys_all = np.concatenate([*(ys for _, _, ys in arrays), my])
+    xs_all = np.concatenate([xs, mx])
+    ys_all = np.concatenate([ys, my])
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     # min and max propagate NaN, so all four are finite iff every point is.
@@ -144,19 +139,9 @@ def line_plot(series, xlabel: str, ylabel: str, title: str,
                f'transform="rotate(-90 16 '
                f'{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.0f})">{escape(ylabel)}</text>')
 
-    for i, (label, xs, ys) in enumerate(arrays):
-        color = PALETTE[i % len(PALETTE)]
-        pts = format_columns((px(xs), py(ys)), (2, 2), ", ")[:-1]
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5"/>')
-        if len(series) > 1:
-            ly = MARGIN_T + 16 + 16 * i
-            out.append(f'<line x1="{WIDTH - MARGIN_R - 120}" y1="{ly}" '
-                       f'x2="{WIDTH - MARGIN_R - 96}" y2="{ly}" '
-                       f'stroke="{color}" stroke-width="1.5"/>')
-            out.append(f'<text x="{WIDTH - MARGIN_R - 90}" y="{ly + 4}" '
-                       f'font-family="sans-serif" font-size="11">'
-                       f'{escape(label)}</text>')
+    pts = format_columns((px(xs), py(ys)), (2, 2), ", ")[:-1]
+    out.append(f'<polyline points="{pts}" fill="none" stroke="{STROKE}" '
+               f'stroke-width="1.5"/>')
 
     if marker is not None:
         mx, my, text = marker

@@ -78,7 +78,7 @@ def step(state: GaitState, scenario: Scenario, dt: float | None = None,
     eta = scenario.slip.efficiency(ter.slope, scenario.payload_mass,
                                    scenario.robot.total_mass)
     anchor_eff = ter.anchor_efficiency
-    cap_f, cap_r = _beta_caps(scenario, state.x, _drive_caps(scenario))
+    cap_f, cap_r = _beta_caps(scenario, gait._gap_at(scenario, state.x), _drive_caps(scenario))
     pitch = ter.pitch
 
     t_end = state.t + dt
@@ -167,7 +167,7 @@ def run(scenario: Scenario) -> SimTrace:
     act = scenario.actuator
 
     def snapshot(prev_x: float):
-        cap_f, cap_r = _beta_caps(scenario, st.x, _drive_caps(scenario))
+        cap_f, cap_r = _beta_caps(scenario, gait._gap_at(scenario, st.x), _drive_caps(scenario))
         bf = act.window(st.a[FRONT]) * cap_f
         br = act.window(st.a[REAR]) * cap_r
         h = standing_height(scenario.robot.leg.leg_length, max(bf, br),

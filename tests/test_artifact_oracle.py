@@ -3,7 +3,8 @@
 `SimTrace.to_csv` and `plotsvg.line_plot` build their number text with
 `fixedfmt.format_columns`, by table gathers over whole columns. The
 references below are the earlier row-by-row CSV writer and per-point SVG
-writer, kept verbatim; every case compares the two outputs with `==`.
+writer, kept verbatim but for the SVG writer's multi-series legend, which
+no caller drew; every case compares the two outputs with `==`.
 """
 
 import math
@@ -20,7 +21,6 @@ from ccpj.plotsvg import (
     MARGIN_L,
     MARGIN_R,
     MARGIN_T,
-    PALETTE,
     WIDTH,
     _fmt,
     line_plot,
@@ -47,10 +47,9 @@ def reference_to_csv(self) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_line_plot(series, xlabel: str, ylabel: str, title: str,
+def reference_line_plot(xs, ys, xlabel: str, ylabel: str, title: str,
                         marker: tuple[float, float, str] | None = None) -> str:
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
+    xs_all, ys_all = list(xs), list(ys)
     if marker is not None:
         xs_all.append(marker[0])
         ys_all.append(marker[1])
@@ -103,18 +102,9 @@ def reference_line_plot(series, xlabel: str, ylabel: str, title: str,
                f'transform="rotate(-90 16 '
                f'{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.0f})">{ylabel}</text>')
 
-    for i, (label, xs, ys) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5"/>')
-        if len(series) > 1:
-            ly = MARGIN_T + 16 + 16 * i
-            out.append(f'<line x1="{WIDTH - MARGIN_R - 120}" y1="{ly}" '
-                       f'x2="{WIDTH - MARGIN_R - 96}" y2="{ly}" '
-                       f'stroke="{color}" stroke-width="1.5"/>')
-            out.append(f'<text x="{WIDTH - MARGIN_R - 90}" y="{ly + 4}" '
-                       f'font-family="sans-serif" font-size="11">{label}</text>')
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    out.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" '
+               f'stroke-width="1.5"/>')
 
     if marker is not None:
         mx, my, text = marker
@@ -163,10 +153,10 @@ def test_shipped_trace_csv(shipped_traces, name):
 def test_shipped_displacement_svg(shipped_traces, name):
     """The simulate figure: arrays in, the old list-built bytes out."""
     trace = shipped_traces[name]
-    got = line_plot([("x", trace.t, trace.x * 1e3)], "time (s)",
+    got = line_plot(trace.t, trace.x * 1e3, "time (s)",
                     "displacement (mm)", f"{name}: displacement vs time")
     want = reference_line_plot(
-        [("x", list(trace.t), [x * 1e3 for x in trace.x])], "time (s)",
+        list(trace.t), [x * 1e3 for x in trace.x], "time (s)",
         "displacement (mm)", f"{name}: displacement vs time")
     assert got == want
 
@@ -213,35 +203,24 @@ def test_csv_matches_row_formatter(trace):
 
 
 class TestSvgCases:
-    def test_multi_series(self):
-        xs = [0.0, 0.5, 1.0, 1.5, 2.0]
-        series = [("a", xs, [0.0, 1.005, -0.0, 2.675, 0.125]),
-                  ("b", xs, [-1.0, -0.5, 0.3, 0.7, 1.1]),
-                  ("c", [0.25, 1.75], [3.0, -2.0])]
-        got = line_plot(series, "x", "y", "three")
-        assert got == reference_line_plot(series, "x", "y", "three")
-        assert got.count("<polyline") == 3
-
     def test_marker(self):
         values = [2.0, 2.5, 3.0, 3.5, 4.0]
         speeds = [0.9, 1.4, 1.6, 1.2, 0.8]
         marker = (3.0, 1.6, "max at 3 s")
-        got = line_plot([("speed", values, speeds)], "period_s",
-                        "speed (mm/s)", "sweep", marker=marker)
-        assert got == reference_line_plot([("speed", values, speeds)],
-                                          "period_s", "speed (mm/s)", "sweep",
-                                          marker=marker)
+        got = line_plot(values, speeds, "period_s", "speed (mm/s)", "sweep",
+                        marker=marker)
+        assert got == reference_line_plot(values, speeds, "period_s",
+                                          "speed (mm/s)", "sweep", marker=marker)
 
     def test_marker_outside_data(self):
-        series = [("v", [1.0, 2.0], [1.0, 2.0])]
+        xs, ys = [1.0, 2.0], [1.0, 2.0]
         marker = (-3.0, 7.5, "far")
-        assert (line_plot(series, "x", "y", "t", marker=marker)
-                == reference_line_plot(series, "x", "y", "t", marker=marker))
+        assert (line_plot(xs, ys, "x", "y", "t", marker=marker)
+                == reference_line_plot(xs, ys, "x", "y", "t", marker=marker))
 
-    def test_single_point_and_empty_series(self):
-        series = [("a", [], []), ("b", [1.0], [-0.0])]
-        assert (line_plot(series, "x", "y", "t")
-                == reference_line_plot(series, "x", "y", "t"))
+    def test_single_point(self):
+        assert (line_plot([1.0], [-0.0], "x", "y", "t")
+                == reference_line_plot([1.0], [-0.0], "x", "y", "t"))
 
 
 # Plot values on a 1e-3 grid (plus signed zero and half-way cases at the
@@ -254,20 +233,17 @@ SVG_VALUES = st.one_of(
 
 @st.composite
 def plots(draw):
-    series = []
-    for i in range(draw(st.integers(1, 4))):
-        n = draw(st.integers(0 if i else 1, 12))
-        series.append((f"s{i}",
-                       draw(st.lists(SVG_VALUES, min_size=n, max_size=n)),
-                       draw(st.lists(SVG_VALUES, min_size=n, max_size=n))))
+    n = draw(st.integers(1, 12))
+    xs = draw(st.lists(SVG_VALUES, min_size=n, max_size=n))
+    ys = draw(st.lists(SVG_VALUES, min_size=n, max_size=n))
     marker = draw(st.none() | st.tuples(SVG_VALUES, SVG_VALUES,
                                         st.just("mark")))
-    return series, marker
+    return xs, ys, marker
 
 
 @settings(max_examples=200, deadline=None)
 @given(plot=plots())
 def test_svg_matches_point_formatter(plot):
-    series, marker = plot
-    assert (line_plot(series, "x", "y", "t", marker=marker)
-            == reference_line_plot(series, "x", "y", "t", marker=marker))
+    xs, ys, marker = plot
+    assert (line_plot(xs, ys, "x", "y", "t", marker=marker)
+            == reference_line_plot(xs, ys, "x", "y", "t", marker=marker))

@@ -13,10 +13,10 @@ from xml.dom import minidom
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ccpj import cli
+from config_text import SHAPED_TEXT, SMALL, joined
+from ccpj import cli, errors
 from ccpj.cli import main
 from ccpj.config import (
-    MASKS,
     SCHEMA,
     build_scenario,
     data_dir,
@@ -526,6 +526,54 @@ class TestOptimize:
         capsys.readouterr()
 
 
+class TestHeightMapAnchors:
+    """An anchor angle outside [0, 60] deg is a configuration fault on every
+    command that runs the map, whichever way it leaves the range."""
+
+    @pytest.mark.parametrize("anchors", ["0.28:-10 0.4:-40", "0.28:20 0.4:80"])
+    @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--param", "current"],
+                                      ["optimize", "--param", "current"]])
+    def test_angle_out_of_range_exits_2(self, tmp_path, capsys, anchors, argv):
+        cfg = tmp_path / "anchors.scenario"
+        cfg.write_text("[signal]\nperiod_s = 4\n[terrain]\nceiling_gap_mm = 60\n"
+                       f"[height_map]\nanchors_a_deg = {anchors}\n")
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "ccpj: error[2]: OutOfRangeError: height map angle=")
+
+
+# Exit code of every error class: 2 configuration, 3 simulation, 4 data
+EXIT_CODES = {
+    "CcpjError": 2, "ValidationError": 2, "OutOfRangeError": 2,
+    "ZeroDimensionError": 2, "NonMonotoneCurrentError": 2,
+    "NonMonotoneStiffnessError": 2, "ConfigError": 2,
+    "InfeasibleConfinementError": 3, "AllMasksInfeasibleError": 3,
+    "NotUnimodalError": 3, "NoConvergenceError": 3, "UnreachableError": 3,
+    "EmptyDatasetError": 4, "TooFewPointsError": 4, "SingularSystemError": 4,
+    "NoFeasibleFitError": 4,
+}
+
+
+@pytest.mark.parametrize("cls", [c for c in vars(errors).values()
+                                 if isinstance(c, type) and issubclass(c, errors.CcpjError)],
+                         ids=lambda c: c.__name__)
+def test_error_class_exit_code(cls, tmp_path, scenario_path, capsys, monkeypatch):
+    """Each class's code, which main returns and prints for it; a class
+    missing from the table fails here."""
+    assert cls.exit_code == EXIT_CODES[cls.__name__]
+    err = cls.__new__(cls)  # no message: each class takes its own arguments
+
+    def fail(cfg):
+        raise err
+
+    monkeypatch.setattr(cli, "load_config", fail)
+    assert main(["simulate", "--config", str(scenario_path("flat_ratchet_T4")),
+                 "--out", str(tmp_path)]) == cls.exit_code
+    assert capsys.readouterr().err.startswith(
+        f"ccpj: error[{cls.exit_code}]: {cls.__name__}:")
+
+
 class TestReport:
     def test_flat_bundle(self, tmp_path, scenario_path):
         out = tmp_path / "out"
@@ -597,31 +645,13 @@ NUMBER_TEXT = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["0", "-0", "1e-320", "5e-324", "1e308", "inf", "-inf", "nan"]),
 )
-SMALL = st.one_of(st.floats(0.0, 10.0), st.floats(-100.0, 100.0)).map(repr)
-
-
-def _joined(part, n):
-    return st.lists(part, min_size=n, max_size=n).map(":".join)
-
-
 ANY_TEXT = st.one_of(
     st.text(max_size=12),
     NUMBER_TEXT,
-    _joined(NUMBER_TEXT, 2),
-    _joined(NUMBER_TEXT, 3),
-    st.lists(_joined(NUMBER_TEXT, 3), min_size=1, max_size=2).map(" ".join),
+    joined(NUMBER_TEXT, 2),
+    joined(NUMBER_TEXT, 3),
+    st.lists(joined(NUMBER_TEXT, 3), min_size=1, max_size=2).map(" ".join),
 )
-SHAPED_TEXT = {
-    "int": st.integers(-5, 40).map(str),
-    "float": SMALL, "float_inf": SMALL, "len": SMALL, "mass": SMALL, "angle": SMALL,
-    "str": st.sampled_from(["smooth", "ratchet", "ice", "flat"]),
-    "mask": st.sampled_from([*MASKS, "both"]),
-    "pair": _joined(st.floats(0.0, 1.0).map(repr), 2),
-    "box": _joined(SMALL, 3),
-    "pairs": st.lists(_joined(SMALL, 2), min_size=1, max_size=4).map(" ".join),
-    "angle_pairs": st.lists(_joined(SMALL, 2), min_size=1, max_size=4).map(" ".join),
-    "regions": st.lists(_joined(SMALL, 3), min_size=1, max_size=2).map(" ".join),
-}
 SCHEMA_ENTRIES = st.sampled_from(
     [(section, key) for section, keys in SCHEMA.items() for key in keys]
 ).flatmap(lambda e: st.tuples(
@@ -683,7 +713,7 @@ def range_specs(draw):
     a few float spacings of them."""
     kind = draw(st.sampled_from(["text", "plausible", "spacing"]))
     if kind == "text":
-        return draw(_joined(st.one_of(NUMBER_TEXT, SMALL), 3))
+        return draw(joined(st.one_of(NUMBER_TEXT, SMALL), 3))
     if kind == "plausible":
         a, span = draw(st.floats(-1.0, 20.0)), draw(st.floats(0.0, 20.0))
         return f"{a!r}:{a + span!r}:{draw(st.floats(0.05, 5.0))!r}"

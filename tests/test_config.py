@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_config
+from config_text import SHAPED_TEXT
 from ccpj import config
 from ccpj.config import (
-    MASKS,
     SCHEMA,
     SCHEMA_VERSION,
     build_scenario,
@@ -389,25 +389,7 @@ class TestDefaultsLayer:
 
 # Scenario overlays for the property below: keys from SCHEMA, values shaped
 # for each key's converter or not, and now and then an unknown name.
-SMALL = st.one_of(st.floats(0.0, 10.0), st.floats(-100.0, 100.0)).map(repr)
 JUNK = st.sampled_from(["abc", "nan", "inf", "-inf", "1:2", "1:2:3", "", "0"])
-
-
-def _joined(part, n):
-    return st.lists(part, min_size=n, max_size=n).map(":".join)
-
-
-SHAPED_TEXT = {
-    "int": st.integers(-5, 40).map(str),
-    "float": SMALL, "float_inf": SMALL, "len": SMALL, "mass": SMALL, "angle": SMALL,
-    "str": st.sampled_from(["smooth", "ratchet", "ice", "a/b"]),
-    "mask": st.sampled_from([*MASKS, "both"]),
-    "pair": _joined(st.floats(0.0, 1.0).map(repr), 2),
-    "box": _joined(SMALL, 3),
-    "pairs": st.lists(_joined(SMALL, 2), min_size=1, max_size=4).map(" ".join),
-    "angle_pairs": st.lists(_joined(SMALL, 2), min_size=1, max_size=4).map(" ".join),
-    "regions": st.lists(_joined(SMALL, 3), min_size=1, max_size=2).map(" ".join),
-}
 ENTRY = st.sampled_from(
     [(section, key) for section, keys in SCHEMA.items() for key in keys]
     + [("beam", "bogus"), ("motor", "volts")]

@@ -45,7 +45,7 @@ from ccpj.gait import (
     stroke_arcs,
     sweep_period,
 )
-from ccpj.kinematics import StrokeGeometry, cycle_speed, standing_height
+from ccpj.kinematics import BETA_MAX, StrokeGeometry, cycle_speed, standing_height
 from ccpj.params import MAX_CURRENT_A, GaitSignal, RobotParams
 
 
@@ -190,6 +190,24 @@ class TestCurrentHeightMap:
         with pytest.raises(ValidationError):
             CurrentHeightMap(anchors=((0.3, 0.2), (0.3, 0.5)))
 
+    @pytest.mark.parametrize("beta", [-1e-300, -math.radians(10.0), math.nan,
+                                      math.nextafter(BETA_MAX, math.inf),
+                                      math.radians(80.0)])
+    def test_anchor_angle_outside_zero_to_beta_max_rejected(self, beta):
+        with pytest.raises(OutOfRangeError, match="height map angle"):
+            CurrentHeightMap(anchors=((0.28, math.radians(20.0)), (0.4, beta)))
+        CurrentHeightMap(anchors=((0.28, -0.0), (0.4, BETA_MAX)))
+
+    def test_cap_never_above_the_anchors(self):
+        # np.interp rounds this current, one ulp below the upper anchor's,
+        # to one ulp above the upper anchor's angle
+        i_top = 0.058501775339803365
+        hmap = CurrentHeightMap(anchors=((0.01146691517706755, 0.03184170929887864),
+                                         (i_top, BETA_MAX)))
+        i = math.nextafter(i_top, 0.0)
+        assert float(np.interp(i, *zip(*hmap.anchors))) > BETA_MAX
+        assert hmap.beta_cap(i) == BETA_MAX
+
 
 class TestTerrain:
     def test_validation(self):
@@ -282,6 +300,28 @@ class TestScenarioValidation:
             ActuatorModel(tau_cool=math.nan)
         with pytest.raises(ValidationError):
             GaitSignal(period=math.nan)
+
+    def test_default_height_map_built_with_the_scenario(self, robot):
+        sc = Scenario(signal=GaitSignal(period=4.0))
+        assert sc.height_map == CurrentHeightMap.default(robot, 0.28)
+        # a threshold at or above the 0.38 A anchor puts the default
+        # anchors out of order: the scenario itself is rejected
+        with pytest.raises(ValidationError, match="increasing currents"):
+            Scenario(signal=GaitSignal(period=4.0),
+                     actuator=ActuatorModel(i_threshold=0.38))
+
+    def test_replace_keeps_the_map_unless_told_to_rebuild(self):
+        sc = Scenario(signal=GaitSignal(period=4.0))
+        tilted = RobotParams(leg_tilt_deploy=50.0)
+        kept = replace(sc, robot=tilted)
+        assert kept.height_map is sc.height_map
+        rebuilt = replace(sc, robot=tilted, height_map=None)
+        assert rebuilt.height_map == CurrentHeightMap.default(tilted, 0.28)
+        assert rebuilt.height_map != sc.height_map
+        hot = ActuatorModel(i_threshold=0.3)
+        assert replace(sc, actuator=hot).height_map is sc.height_map
+        assert (replace(sc, actuator=hot, height_map=None).height_map
+                == CurrentHeightMap.default(sc.robot, 0.3))
 
     def test_mask_names(self):
         for mask, name in [((True, True), "all"), ((True, False), "front_only"),
@@ -595,6 +635,45 @@ class TestStaticLoadCheck:
     def test_negative_load_rejected(self, table, robot):
         with pytest.raises(OutOfRangeError):
             static_load_check(0.4, -1e-3, robot, table)
+
+
+# Anchor angles at and just past the ends of [0, BETA_MAX], and far out
+ANCHOR_ANGLES = st.one_of(
+    st.floats(-0.2, BETA_MAX + 0.2),
+    st.sampled_from([0.0, -0.0, BETA_MAX, math.nextafter(BETA_MAX, math.inf),
+                     math.nextafter(0.0, -1.0), math.radians(80.0), math.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@example(anchors=[(0.01146691517706755, 0.03184170929887864),
+                  (0.058501775339803365, BETA_MAX)],
+         probes=[0.05850177533980336])
+@given(anchors=st.lists(st.tuples(st.floats(0.0, MAX_CURRENT_A), ANCHOR_ANGLES),
+                        max_size=4),
+       probes=st.lists(st.floats(1e-9, MAX_CURRENT_A), max_size=3))
+def test_height_map_property(anchors, probes):
+    """A map is accepted iff it has two or more anchors, its currents
+    increase and every angle is in [0, BETA_MAX]; an accepted map's drive
+    caps, at the anchor currents, their neighbouring floats and drawn
+    currents, lie in [0, BETA_MAX]."""
+    cur = [c for c, _ in anchors]
+    valid = (len(anchors) >= 2 and all(b > a for a, b in zip(cur, cur[1:]))
+             and all(0.0 <= beta <= BETA_MAX for _, beta in anchors))
+    try:
+        hmap = CurrentHeightMap(anchors=tuple(anchors))
+    except ValidationError:
+        assert not valid
+        return
+    assert valid
+    near = {math.nextafter(c, d) for c in cur for d in (0.0, 1.0)}
+    for i in sorted({*probes, *cur, *near}):
+        if not 1e-9 <= i <= MAX_CURRENT_A:  # a threshold the low current is below
+            continue
+        # the threshold at the peak current: the legs heat, the map decides
+        sc = Scenario(signal=GaitSignal(period=4.0, i_high=i),
+                      actuator=ActuatorModel(i_threshold=i), height_map=hmap)
+        for cap in gait._drive_caps(sc):
+            assert 0.0 <= cap <= BETA_MAX
 
 
 @settings(max_examples=8, deadline=None)

@@ -336,7 +336,7 @@ class TestPredictedTransit:
             mask_used="all", all_legs_feasible=True,
             min_gap_m=40e-3, max_height_m=40e-3,
             predicted_cycle_advance_m=advance,
-            width_required_m=0.1, width_available_m=math.inf)
+            width_required_m=0.1)
 
     def test_no_progress_is_infinite(self, flat_scenario):
         sc = replace(flat_scenario,

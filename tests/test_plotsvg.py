@@ -81,7 +81,7 @@ class TestLinePlot:
     def test_basic_document(self):
         xs = [0.0, 1.0, 2.0, 3.0]
         ys = [0.0, 1.0, 0.5, 2.0]
-        svg = line_plot([("speed", xs, ys)], "t / s", "v / mm/s", "demo")
+        svg = line_plot(xs, ys, "t / s", "v / mm/s", "demo")
         assert svg.startswith("<svg")
         assert svg.endswith("</svg>\n")
         assert "t / s" in svg and "v / mm/s" in svg and "demo" in svg
@@ -94,41 +94,28 @@ class TestLinePlot:
         assert escape(text) == saxutils.escape(text)
 
     def test_text_is_xml_escaped(self):
-        svg = line_plot([("a<b", [0.0, 1.0], [0.0, 1.0]),
-                         ("c&d", [0.0, 1.0], [1.0, 0.0])],
-                        "x > 0", "y & z", "a&b<c: demo",
+        svg = line_plot([0.0, 1.0], [0.0, 1.0], "x > 0", "y & z", "a&b<c: demo",
                         marker=(0.5, 0.5, "max <here>"))
         texts = [t.firstChild.data for t in
                  minidom.parseString(svg).getElementsByTagName("text")]
-        for text in ("a<b", "c&d", "x > 0", "y & z", "a&b<c: demo", "max <here>"):
+        for text in ("x > 0", "y & z", "a&b<c: demo", "max <here>"):
             assert text in texts
 
     def test_deterministic(self):
-        series = [("a", [0.0, 1.0, 2.0], [0.3, 0.1, 0.7])]
-        assert line_plot(series, "x", "y", "t") == line_plot(series, "x", "y", "t")
-
-    def test_legend_only_for_multiple_series(self):
-        xs = [0.0, 1.0]
-        one = line_plot([("a", xs, [0.0, 1.0])], "x", "y", "t")
-        two = line_plot([("a", xs, [0.0, 1.0]), ("b", xs, [1.0, 0.0])],
-                        "x", "y", "t")
-        assert two.count("polyline") == 2 and one.count("polyline") == 1
-        assert "b</text>" in two
-        assert "a</text>" not in one
+        xs, ys = [0.0, 1.0, 2.0], [0.3, 0.1, 0.7]
+        assert line_plot(xs, ys, "x", "y", "t") == line_plot(xs, ys, "x", "y", "t")
 
     def test_marker_text(self):
         xs = [1.0, 2.0, 3.0]
         ys = [1.0, 4.0, 2.0]
-        svg = line_plot([("v", xs, ys)], "x", "y", "t",
+        svg = line_plot(xs, ys, "x", "y", "t",
                         marker=(2.0, 4.0, "max at 2 s"))
         assert "max at 2 s" in svg
         assert "circle" in svg
 
     def test_empty_series_rejected(self):
-        with pytest.raises(ValidationError):
-            line_plot([], "x", "y", "t")
-        with pytest.raises(ValidationError):
-            line_plot([("a", [], [])], "x", "y", "t")
+        with pytest.raises(ValidationError, match="empty curve"):
+            line_plot([], [], "x", "y", "t")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("where", [0, 1, 2])
@@ -137,20 +124,14 @@ class TestLinePlot:
         xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]
         (xs if axis == "x" else ys)[where] = bad
         with pytest.raises(ValidationError):
-            line_plot([("a", xs, ys)], "x", "y", "t")
+            line_plot(xs, ys, "x", "y", "t")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_marker_rejected(self, bad):
-        series = [("a", [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])]
+        xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]
         for marker in ((bad, 1.0, "m"), (1.0, bad, "m")):
             with pytest.raises(ValidationError):
-                line_plot(series, "x", "y", "t", marker=marker)
-
-    def test_non_finite_in_second_series_rejected(self):
-        series = [("a", [0.0, 1.0], [0.0, 1.0]),
-                  ("b", [0.0, 1.0, 2.0], [1.0, float("nan"), 0.0])]
-        with pytest.raises(ValidationError):
-            line_plot(series, "x", "y", "t")
+                line_plot(xs, ys, "x", "y", "t", marker=marker)
 
     @pytest.mark.parametrize("xs,ys", [
         ([0.0, 1.0, 2.0, 100.0], [0.0, 1.0, 2.0]),
@@ -159,9 +140,9 @@ class TestLinePlot:
     ])
     def test_length_mismatch_rejected(self, xs, ys):
         with pytest.raises(ValidationError, match="xs but"):
-            line_plot([("a", xs, ys)], "x", "y", "t")
+            line_plot(xs, ys, "x", "y", "t")
 
     def test_accepts_arrays(self):
         xs, ys = [0.0, 0.5, 1.0], [2.0, -1.0, 0.25]
-        assert (line_plot([("a", np.array(xs), np.array(ys))], "x", "y", "t")
-                == line_plot([("a", xs, ys)], "x", "y", "t"))
+        assert (line_plot(np.array(xs), np.array(ys), "x", "y", "t")
+                == line_plot(xs, ys, "x", "y", "t"))
