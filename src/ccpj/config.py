@@ -130,8 +130,8 @@ def _convert(tag: str, raw: str):
             a, b = item.split(":")
             a, b = _number(a), _number(b)
             out.append((a, math.radians(b) if tag == "angle_pairs" else b))
-        if not out:
-            raise ValueError("empty list")
+        if len(out) < 2:  # a piecewise-linear table needs two knots
+            raise ValueError(f"needs at least two a:b pairs, has {len(out)}")
         return tuple(out)
     if tag == "regions":
         out = []

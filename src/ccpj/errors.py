@@ -137,18 +137,12 @@ class AllMasksInfeasibleError(InfeasibleConfinementError):
 
     def __init__(self, failures: dict):
         self.failures = dict(failures)
-        tightest = None
-        for err in self.failures.values():
-            if isinstance(err, InfeasibleConfinementError):
-                if tightest is None or err.available_mm < tightest.available_mm:
-                    tightest = err
-        req = tightest.required_mm if tightest is not None else 0.0
-        avail = tightest.available_mm if tightest is not None else 0.0
+        tightest = min(self.failures.values(), key=lambda e: e.available_mm, default=None)
         reasons = "; ".join(f"{mask}: {err}" for mask, err in self.failures.items())
         # bypass the parent __init__ message format, keep its fields
         self.reason = f"no leg mask fits the confinement ({reasons})"
-        self.required_mm = req
-        self.available_mm = avail
+        self.required_mm = tightest.required_mm if tightest is not None else 0.0
+        self.available_mm = tightest.available_mm if tightest is not None else 0.0
         CcpjError.__init__(self, self.reason)
 
 

@@ -855,46 +855,103 @@ class FeasibilityReport:
     mask_used: str
     all_legs_feasible: bool
     min_gap_m: float
-    max_height_m: float
-    predicted_cycle_advance_m: float
-    width_required_m: float
 
 
-def _mask_width(scenario: Scenario) -> float:
-    """Worst-case lateral extent of the scenario's gait."""
-    if scenario.all_legs:
-        # the all-leg gait sits flat every cycle, its widest posture
-        return gait_width(scenario.robot, 0.0)
-    return drag_width(scenario.robot)
+def _fit_error(scenario: Scenario) -> InfeasibleConfinementError | None:
+    """The flat-height or tunnel-width fault of the scenario's gait, or None."""
+    ter, offset = scenario.terrain, scenario.robot.height_offset
+    if ter.min_gap() < offset:
+        return InfeasibleConfinementError(
+            "gap below the fully-flat body height",
+            required_mm=offset * 1e3, available_mm=ter.min_gap() * 1e3)
+    # the all-leg gait sits flat every cycle, its widest posture
+    width_need = (gait_width(scenario.robot, 0.0) if scenario.all_legs
+                  else drag_width(scenario.robot))
+    width_have = ter.tunnel_width if ter.tunnel_width is not None else math.inf
+    if width_need > width_have:
+        return InfeasibleConfinementError(
+            f"leg mask {scenario.mask_name()!r} too wide for the tunnel",
+            required_mm=width_need * 1e3, available_mm=width_have * 1e3)
+    return None
 
 
-def _progress_gap_requirement(scenario: Scenario) -> float:
-    """Smallest ceiling gap at which the scenario's gait still advances.
+def _advance_at(scenario: Scenario):
+    """The steady-cycle advance (m) as a function of a constant ceiling gap.
 
-    Bisects steady_cycle_displacement > 1e-12 under a constant ceiling, as
-    a function of the gap alone: the lag band and the drive caps are taken
-    once, and each step only re-clips the caps and redoes the arcs, with
-    the same arithmetic and so the same bits.
+    The lag band and the drive caps are taken once; each call clips the
+    caps to the gap, redoes the arcs and nets them: the arithmetic of
+    `steady_cycle_displacement`, so at the gap over x = 0 the same bits.
     """
-    robot, act = scenario.robot, scenario.actuator
-    lo = robot.height_offset + 1e-9
-    hi = standing_height(robot.leg.leg_length, BETA_MAX, robot.height_offset)
+    act = scenario.actuator
     band = _lag_band(scenario, act.tau_heat, act.tau_cool, (scenario.signal.period,), 0)
     drive = _drive_caps(scenario)
     e, all_legs = scenario.stroke_efficiency, scenario.all_legs
 
-    def advances(gap):
+    def advance(gap: float) -> float:
         stand, sit, _, _ = _arcs(scenario, band, _beta_caps(scenario, gap, drive), 0)
-        return _net_advance(scenario.terrain, e, float(stand[0]), float(sit[0]),
-                            all_legs) > 1e-12
+        return float(_net_advance(scenario.terrain, e, float(stand[0]), float(sit[0]),
+                                  all_legs))
 
-    if not advances(hi):
+    return advance
+
+
+def _path(scenario: Scenario) -> list[tuple[float, float]]:
+    """(length m, gap m) of each piece of the path that carries the
+    footprint past every ceiling region it meets.
+
+    The envelope at body position x is [x - leg/2, x + leg + LOOKAHEAD]
+    (`_gap_at`), so region [x0, x1] is under it for x in
+    [x0 - leg - LOOKAHEAD, x1 + leg/2]. The path runs from min(0, the first
+    such start) to the last such end, cut at every start and end; a piece
+    takes the smallest gap of the regions over it, inf between regions. A
+    region behind the envelope at x = 0 is never met. Infinite bounds are
+    cut to the range of the finite ones and 0, so a ceiling with no finite
+    bound, or none, counts as a gate of no length at x = 0.
+    """
+    leg = scenario.robot.leg.leg_length
+    met = [r for r in scenario.terrain.ceiling if r[1] >= -leg / 2.0] or [(0.0, 0.0, math.inf)]
+    finite = [0.0, *(b for x0, x1, _ in met for b in (x0, x1) if math.isfinite(b))]
+    spans = [(max(x0, min(finite)) - leg - LOOKAHEAD, min(x1, max(finite)) + leg / 2.0, g)
+             for x0, x1, g in met]
+    cuts = sorted({c for s, e, _ in spans for c in (s, e)})
+    if cuts[0] > 0.0:  # the approach from x = 0
+        cuts.insert(0, 0.0)
+    return [(b - a, min((g for s, e, g in spans if s <= 0.5 * (a + b) <= e), default=math.inf))
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def predicted_transit_time(scenario: Scenario) -> float:
+    """Time (s) to carry the whole footprint past the confinement.
+
+    The sum over `_path`'s pieces of each length at its own gap's
+    steady-cycle advance per period; inf when the gait does not fit or a
+    piece does not advance.
+    """
+    if _fit_error(scenario) is not None:
         return math.inf
-    if advances(lo):
+    advance, period, time = _advance_at(scenario), scenario.signal.period, 0.0
+    for length, gap in _path(scenario):
+        d = advance(gap)
+        if d <= 1e-12:
+            return math.inf
+        time += length / (d / period)
+    return time
+
+
+def _progress_gap_requirement(scenario: Scenario) -> float:
+    """Smallest constant ceiling gap at which the scenario's gait still
+    advances, by bisection on `_advance_at`."""
+    robot = scenario.robot
+    lo = robot.height_offset + 1e-9
+    hi = standing_height(robot.leg.leg_length, BETA_MAX, robot.height_offset)
+    advance = _advance_at(scenario)
+    if advance(hi) <= 1e-12:
+        return math.inf
+    if advance(lo) > 1e-12:
         return lo
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if advances(mid):
+        if advance(mid) > 1e-12:
             hi = mid
         else:
             lo = mid
@@ -905,48 +962,30 @@ def navigate_confined(scenario: Scenario) -> tuple[SimTrace, FeasibilityReport]:
     """Run a scenario with ceiling/tunnel limits and report feasibility.
 
     Raises InfeasibleConfinementError when the scenario's own leg mask
-    cannot fit (height or width) or cannot make forward progress under
-    the confinement.
+    cannot fit (height or width) or cannot advance at the smallest gap
+    its path meets (`_path`): whether a gait advances is monotone in the
+    gap, so that one gap answers for every piece of the path.
     """
     ter = scenario.terrain
     if not ter.confined:
         raise ValidationError("navigate_confined needs a ceiling or tunnel")
-    min_gap = ter.min_gap()
-    offset = scenario.robot.height_offset
-    if min_gap < offset:
-        raise InfeasibleConfinementError(
-            "gap below the fully-flat body height",
-            required_mm=offset * 1e3, available_mm=min_gap * 1e3)
-
-    width_need = _mask_width(scenario)
-    width_have = ter.tunnel_width if ter.tunnel_width is not None else math.inf
-    if width_need > width_have:
-        raise InfeasibleConfinementError(
-            f"leg mask {scenario.mask_name()!r} too wide for the tunnel",
-            required_mm=width_need * 1e3, available_mm=width_have * 1e3)
-
-    d_cycle, _, _ = steady_cycle_displacement(scenario)
-    if d_cycle <= 1e-12:
-        need = _progress_gap_requirement(scenario)
+    err = _fit_error(scenario)
+    if err is not None:
+        raise err
+    has = ter.gap_over(-scenario.robot.leg.leg_length / 2.0, math.inf)
+    if _advance_at(scenario)(has) <= 1e-12:
         raise InfeasibleConfinementError(
             f"{scenario.mask_name()} gait makes no progress under this ceiling",
-            required_mm=need * 1e3, available_mm=min_gap * 1e3)
+            required_mm=_progress_gap_requirement(scenario) * 1e3,
+            available_mm=has * 1e3)
 
     trace = run(scenario)
-
-    all_sc = replace(scenario, signal=replace(scenario.signal, mask=(True, True)))
-    all_ok = (_mask_width(all_sc) <= width_have
-              and steady_cycle_displacement(all_sc)[0] > 1e-12)
-
-    report = FeasibilityReport(
+    all_sc = replace(scenario, signal=replace(scenario.signal, mask=MASKS["all"]))
+    return trace, FeasibilityReport(
         mask_used=scenario.mask_name(),
-        all_legs_feasible=all_ok,
-        min_gap_m=min_gap,
-        max_height_m=float(np.max(trace.height)),
-        predicted_cycle_advance_m=d_cycle,
-        width_required_m=width_need,
+        all_legs_feasible=_fit_error(all_sc) is None and _advance_at(all_sc)(has) > 1e-12,
+        min_gap_m=ter.min_gap(),
     )
-    return trace, report
 
 
 # Share of a lone leg's sink felt by the braced stance: the splayed rear

@@ -20,12 +20,11 @@ from .errors import (
     ValidationError,
 )
 from .gait import (
-    LOOKAHEAD,
     MASKS,
-    FeasibilityReport,
     Scenario,
     _closed_sweep,
     navigate_confined,
+    predicted_transit_time,
     sweep_period,
 )
 from .kinematics import standing_height
@@ -231,10 +230,8 @@ class MaskChoice:
     """Feasible leg mask picked for a confined scenario."""
 
     name: str
-    mask: tuple[bool, bool]
     transit_time_s: float
     average_speed: float  # m/s over the evaluation run
-    report: FeasibilityReport
 
     def summary(self) -> str:
         return (f"select_mask: mask={self.name}, "
@@ -242,59 +239,29 @@ class MaskChoice:
                 f"speed_mm_s={self.average_speed * 1e3:.6g}")
 
 
-def _confined_span(scenario: Scenario) -> float | None:
-    """Length (m) of the bounded confined region, None if unbounded."""
-    finite = [(x0, x1) for (x0, x1, _) in scenario.terrain.ceiling
-              if math.isfinite(x0) and math.isfinite(x1)]
-    if not finite:
-        return None
-    return max(x1 for _, x1 in finite) - min(x0 for x0, _ in finite)
-
-
-def predicted_transit_time(scenario: Scenario,
-                           report: FeasibilityReport) -> float:
-    """Time to carry the whole footprint past the confined region.
-
-    The robot starts ducking LOOKAHEAD ahead of its front foot and is
-    clear once the rear foot passes the region, so the travel distance is
-    the region span plus 1.5 leg lengths plus the lookahead.
-    """
-    speed = report.predicted_cycle_advance_m / scenario.signal.period
-    if speed <= 0.0:
-        return math.inf
-    span = _confined_span(scenario)
-    leg = scenario.robot.leg.leg_length
-    distance = 1.5 * leg + LOOKAHEAD + (span if span is not None else 0.0)
-    return distance / speed
-
-
 def select_mask(scenario: Scenario) -> MaskChoice:
     """Fastest leg mask that passes the scenario's confinement.
 
-    Tries the all-legs gait and the front-leg-only crawl through
-    navigate_confined and returns the feasible one with the lowest
-    predicted transit time. Raises AllMasksInfeasible with the per-mask
-    failures when neither passes.
+    Ranks the all-legs gait and the front-leg-only crawl by
+    predicted_transit_time (inf for a mask that does not fit or advance),
+    the first on a tie, and runs only the winner through
+    navigate_confined. When neither passes, each is tried there to raise
+    AllMasksInfeasible with the per-mask failures.
     """
     if not scenario.terrain.confined:
         raise ValidationError("select_mask needs a ceiling or tunnel")
-    failures: dict[str, InfeasibleConfinementError] = {}
-    best: MaskChoice | None = None
-    for name in ("all", "front_only"):
-        mask = MASKS[name]
-        sc = replace(scenario, signal=replace(scenario.signal, mask=mask))
-        try:
-            trace, report = navigate_confined(sc)
-        except InfeasibleConfinementError as err:
-            failures[name] = err
-            continue
-        choice = MaskChoice(
-            name=name, mask=mask,
-            transit_time_s=predicted_transit_time(sc, report),
-            average_speed=trace.average_speed, report=report,
-        )
-        if best is None or choice.transit_time_s < best.transit_time_s:
-            best = choice
-    if best is None:
+    masked = {name: replace(scenario, signal=replace(scenario.signal, mask=MASKS[name]))
+              for name in ("all", "front_only")}
+    times = {name: predicted_transit_time(sc) for name, sc in masked.items()}
+    best = min(times, key=times.get)
+    if math.isinf(times[best]):
+        failures: dict[str, InfeasibleConfinementError] = {}
+        for name, sc in masked.items():
+            try:
+                navigate_confined(sc)
+            except InfeasibleConfinementError as err:
+                failures[name] = err
         raise AllMasksInfeasibleError(failures)
-    return best
+    trace, _ = navigate_confined(masked[best])
+    return MaskChoice(name=best, transit_time_s=times[best],
+                      average_speed=trace.average_speed)

@@ -1,6 +1,7 @@
 """Shared fixtures: the default hardware build and the shipped data files."""
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from ccpj.calibrate import data_dir
 from ccpj.gait import Scenario
@@ -58,3 +59,13 @@ def scenario_path(shipped_data_dir):
         return p
 
     return _path
+
+
+@pytest.fixture(scope="session")
+def dispatch_level():
+    """The x86-64 level of numpy's float64 kernels, as numpy reports it at
+    run time: "X86_V4" (AVX-512) or "below_X86_V4". The printed artifacts
+    are the same at every level, but a pin of raw float64 bits (np.exp's
+    last place) keeps one value per level; X86_V3 and X86_V2 agree."""
+    return "X86_V4" if __cpu_features__.get("X86_V4") else "below_X86_V4"
+

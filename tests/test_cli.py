@@ -124,6 +124,15 @@ class TestSimulate:
                      "--out", str(tmp_path)]) == 2
         assert "period_s" in capsys.readouterr().err
 
+    def test_one_point_stiffness_table(self, tmp_path, capsys):
+        # once TooFewPointsError, exit 4: a data code for a config fault
+        cfg = tmp_path / "one_knot.config"
+        cfg.write_text("[signal]\nperiod_s = 4\n[stiffness_table]\npoints_a_n_m = 0.1:2\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ccpj: error[2]: ConfigError:")
+        assert "[stiffness_table] points_a_n_m: cannot parse '0.1:2'" in err
+
     def test_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "typo.config"
         cfg.write_text("[signal]\nperiod = 4\n")
@@ -433,6 +442,19 @@ class TestCalibrate:
         assert "stiffness_vs_current" in err
 
 
+    def test_one_row_stiffness_dataset(self, tmp_path, shipped_data_dir,
+                                       monkeypatch, capsys):
+        # too few rows in a dataset stays a data fault
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in shipped_data_dir.glob("*.csv"):
+            (data / path.name).write_text(path.read_text())
+        stiff = data / "stiffness_vs_current.csv"
+        stiff.write_text(stiff.read_text().split("0,1.1\n")[0] + "0,1.1\n")
+        monkeypatch.setenv("CCPJ_DATA_DIR", str(data))
+        assert main(["calibrate", "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err.startswith("ccpj: error[4]: TooFewPointsError:")
+
 
 class TestUnwritableOut:
     """An --out that cannot be written exits 2 with one line, no traceback."""
@@ -500,6 +522,23 @@ class TestOptimize:
                      "--config", str(scenario_path("gate_20mm")),
                      "--out", str(tmp_path)]) == 0
         assert "mask=front_only" in capsys.readouterr().out
+
+    def test_far_gate(self, tmp_path, capsys):
+        # the gate stands beyond the look-ahead envelope at x = 0: the
+        # all-leg gait is judged at its gap all the same
+        cfg = tmp_path / "far_gate.scenario"
+        cfg.write_text("[signal]\nperiod_s = 4\nmask = all\n[terrain]\n"
+                       "ceiling_region_mm = 200:300:20\n[run]\nduration_s = 200\n")
+        argv = ["--config", str(cfg), "--out", str(tmp_path)]
+        assert main(["simulate", *argv]) == 3
+        assert capsys.readouterr().err.endswith(
+            "all gait makes no progress under this ceiling "
+            "(needs 23.11 mm, has 20.00 mm)\n")
+        assert main(["simulate", "--mask", "front_only", *argv]) == 0
+        assert "all_legs_feasible = no" in capsys.readouterr().out
+        assert main(["optimize", "--param", "mask", *argv]) == 0
+        assert capsys.readouterr().out == (
+            "select_mask: mask=front_only, transit_s=1040.87, speed_mm_s=0.650949\n")
 
     def test_mask_all_infeasible(self, tmp_path, capsys):
         cfg = tmp_path / "crush.config"

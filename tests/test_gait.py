@@ -39,6 +39,7 @@ from ccpj.gait import (
     drag_width,
     gait_width,
     navigate_confined,
+    predicted_transit_time,
     run,
     static_load_check,
     steady_cycle_displacement,
@@ -513,10 +514,18 @@ class TestSweepPeriod:
                   actuator=ActuatorModel(tau_heat=0.9)),
          "8a1232e1354603a656d38c8b368ddb62cdf7be6ed2fc972545a240aa0d54e534"),
     ])
-    def test_thousand_periods_pinned(self, scenario, digest):
-        # sha256 of the speeds' bytes as one Scenario per period gave them
+    def test_thousand_periods_pinned(self, scenario, digest, dispatch_level):
+        # sha256 of the speeds' bytes as one Scenario per period gave them,
+        # at X86_V4; below it, the digest it maps to
+        below_v4 = {
+            "6ae579e0ee15f7ea905f29f749c2661027404888ad0a2c600bdcec321f261ec6":
+                "fb260a4075c68e95a0635b6a2314b75346d5ab00be1cc442b25d5a71411a8a5a",
+            "8a1232e1354603a656d38c8b368ddb62cdf7be6ed2fc972545a240aa0d54e534":
+                "17d729ce6d0ff041efc07942c9c28da9935cee77fa14206abc6190bbe12b5d59",
+        }
+        want = digest if dispatch_level == "X86_V4" else below_v4[digest]
         speeds = [v for _, v in sweep_period(scenario, np.linspace(0.5, 20.0, 1001))]
-        assert hashlib.sha256(np.array(speeds).tobytes()).hexdigest() == digest
+        assert hashlib.sha256(np.array(speeds).tobytes()).hexdigest() == want
 
 
 class TestSlopeAndPayload:
@@ -559,7 +568,7 @@ class TestNavigateConfined:
         assert report.mask_used == "all"
         assert report.all_legs_feasible
         assert report.min_gap_m == pytest.approx(40e-3)
-        assert report.max_height_m <= 40e-3 + 1e-9
+        assert trace.height.max() <= 40e-3 + 1e-9
         assert trace.average_speed == pytest.approx(1.775359e-3, abs=1e-8)
         assert trace.x[-1] == pytest.approx(106.5215e-3, abs=1e-6)
 
@@ -570,7 +579,7 @@ class TestNavigateConfined:
         trace, report = navigate_confined(sc)
         assert report.mask_used == "front_only"
         assert not report.all_legs_feasible
-        assert report.max_height_m <= 20e-3 + 1e-9
+        assert trace.height.max() <= 20e-3 + 1e-9
         assert trace.average_speed == pytest.approx(0.241047e-3, abs=1e-8)
 
     def test_gate_20mm_all_legs_infeasible(self):
@@ -604,8 +613,12 @@ class TestNavigateConfined:
                       terrain=Terrain(tunnel_width=40e-3), duration=60.0)
         trace, report = navigate_confined(sc)
         assert report.mask_used == "front_only"
-        assert report.width_required_m == drag_width(robot)
         assert not report.all_legs_feasible  # tripod too wide for 40 mm
+        # the drag gait needs its folded width: just below it, it fails
+        narrow = replace(sc, terrain=Terrain(tunnel_width=0.99 * drag_width(robot)))
+        with pytest.raises(InfeasibleConfinementError) as exc:
+            navigate_confined(narrow)
+        assert exc.value.required_mm == drag_width(robot) * 1e3
 
     def test_tall_gap_is_inactive(self, flat_scenario):
         confined = replace(
@@ -615,6 +628,71 @@ class TestNavigateConfined:
         trace, report = navigate_confined(confined)
         assert trace.to_csv() == run(flat_scenario).to_csv()
         assert report.all_legs_feasible
+
+
+    def test_far_gate_blocks_all_legs(self):
+        # a gate beyond the look-ahead envelope at x = 0 is judged too:
+        # the all-leg gait once stood in front of it with "status = ok"
+        far = Terrain(ceiling=((200e-3, 300e-3, 20e-3),))
+        sc = Scenario(signal=GaitSignal(period=4.0), terrain=far, duration=200.0)
+        with pytest.raises(InfeasibleConfinementError) as exc:
+            navigate_confined(sc)
+        assert "all gait makes no progress" in str(exc.value)
+        assert (round(exc.value.required_mm, 2), exc.value.available_mm) == (23.11, 20.0)
+        front = replace(sc, signal=GaitSignal(period=4.0, mask=MASKS["front_only"]))
+        _, report = navigate_confined(front)
+        assert not report.all_legs_feasible
+
+    def test_far_gate_transit_region_by_region(self):
+        # 85 mm of approach at the unconfined advance, then 247.5 mm at the
+        # gate's own; the all-leg gait never gets through
+        sc = Scenario(signal=GaitSignal(period=4.0, mask=MASKS["front_only"]),
+                      terrain=Terrain(ceiling=((200e-3, 300e-3, 20e-3),)))
+        free, _, _ = steady_cycle_displacement(replace(sc, terrain=Terrain()))
+        gated, _, _ = steady_cycle_displacement(
+            replace(sc, terrain=Terrain(ceiling=((10e-3, 110e-3, 20e-3),))))
+        assert predicted_transit_time(sc) == pytest.approx(
+            85e-3 / (free / 4.0) + 247.5e-3 / (gated / 4.0), rel=1e-12)
+        assert f"{predicted_transit_time(sc):.6g}" == "1040.87"
+        assert predicted_transit_time(replace(sc, signal=GaitSignal(period=4.0))) == math.inf
+
+
+def _confined_outcome(scenario):
+    """The trace navigate_confined returns, or the (reason, needs, has) of
+    the InfeasibleConfinementError it raises."""
+    try:
+        return navigate_confined(scenario)[0]
+    except InfeasibleConfinementError as err:
+        return err.reason, err.required_mm, err.available_mm
+
+
+@settings(max_examples=60, deadline=None)
+@given(x0=st.floats(0.0, 300.0), length=st.floats(1.0, 100.0),
+       gap=st.floats(7.3, 70.0), mask=st.sampled_from(sorted(MASKS)))
+def test_confinement_translation_property(x0, length, gap, mask):
+    """A gate's verdict does not depend on where it stands: moved to any
+    x0 in [0, 300] mm, navigate_confined passes or fails as it does with
+    the gate at 10 mm, with the same needs and has; and a run given the
+    predicted transit time, plus two periods for the cold start, carries
+    the footprint past the gate's end."""
+    def gated(start, duration=8.0):
+        return Scenario(signal=GaitSignal(period=4.0, mask=MASKS[mask]),
+                        terrain=Terrain(ceiling=((start * 1e-3, (start + length) * 1e-3,
+                                                  gap * 1e-3),)),
+                        duration=duration)
+
+    far = gated(x0)
+    transit = predicted_transit_time(far)
+    if math.isfinite(transit):
+        # a tenth of MAX_STEPS: a run that long takes ~30 MiB and ~0.07 s
+        assume((transit + 2 * 4.0) / far.dt <= MAX_STEPS // 10)
+        far = gated(x0, transit + 2 * 4.0)
+    near, got = _confined_outcome(gated(10.0)), _confined_outcome(far)
+    if isinstance(near, tuple):
+        assert got == near
+        return
+    assert not isinstance(got, tuple) and math.isfinite(transit)
+    assert got.x[-1] > (x0 + length) * 1e-3 + far.robot.leg.leg_length / 2.0
 
 
 class TestStaticLoadCheck:
