@@ -33,6 +33,7 @@ from .gait import (
     Scenario,
     SlipModel,
     _closed_sweep,
+    _drive_caps,
     _net_advance,
     stroke_arcs,
 )
@@ -181,6 +182,17 @@ def isotonic_nondecreasing(y) -> np.ndarray:
     return out
 
 
+def _check_power(dataset: Dataset, column: str, values: np.ndarray):
+    """Reject values whose sum of squares nears the float limit (within 4x):
+    a least-squares fit is no farther from them than all zeros."""
+    with np.errstate(over="ignore"):
+        power = 4.0 * np.sum(values * values)
+    if not np.isfinite(power):
+        raise ValidationError(
+            f"dataset {dataset.name!r}: {column} values too large to fit "
+            f"(their sum of squares nears the float limit)")
+
+
 def fit_stiffness_table(dataset: Dataset) -> CalibrationTable:
     """Monotone stiffness table from the digitized stiffness curve.
 
@@ -190,6 +202,7 @@ def fit_stiffness_table(dataset: Dataset) -> CalibrationTable:
     """
     current = dataset.column("current_a")
     stiff = dataset.column("stiffness_n_m")
+    _check_power(dataset, "stiffness_n_m", stiff)
     order = np.argsort(current)
     current, stiff = current[order], stiff[order]
     fitted = isotonic_nondecreasing(stiff)
@@ -222,7 +235,7 @@ ETA0_GRID = np.linspace(0.0, 1.0, 2001)  # slip scales the profile chooses from
 
 
 def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
-                  speeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  speeds: np.ndarray, cutoff=math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Best slip scale for each candidate actuator; returns (eta0, sse).
 
     The candidates are the template's actuator with the lag constants
@@ -239,15 +252,18 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
     the closed forms' one stroke rule, so they and the tie-break are the
     full grid's bit for bit.
 
-    Pass 0 sorts nothing. Past K, the largest knot at or below eta = 1 (0
-    if there is none), every stroke that goes live in [0, 1] is live, so
-    the SSE on [K, 1] is one quadratic built from per-period sums. Pass 0
-    evaluates eta = 0 and the bracket of that quadratic's clipped vertex;
-    their best value U bounds the minimum. Every grid point below K has
+    Past K, the largest knot at or below eta = 1 (0 if there is none),
+    every stroke that goes live in [0, 1] is live, so the SSE on [K, 1] is
+    one quadratic built from per-period sums. Every grid point below K has
     v_p(eta) in [0, v_p(K)], so its SSE is at least the sum over periods
-    of dist(speed, [0, v_p(K)])^2. A candidate whose bound exceeds U +
-    margin strictly is done, as is one with K = 0, which has no grid
-    point below K. The others go through the knot-sorted passes
+    of dist(speed, [0, v_p(K)])^2 (+inf if K = 0). So the minimum lies
+    between LB, the least of that bound and the quadratic at its clipped
+    vertex, and UB, the quadratic at its upper grid point or the SSE at
+    eta = 0. A candidate with LB > min(cutoff, any UB + its margin) + its
+    own margin gets sse = +inf, eta0 = nan. Pass 0 evaluates eta = 0 and
+    the vertex's bracket for the others; their best value U bounds the
+    minimum, and closes a candidate whose bound below K exceeds U + margin
+    strictly, or with K = 0. The others go through the knot-sorted passes
     (_knot_intervals), where the quadratic's value at the clipped vertex
     is a lower bound lb for every grid point in its interval. Pass 1
     evaluates the bracket of the interval with the least lb, lowering U;
@@ -256,12 +272,13 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
     The margin is 1e-12*W, W = sum over periods of (a + |speed|)^2 with a
     the period's speed at eta = 1 before re-seat losses. At or below eta
     = 1, W bounds the summed magnitudes of the terms of each per-period or
-    prefix sum, of pass 0's bound, of each quadratic and of the exact
+    prefix sum, of the bound below K, of each quadratic and of the exact
     SSE, so their rounding, with the vertex's, stays below about 600 *
     2^-53 * W (7e-14 * W): the margin has more than a factor of ten to
-    spare. The closest rounding tie the tests hold needs 1e-16 * W.
-    Otherwise the vertex only chooses which grid points get evaluated. A
-    stroke that stalls at every eta gets knot +inf and is never live.
+    spare, also where a comparison across candidates adds both margins.
+    The closest rounding tie the tests hold needs 1e-16 * W. Otherwise the
+    vertex only chooses which grid points get evaluated. A stroke that
+    stalls at every eta gets knot +inf and is never live.
     """
     ter = template.terrain
     half = ter.reseat_loss
@@ -269,7 +286,6 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
                                    (np.reshape(tau_heat, (-1, 1)),
                                     np.reshape(tau_cool, (-1, 1))))
     n = len(stand)
-    ids = np.arange(n)
     rate = ter.anchor_efficiency * np.concatenate([stand, sit], axis=2)
     advances = rate > 0.0  # the other strokes stall at every eta
     knot = np.divide(half, rate, out=np.full_like(rate, np.inf), where=advances)
@@ -284,7 +300,7 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
         d = _net_advance(ter, e, stand[cand], sit[cand], True).sum(axis=2)
         return np.sum((d / scale - speeds) ** 2, axis=1)
 
-    # pass 0: each period's residual on [k, 1] is alpha*eta + beta
+    # each period's residual on [k, 1] is alpha*eta + beta
     live = knot <= 1.0
     k = np.max(knot, axis=(1, 2), where=live, initial=0.0)
     alpha = np.sum(r, axis=2, where=live)
@@ -292,14 +308,19 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
     quad_a, quad_b = np.sum(alpha * alpha, axis=1), np.sum(alpha * beta, axis=1)
     vertex = np.divide(-quad_b, quad_a, out=k.copy(), where=quad_a > 0.0)
     at = np.clip(vertex, k, 1.0) * (len(ETA0_GRID) - 1)
-    cand = np.repeat(ids, 3)
-    idx = np.column_stack([np.zeros(n), np.floor(at),
-                           np.ceil(at)]).astype(int).ravel()
-    sse = sse_at(cand, idx)
-    best = np.min(sse.reshape(n, 3), axis=1)
     gap = np.maximum(np.maximum(-(alpha * k[:, None] + beta), -speeds), 0.0)
     bound = np.where(k > 0.0, np.sum(gap * gap, axis=1), np.inf)
-    rest = np.flatnonzero(~(bound > best + margin))
+    eta = np.stack([at, np.ceil(at)]) / (len(ETA0_GRID) - 1)
+    lb, ub = np.sum((alpha * eta[..., None] + beta) ** 2, axis=2)
+    lb, ub = np.minimum(lb, bound), np.minimum(ub, np.sum(speeds * speeds))
+    alive = np.flatnonzero(~(lb > min(cutoff, np.min(ub + margin)) + margin))
+    cand = np.repeat(alive, 3)
+    idx = np.column_stack([np.zeros(len(alive)), np.floor(at[alive]),
+                           np.ceil(at[alive])]).astype(int).ravel()
+    sse = sse_at(cand, idx)
+    best = np.min(sse.reshape(-1, 3), axis=1)
+    rest_at = np.flatnonzero(~(bound[alive] > best + margin[alive]))
+    rest = alive[rest_at]
     if len(rest):
         lb, at = _knot_intervals(knot[rest], advances[rest], r[rest],
                                  half / scale, speeds)
@@ -308,7 +329,7 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
         idx1 = np.column_stack([np.floor(at[sub, first]),
                                 np.ceil(at[sub, first])]).astype(int).ravel()
         sse1 = sse_at(np.repeat(rest, 2), idx1)
-        bound = np.minimum(best[rest], np.min(sse1.reshape(-1, 2), axis=1))
+        bound = np.minimum(best[rest_at], np.min(sse1.reshape(-1, 2), axis=1))
         keep = lb <= (bound + margin[rest])[:, None]
         keep[sub, first] = False
         more, j = np.nonzero(keep)
@@ -319,8 +340,10 @@ def _profile_eta0(template: Scenario, tau_heat, tau_cool, periods: np.ndarray,
         sse = np.concatenate([sse, sse1, sse_at(more, idx2)])
     # by candidate, then sse, then eta: each block opens with the first minimum
     pick = np.lexsort((idx, sse, cand))
-    pick = pick[np.searchsorted(cand[pick], ids)]
-    return ETA0_GRID[idx[pick]], sse[pick]
+    pick = pick[np.searchsorted(cand[pick], alive)]
+    eta0, least = np.full(n, np.nan), np.full(n, np.inf)
+    eta0[alive], least[alive] = ETA0_GRID[idx[pick]], sse[pick]
+    return eta0, least
 
 
 def _knot_intervals(knot: np.ndarray, advances: np.ndarray, r: np.ndarray,
@@ -386,10 +409,11 @@ def _thermal_grid_search(template: Scenario, periods: np.ndarray,
     in three blocks of five rows. A block's first minimum in (tau_heat
     outer, tau_cool inner) order must beat the best so far strictly, which
     keeps the first strict minimum in that order over the whole search.
+    Each call's cutoff is the best SSE so far, which a block cut whole cannot beat.
     """
     (th_lo, th_hi) = THERMAL_BOUNDS["tau_heat_s"]
     (tc_lo, tc_hi) = THERMAL_BOUNDS["tau_cool_s"]
-    best = None
+    best = (math.inf,)
     th_grid = np.linspace(th_lo, th_hi, 15)
     tc_grid = np.linspace(tc_lo, tc_hi, 15)
     for _ in range(7):
@@ -398,9 +422,9 @@ def _thermal_grid_search(template: Scenario, periods: np.ndarray,
         for start in range(0, len(th_grid), per_call):
             th = th_grid[start:start + per_call]
             eta0, sse = _profile_eta0(template, np.repeat(th, n_cool),
-                                      np.tile(tc_grid, len(th)), periods, speeds)
+                                      np.tile(tc_grid, len(th)), periods, speeds, best[0])
             k = int(np.argmin(sse))
-            if best is None or sse[k] < best[0]:
+            if sse[k] < best[0]:
                 best = (float(sse[k]), float(th[k // n_cool]),
                         float(tc_grid[k % n_cool]), float(eta0[k]))
         step_h = (th_grid[-1] - th_grid[0]) / (len(th_grid) - 1)
@@ -412,6 +436,29 @@ def _thermal_grid_search(template: Scenario, periods: np.ndarray,
     return best
 
 
+def _speed_peak(fitted: Scenario, eta0: float, split_at: float) -> float:
+    """First argmax of the fit's speed curve (slip scale eta0) at 0.5..20 s
+    by 0.01 s, evaluated up to split_at, then only where most/T beats the
+    best: no stroke spans more than its cap (_arcs), so no cycle more than
+    `most` (1e-14 covers cos's rounding near the cap, 1e-12 the rest)."""
+    ter, e = fitted.terrain, eta0 * fitted.terrain.anchor_efficiency
+
+    def speed(periods):
+        stand, sit, _, _ = stroke_arcs(fitted, periods, SWEEP_CYCLES)
+        return (_net_advance(ter, e, stand, sit, True).sum(axis=-1)
+                / (SWEEP_CYCLES * periods))
+
+    fine = np.arange(0.5, 20.0 + 1e-9, 0.01)
+    split = int(np.searchsorted(fine, split_at, side="right"))
+    v = speed(fine[:split])
+    (cap_f, cap_r), leg = _drive_caps(fitted), fitted.robot.leg.leg_length
+    most = _net_advance(ter, e, leg * (1.0 - math.cos(cap_f) + 1e-14),
+                        leg / 2.0 * (1.0 - math.cos(cap_r) + 1e-14), True)
+    later = fine[split:][most * (1.0 + 1e-12) / fine[split:] > np.max(v, initial=-np.inf)]
+    v = np.concatenate([v, speed(later)]) if len(later) else v
+    return float(fine[int(np.argmax(v))])
+
+
 def thermal_fit_report(dataset: Dataset, template: Scenario,
                        peak_window: tuple[float, float] = SPEED_PEAK_WINDOW) -> CalibrationResult:
     """Actuator lag constants from the speed-vs-period curve.
@@ -421,11 +468,10 @@ def thermal_fit_report(dataset: Dataset, template: Scenario,
     9 x 9 level per block; see _thermal_grid_search). Each candidate's
     overall slip scale is profiled out: the best of ETA0_GRID's 2001
     points, found exactly from a few grid points of the piecewise-quadratic
-    SSE (see _profile_eta0). Most candidates need three: eta = 0 and the
-    bracket of the vertex past the last knot, where every stroke is live,
-    with a monotone bound ruling out the grid below that knot; only the
-    few the bound cannot rule out have their knots sorted and searched
-    interval by interval. The objective is an exact closed-form
+    SSE (see _profile_eta0). Bounds cut most candidates before any: they
+    can beat neither their block nor the best so far. The rest need three,
+    eta = 0 and the vertex bracket past the last knot; only a few have
+    their knots sorted. The objective is an exact closed-form
     transcription of the simulator's period sweep, so data the simulator
     generated is recovered without bias.
 
@@ -434,27 +480,20 @@ def thermal_fit_report(dataset: Dataset, template: Scenario,
     SWEEP_CYCLES whole cold-start cycles (stroke_arcs netted by
     gait._net_advance), which the peak check uses too and sweep_period's
     points match within rounding. Raises NoFeasibleFit when the fitted
-    curve peaks outside peak_window.
+    curve peaks outside peak_window (see _speed_peak).
     """
     periods = dataset.column("period_s")
     speeds = dataset.column("speed_mm_s") * 1e-3
     if len(periods) < 4:
         raise NoFeasibleFitError(
             f"thermal fit needs >= 4 (period, speed) points, got {len(periods)}")
-    # sweep_period's period range, checked before the search rather than
-    # after it; and speeds whose sum of squares stays finite with a factor
-    # of 4 to spare, so that every sum the search forms stays finite too
+    # sweep_period's period range, checked before the search
     outside = periods[(periods < 0.5) | (periods > 20.0)]
     if len(outside):
         raise ValidationError(
             f"dataset {dataset.name!r}: period_s {outside[0].item()!r} "
             f"outside [0.5, 20.0]")
-    with np.errstate(over="ignore"):
-        power = 4.0 * np.sum(speeds * speeds)
-    if not np.isfinite(power):
-        raise ValidationError(
-            f"dataset {dataset.name!r}: speed_mm_s values too large to fit "
-            f"(their sum of squares nears the float limit)")
+    _check_power(dataset, "speed_mm_s", speeds)
     if (template.terrain.slope != 0.0 or template.payload_mass != 0.0
             or not _closed_sweep(template)):
         raise ValidationError(
@@ -468,12 +507,7 @@ def thermal_fit_report(dataset: Dataset, template: Scenario,
     fitted = replace(template.actuator, tau_heat=tau_h, tau_cool=tau_c)
     rmse = math.sqrt(sse / len(periods))
 
-    fine = np.arange(0.5, 20.0 + 1e-9, 0.01)
-    stand, sit, _, _ = stroke_arcs(replace(template, actuator=fitted), fine,
-                                   SWEEP_CYCLES)
-    v_fine = _net_advance(template.terrain, eta0 * template.terrain.anchor_efficiency,
-                          stand, sit, True).sum(axis=-1) / (SWEEP_CYCLES * fine)
-    peak = float(fine[int(np.argmax(v_fine))])
+    peak = _speed_peak(replace(template, actuator=fitted), eta0, peak_window[1])
     if not (peak_window[0] <= peak <= peak_window[1]):
         raise NoFeasibleFitError(
             f"fitted speed curve peaks at {peak:.2f} s, outside "
@@ -540,6 +574,7 @@ def slip_fit_report(dataset: Dataset, template: Scenario) -> CalibrationResult:
                                  template.terrain.reseat_loss)
         for v in speeds
     ]) / anchor
+    _check_power(dataset, "speed_mm_s", etas)
 
     total = template.robot.total_mass
     design = np.column_stack([
@@ -547,7 +582,8 @@ def slip_fit_report(dataset: Dataset, template: Scenario) -> CalibrationResult:
     ])
     if n == 3:
         det = float(np.linalg.det(design))
-        scale = float(np.abs(design).max()) ** 3
+        with np.errstate(over="ignore"):  # past the float limit: singular
+            scale = np.abs(design).max() ** 3
         if abs(det) < 1e-12 * max(scale, 1.0):
             raise SingularSystemError(
                 "operating points do not separate slope and load effects "

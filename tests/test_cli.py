@@ -1,5 +1,6 @@
-"""End-to-end CLI runs, in process via main(argv), save one in a capped child."""
+"""End-to-end CLI runs, in process via main(argv), save a few in a capped child."""
 
+import configparser
 import math
 import os
 import re
@@ -454,6 +455,73 @@ class TestCalibrate:
         monkeypatch.setenv("CCPJ_DATA_DIR", str(data))
         assert main(["calibrate", "--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err.startswith("ccpj: error[4]: TooFewPointsError:")
+
+
+DATASETS = ("stiffness_vs_current", "speed_vs_period", "operating_points")
+ODD_VALUE = st.one_of(
+    st.sampled_from(["0", "-0", "1e308", "-1e308", "1e-300", "5e-324", "-5e-324",
+                     "nan", "inf", "", "x"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+FAULTS = ("duplicate", "unsorted", "ragged", "value", "negate", "fewer_rows",
+          "no_header_line", "no_column_line")
+
+
+@st.composite
+def odd_dataset(draw, text):
+    """A shipped dataset's text with some drawn faults: rows repeated,
+    reordered, ragged, cut or holding odd values (zeros, flipped signs,
+    huge, tiny, non-finite or not numbers), and header lines dropped."""
+    lines = text.splitlines()
+    meta = [line for line in lines if line.startswith("#")]
+    columns, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        at = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if fault == "duplicate" and rows:
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[at]))
+        elif fault == "unsorted":
+            rows = draw(st.permutations(rows))
+        elif fault == "ragged" and rows:
+            rows[at] = rows[at] + ["1"] if draw(st.booleans()) else rows[at][:-1]
+        elif fault in ("value", "negate") and rows and rows[at]:
+            col = draw(st.integers(0, len(rows[at]) - 1))
+            rows[at] = list(rows[at])
+            rows[at][col] = (draw(ODD_VALUE) if fault == "value"
+                             else "-" + rows[at][col])
+        elif fault == "fewer_rows":
+            rows = rows[:draw(st.integers(0, len(rows)))]
+        elif fault == "no_header_line" and meta:
+            meta = meta[:at % len(meta)] + meta[at % len(meta) + 1:]
+        elif fault == "no_column_line":
+            columns = None
+    body = ([",".join(columns)] if columns else []) + [",".join(r) for r in rows]
+    return "\n".join(meta + body) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_calibrate_dataset_directory_property(data):
+    """Any drawn dataset directory: exit 0, 2 or 4 with no traceback, one
+    error line on failure, finite fitted constants on success."""
+    with tempfile.TemporaryDirectory() as tmp:
+        drawn, out = Path(tmp) / "data", Path(tmp) / "out"
+        drawn.mkdir()
+        for name in DATASETS:
+            text = (data_dir() / f"{name}.csv").read_text()
+            (drawn / f"{name}.csv").write_text(data.draw(odd_dataset(text), label=name))
+        done = run_capped(["calibrate", "--out", str(out), "--quiet"],
+                          CCPJ_DATA_DIR=str(drawn))
+        assert done.returncode in (0, 2, 4), done.stderr
+        assert "Traceback" not in done.stderr
+        if done.returncode:
+            [line] = done.stderr.splitlines()
+            assert line.startswith(f"ccpj: error[{done.returncode}]: ")
+            return
+        cfg = configparser.ConfigParser()
+        cfg.read(out / "calibrated.config", encoding="utf-8")
+        values = [v for section in ("actuator", "slip") for v in cfg[section].values()]
+        values += cfg["stiffness_table"]["points_a_n_m"].replace(":", " ").split()
+        assert all(math.isfinite(float(v)) for v in values)
 
 
 class TestUnwritableOut:

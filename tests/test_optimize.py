@@ -152,7 +152,8 @@ def test_batched_search_property(search, first_only):
     same (x, y) bit for bit, and each batch asked for exactly when the
     sequential path reaches a point no earlier batch answered, led by that
     point. first_only answers only the first point of each batch, as
-    optimize_period does off the closed form."""
+    optimize_period does off the closed form: after the first such
+    batch, the search asks for that point alone."""
     lo, hi, tol, f = search
     path, batches = [], []
 
@@ -180,6 +181,8 @@ def test_batched_search_property(search, first_only):
             assert xs[0] == x
             known.update(xs[:1] if first_only else xs)
     assert next(calls, None) is None
+    if first_only:
+        assert all(len(xs) == 1 for xs in batches[1:])
 
 
 def planted_sweep(speed):

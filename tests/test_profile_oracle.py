@@ -1,13 +1,18 @@
 """The thermal fit's slip-scale profile and grid search against references.
 
 `calibrate._profile_eta0` profiles a batch of candidate actuators at once
-and evaluates only the grid points that can hold each minimum.
-`grid_profile` below is the brute force for one candidate: the sweep SSE
-at every one of the 2001 slip scales in linspace(0, 1, 2001), then argmin,
-so ties go to the smallest eta. The arithmetic is unchanged, so every
-candidate of a batch must agree with it with `==` on both floats, not
-within a tolerance. `loop_search` is the thermal grid search one candidate
-at a time, the reference for `_thermal_grid_search`'s row batches.
+and evaluates only the grid points that can hold each minimum; it cuts,
+with sse = +inf, the candidates whose bounds show that they cannot hold
+the batch's minimum or beat its cutoff. `grid_profile` below is the brute
+force for one candidate: the sweep SSE at every one of the 2001 slip
+scales in linspace(0, 1, 2001), then argmin, so ties go to the smallest
+eta. The arithmetic is unchanged, so every candidate the batch profiles
+must agree with it with `==` on both floats, not within a tolerance, and
+every candidate it cuts must have a brute-force SSE above the batch's
+minimum or the cutoff. `loop_search` is the thermal grid search one
+candidate at a time, the reference for `_thermal_grid_search`'s row
+batches, and `full_peak` the peak check over all 1951 periods, the
+reference for `_speed_peak`.
 """
 
 import math
@@ -16,17 +21,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ccpj import calibrate as cal
 from ccpj.gait import (
     SWEEP_CYCLES,
     ActuatorModel,
+    CurrentHeightMap,
     Scenario,
     SlipModel,
     Terrain,
+    _net_advance,
     stroke_arcs,
 )
+from ccpj.kinematics import BETA_MAX
 from ccpj.params import GaitSignal
 from reference_gait import simulated_sweep, sweep_speeds
 
@@ -69,19 +77,37 @@ PERIODS = np.array([2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
 SHIPPED_MM_S = np.array([3.9, 7.0, 8.5, 6.9, 5.7, 4.2, 3.4])
 
 
-def assert_profile_exact(template, tau_heat, tau_cool, periods, speeds):
+def assert_profile_exact(template, tau_heat, tau_cool, periods, speeds,
+                         cutoff=math.inf):
     """One batched _profile_eta0 call against grid_profile per candidate.
 
-    Returns the per-candidate (eta0, sse) pairs.
+    A candidate the call profiles must match with `==`. One it cuts (sse
+    +inf, eta0 nan) must have a brute-force SSE strictly above the least
+    SSE of the batch or above cutoff. Returns the call's per-candidate
+    (eta0, sse) pairs.
     """
-    eta0, sse = cal._profile_eta0(template, tau_heat, tau_cool, periods, speeds)
+    eta0, sse = cal._profile_eta0(template, tau_heat, tau_cool, periods, speeds,
+                                  cutoff)
     th, tc = np.broadcast_arrays(np.atleast_1d(tau_heat), np.atleast_1d(tau_cool))
     assert eta0.shape == sse.shape == th.shape
+    cut = sse == math.inf
+    assert np.isnan(eta0[cut]).all() and not np.isnan(eta0[~cut]).any()
+    assert cutoff < math.inf or not cut.all()  # the batch's minimum is kept
+    least = min(float(np.min(sse)), cutoff)
     got = list(zip(eta0.tolist(), sse.tolist()))
-    for pair, h, c in zip(got, th, tc):
+    for pair, h, c, gone in zip(got, th, tc, cut):
         act = replace(template.actuator, tau_heat=float(h), tau_cool=float(c))
-        assert pair == grid_profile(template, act, periods, speeds)
+        want = grid_profile(template, act, periods, speeds)
+        if gone:
+            assert want[1] > least
+        else:
+            assert pair == want
     return got
+
+
+def profiled(pairs):
+    """The (eta0, sse) pairs a _profile_eta0 call did not cut."""
+    return [pair for pair in pairs if pair[1] < math.inf]
 
 
 def test_every_candidate_of_the_shipped_fit(monkeypatch, shipped_data_dir):
@@ -97,8 +123,11 @@ def test_every_candidate_of_the_shipped_fit(monkeypatch, shipped_data_dir):
     cal.thermal_fit_report(ds, TEMPLATE)
     monkeypatch.undo()
     assert len(calls) == 3 + 6  # 5-row blocks of the 15 x 15 grid, then one per level
-    candidates = sum(len(assert_profile_exact(*args)) for args in calls)
-    assert candidates == 15 * 15 + 6 * 9 * 9
+    got = [assert_profile_exact(*args) for args in calls]
+    assert sum(map(len, got)) == 15 * 15 + 6 * 9 * 9
+    # the bounds cut all but 15 before any exact evaluation; the third
+    # block cannot beat the first two, its cutoff
+    assert [len(profiled(pairs)) for pairs in got] == [1, 1, 0, 1, 1, 1, 1, 1, 8]
 
 
 def record_knot_sorts(monkeypatch):
@@ -116,19 +145,20 @@ def record_knot_sorts(monkeypatch):
 
 def test_pass0_closes_most_of_the_shipped_fit(monkeypatch, shipped_data_dir):
     # Near the optimum every candidate's best slip scale lies past its last
-    # knot, where pass 0's one quadratic and its bound settle it. A weaker
-    # certificate sends more candidates to the knot sort.
+    # knot, where pass 0's one quadratic and its bound settle it: of the 15
+    # candidates of 711 that the bounds leave, none needs the knot sort.
+    # A weaker certificate sends candidates to it.
     sizes = record_knot_sorts(monkeypatch)
     ds = cal.load_dataset("speed_vs_period", shipped_data_dir)
     cal.thermal_fit_report(ds, TEMPLATE)
-    assert sizes == [11, 9, 9]  # of 711 candidates in nine calls
+    assert sizes == []
 
 
 def test_pass0_bound_counts_negative_speeds(monkeypatch):
     # A negative speed is at least |speed| from every model speed, and the
     # bound below the last knot counts that: with the 10 s point at -3.4
-    # mm/s, a bound that left it out would send 176 candidates, not 146,
-    # to the knot sort.
+    # mm/s, a bound that left it out would send 78 candidates in four
+    # calls, not 55 in three, to the knot sort.
     speeds = SHIPPED_MM_S * 1e-3
     speeds[-1] = -3.4e-3
     sizes = record_knot_sorts(monkeypatch)
@@ -142,7 +172,7 @@ def test_pass0_bound_counts_negative_speeds(monkeypatch):
     monkeypatch.setattr(cal, "_profile_eta0", record)
     cal._thermal_grid_search(TEMPLATE, PERIODS, speeds)
     monkeypatch.undo()
-    assert sizes == [44, 75, 27]
+    assert sizes == [27, 3, 25]
     for args in calls:
         assert_profile_exact(*args)
 
@@ -179,8 +209,11 @@ def test_candidates_in_one_call_match_each_alone(terrain):
     speeds = SHIPPED_MM_S * 1e-3
     alone = [assert_profile_exact(tmpl, [h], [c], PERIODS, speeds)[0]
              for h, c in TAUS]
-    tau_heat, tau_cool = np.array(TAUS).T
-    assert assert_profile_exact(tmpl, tau_heat, tau_cool, PERIODS, speeds) == alone
+    # the fitted candidate twice: a tie across candidates keeps both
+    tau_heat, tau_cool = np.array(TAUS + TAUS[:1]).T
+    batch = assert_profile_exact(tmpl, tau_heat, tau_cool, PERIODS, speeds)
+    assert batch[0] == batch[-1] == alone[0]
+    assert profiled(batch[:-1]) == [a for a, b in zip(alone, batch) if b[1] < math.inf]
     # a tau_heat row: one scalar against many tau_cool values
     assert_profile_exact(tmpl, 1.0, np.linspace(0.1, 2.0, 15), PERIODS, speeds)
 
@@ -261,14 +294,18 @@ TAU_PAIRS = st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 2.0))
        terrain=st.sampled_from(sorted(TERRAINS)),
        data=st.lists(st.tuples(st.floats(0.5, 20.0), st.floats(0.0, 0.02)),
                      min_size=4, max_size=12,
-                     unique_by=lambda p: p[0]))
-def test_profile_matches_grid(taus, terrain, data):
+                     unique_by=lambda p: p[0]),
+       cutoff=st.none() | st.floats(0.0, 1.0))
+def test_profile_matches_grid(taus, terrain, data, cutoff):
+    # cutoff, when drawn, is a fraction of the SSE at eta = 0
     data.sort()
     periods = np.array([p for p, _ in data])
     speeds = np.array([v for _, v in data])
     tmpl = replace(TEMPLATE, terrain=TERRAINS[terrain])
     tau_heat, tau_cool = np.array(taus).T
-    for eta0, sse in assert_profile_exact(tmpl, tau_heat, tau_cool, periods, speeds):
+    cutoff = math.inf if cutoff is None else cutoff * float(np.sum(speeds * speeds))
+    got = assert_profile_exact(tmpl, tau_heat, tau_cool, periods, speeds, cutoff)
+    for eta0, sse in profiled(got):
         assert 0.0 <= eta0 <= 1.0 and math.isfinite(sse)
 
 
@@ -434,6 +471,77 @@ def test_grid_search_all_stalled_keeps_the_first_candidate(terrain):
         best = cal._thermal_grid_search(tmpl, PERIODS, speeds)
     assert best == loop_search(tmpl, PERIODS, speeds)
     assert best[1:] == (0.2, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("terrain", sorted(TERRAINS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_grid_search_matches_the_loop_property(terrain, data):
+    # Cutting candidates against each other and against the best so far
+    # keeps the loop's answer and its tie rule: 4 to 9 periods, often
+    # repeated, in any order, with zero and negative speeds among them.
+    tmpl = replace(TEMPLATE, terrain=TERRAINS[terrain])
+    drawn = data.draw(st.lists(st.floats(0.5, 20.0), min_size=1, max_size=9))
+    periods = np.array(data.draw(st.lists(st.sampled_from(drawn), min_size=4,
+                                          max_size=9)))
+    speeds = np.array(data.draw(st.lists(st.just(0.0) | st.floats(-0.02, 0.02),
+                                         min_size=len(periods),
+                                         max_size=len(periods))))
+    assert (cal._thermal_grid_search(tmpl, periods, speeds)
+            == loop_search(tmpl, periods, speeds))
+
+
+def full_peak(fitted, eta0):
+    """The fitted speed curve's first argmax over all 1951 periods of the
+    peak check's grid: the reference for _speed_peak's bounded scan."""
+    fine = np.arange(0.5, 20.0 + 1e-9, 0.01)
+    assert len(fine) == 1951
+    ter = fitted.terrain
+    stand, sit, _, _ = stroke_arcs(fitted, fine, SWEEP_CYCLES)
+    v = (_net_advance(ter, eta0 * ter.anchor_efficiency, stand, sit, True).sum(axis=-1)
+         / (SWEEP_CYCLES * fine))
+    return float(fine[int(np.argmax(v))])
+
+
+SHIPPED_FIT = (1.2693351745605468, 0.5710022517613002, 0.7635000000000001)
+
+
+# the shipped fit (peak 4.02 s) split at its window's edge, below its peak,
+# below the grid and past it; eta0 = 0, a flat curve peaking at 0.5 s
+@example(terrain="ratchet", fit=SHIPPED_FIT, cap=None, split_at=4.5)
+@example(terrain="ratchet", fit=SHIPPED_FIT, cap=None, split_at=4.0)
+@example(terrain="ratchet", fit=SHIPPED_FIT, cap=None, split_at=0.3)
+@example(terrain="ratchet", fit=SHIPPED_FIT, cap=None, split_at=25.0)
+@example(terrain="ratchet", fit=SHIPPED_FIT[:2] + (0.0,), cap=None, split_at=4.5)
+@example(terrain="smooth", fit=SHIPPED_FIT[:2] + (0.0,), cap=None, split_at=0.3)
+@settings(max_examples=60, deadline=None)
+@given(terrain=st.sampled_from(sorted(TERRAINS)),
+       fit=st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 2.0),
+                     st.sampled_from(cal.ETA0_GRID.tolist())),
+       cap=st.none() | st.floats(0.0, BETA_MAX),
+       split_at=st.floats(0.3, 25.0))
+def test_speed_peak_matches_the_full_scan_property(terrain, fit, cap, split_at):
+    # cap, when drawn, replaces the height map's 60 degrees: a small one
+    # leaves strokes whose arcs lose most of their digits to 1 - cos
+    fitted = replace(TEMPLATE, terrain=TERRAINS[terrain],
+                     actuator=replace(TEMPLATE.actuator, tau_heat=fit[0],
+                                      tau_cool=fit[1]))
+    if cap is not None:
+        fitted = replace(fitted, height_map=CurrentHeightMap(
+            anchors=((0.0, cap), (1.0, cap))))
+    assert cal._speed_peak(fitted, fit[2], split_at) == full_peak(fitted, fit[2])
+
+
+def test_shipped_peak_is_the_full_scans(shipped_data_dir):
+    ds = cal.load_dataset("speed_vs_period", shipped_data_dir)
+    report = cal.thermal_fit_report(ds, TEMPLATE)
+    eta0 = report.parameters["eta0_profile"]
+    peak = report.parameters["peak_s"]
+    assert peak == full_peak(replace(TEMPLATE, actuator=report.model), eta0)
+    assert peak == pytest.approx(4.02, abs=1e-9)
+    # a window whose upper edge lies below the peak
+    with pytest.raises(cal.NoFeasibleFitError, match="peaks at 4.02 s"):
+        cal.thermal_fit_report(ds, TEMPLATE, peak_window=(3.5, 4.0))
 
 
 def resweep_rmse(fitted, eta0, periods, speeds):
