@@ -9,11 +9,12 @@ by torsional springs. Equilibrium is the minimum of
 over the joint angles (plus the base rotation when the base is pinned
 instead of clamped). The solver is damped Newton with an analytic gradient
 and Hessian, Armijo backtracking, and a load-ramp restart for the heavy
-droop regime where the straight initial guess is far from equilibrium.
+load regime where the straight initial guess is far from equilibrium.
 
 The bridge from the bend-test apparent stiffness k_app (N/m) to the
 elastica is the simply-supported center-load relation EI = k_app S^3 / 48;
-each joint then gets torsional stiffness EI / segment_length.
+each joint of a chain then gets torsional stiffness EI over that chain's
+segment length.
 """
 
 from __future__ import annotations
@@ -60,61 +61,56 @@ def ei_from_apparent(k_app: float, span: float) -> float:
 
 @dataclass(frozen=True)
 class FlexuralModel:
-    """Effective flexural rigidity and the per-joint torsional stiffness.
+    """Effective flexural rigidity of the leg.
 
-    joint_stiffness is EI / segment_length by construction, which keeps the
-    discrete chain's bending response consistent with the continuum EI.
+    Each solve divides EI by its own chain's segment length to get the
+    per-joint torsional stiffness, which keeps the discrete chain's bending
+    response consistent with the continuum EI.
     """
 
     ei: float  # N m^2
-    segment_length: float  # m
 
     def __post_init__(self):
         if not 0.0 < self.ei < math.inf:
             raise OutOfRangeError("ei", self.ei, 0.0, math.inf)
-        if not 0.0 < self.segment_length < math.inf:
-            raise OutOfRangeError("segment_length", self.segment_length, 0.0, math.inf)
-
-    @property
-    def joint_stiffness(self) -> float:
-        """Torsional stiffness per joint (N m / rad)."""
-        return self.ei / self.segment_length
 
     @classmethod
     def from_current(
         cls, current: float, table: CalibrationTable, params: BeamParams
     ) -> "FlexuralModel":
-        k_app = stiffness_at(current, table)
-        ei = ei_from_apparent(k_app, params.span_3pb)
-        return cls(ei=ei, segment_length=params.bead_thickness)
+        return cls(ei=ei_from_apparent(stiffness_at(current, table), params.span_3pb))
 
 
 @dataclass(frozen=True)
 class BeamShape:
-    """Discrete beam configuration: relative joint angles plus base pose."""
+    """Discrete beam configuration: relative joint angles plus the first
+    segment's orientation. The base node is at the origin."""
 
     joint_angles: tuple[float, ...]
-    base_position: tuple[float, float] = (0.0, 0.0)
     base_orientation: float = 0.0  # rad
 
     def __post_init__(self):
         for i, th in enumerate(self.joint_angles):
             if not (abs(th) < math.pi):
                 raise OutOfRangeError(f"joint_angle[{i}]", th, -math.pi, math.pi)
-        if not all(math.isfinite(v) for v in (*self.base_position, self.base_orientation)):
-            raise ValidationError(f"base pose {self.base_position!r}, "
-                                  f"{self.base_orientation!r} is not finite")
+        if not math.isfinite(self.base_orientation):
+            raise ValidationError(f"base orientation {self.base_orientation!r} is not finite")
+
+
+def _chain_nodes(phi0, theta, segment_length: float) -> np.ndarray:
+    """(len(theta) + 2, 2) node coordinates of a chain based at the origin,
+    its first segment at angle phi0 and joint angles theta."""
+    phi = phi0 + np.concatenate(([0.0], np.cumsum(theta)))
+    steps = segment_length * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    nodes = np.zeros((len(phi) + 1, 2))
+    nodes[1:] = np.cumsum(steps, axis=0)
+    return nodes
 
 
 def node_positions(shape: BeamShape, segment_length: float) -> np.ndarray:
     """(len(joint_angles) + 2, 2) array of node coordinates, base node first."""
-    theta = np.asarray(shape.joint_angles, dtype=float)
-    phi = shape.base_orientation + np.concatenate(([0.0], np.cumsum(theta)))
-    steps = segment_length * np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    nodes = np.zeros((len(phi) + 1, 2))
-    nodes[0] = shape.base_position
-    nodes[1:] = shape.base_position + np.cumsum(steps, axis=0)
-    return nodes
+    return _chain_nodes(shape.base_orientation,
+                        np.asarray(shape.joint_angles, dtype=float), segment_length)
 
 
 def max_chord_deviation(shape: BeamShape, segment_length: float) -> float:
@@ -159,7 +155,7 @@ class EquilibriumResult:
     shape: BeamShape
     energy: float
     grad_norm: float
-    iterations: int
+    iterations: int  # Newton steps, summed over a load ramp's stages
     energy_history: tuple[float, ...] = field(repr=False, default=())
 
 
@@ -173,11 +169,12 @@ class _EnergyModel:
     downstream-most of the two pivots. Support springs add a rank-1 term
     on top of the same geometric curvature. Energy, gradient and Hessian
     are separate steps over one geometry, so a solver builds each at most
-    once per iterate.
+    once per iterate. The loads are fixed at construction: a load ramp
+    builds one model per stage.
     """
 
     def __init__(self, n_seg, seg_len, kappa, masses, gravity,
-                 point_loads, springs, pinned, base_orientation=0.0):
+                 point_loads, springs, pinned):
         self.n_seg = n_seg
         self.seg_len = seg_len
         self.kappa = kappa
@@ -186,7 +183,6 @@ class _EnergyModel:
         self.point_loads = tuple(point_loads)
         self.springs = tuple(springs)  # (node, k, rest_y)
         self.pinned = pinned
-        self.base_orientation = base_orientation
         self.n_joint = n_seg - 1
         self.n_dof = self.n_joint + (1 if pinned else 0)
         # pivot node of each DOF: base rotation pivots at node 0,
@@ -204,38 +200,20 @@ class _EnergyModel:
         self._hess0[self._joint_slice, self._joint_slice] += kappa * np.eye(self.n_joint)
         # moved[d]: DOF d moves the spring's node (a prefix of the pivots)
         self._moved = tuple(self.pivot <= node - 1 for node, _, _ in self.springs)
-        self._loads_of = (None, None)
-
-    def unpack(self, x):
-        if self.pinned:
-            return x[0] + self.base_orientation, x[1:]
-        return self.base_orientation, x
+        # load points are the segment centers, then the point-load nodes;
+        # a point with cutoff c is moved by DOF d iff pivot[d] <= c
+        self._load_nodes = np.array([p[0] for p in self.point_loads], dtype=int)
+        self._forces = np.concatenate((
+            np.stack([np.zeros(n_seg), -self.masses * gravity], axis=1),
+            np.array([[p[1], p[2]] for p in self.point_loads]).reshape(-1, 2)))
+        cuts = np.concatenate((np.arange(n_seg), self._load_nodes - 1))
+        self._affected = self.pivot[:, None] <= cuts[None, :]
 
     def geometry(self, x):
-        phi0, theta = self.unpack(x)
-        phi = phi0 + np.concatenate(([0.0], np.cumsum(theta)))
-        steps = self.seg_len * np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        nodes = np.zeros((self.n_seg + 1, 2))
-        nodes[1:] = np.cumsum(steps, axis=0)
+        phi0, theta = (x[0], x[1:]) if self.pinned else (0.0, x)
+        nodes = _chain_nodes(phi0, theta, self.seg_len)
         centers = 0.5 * (nodes[:-1] + nodes[1:])
         return theta, nodes, centers
-
-    def _loads(self):
-        """Point-load nodes, load-point forces, and affected[d, k]: DOF d
-        moves point k. Rebuilt when the load ramp reassigns `gravity` or
-        `point_loads`; tested by identity, since -0.0 == 0.0.
-        """
-        if self._loads_of[0] is not self.gravity or \
-                self._loads_of[1] is not self.point_loads:
-            idx = np.array([p[0] for p in self.point_loads], dtype=int)
-            forces = np.concatenate((
-                np.stack([np.zeros(self.n_seg), -self.masses * self.gravity], axis=1),
-                np.array([[p[1], p[2]] for p in self.point_loads]).reshape(-1, 2)))
-            # a point with cutoff c is moved by DOF d iff pivot[d] <= c
-            cuts = np.concatenate((np.arange(self.n_seg), idx - 1))
-            self._load_arrays = (idx, forces, self.pivot[:, None] <= cuts[None, :])
-            self._loads_of = (self.gravity, self.point_loads)
-        return self._load_arrays
 
     def energy(self, x):
         return self._energy(*self.geometry(x))
@@ -251,7 +229,7 @@ class _EnergyModel:
 
     def gradient(self, theta, nodes, centers):
         """Gradient at a geometry, and the terms `hessian` takes from it."""
-        idx, forces, affected = self._loads()
+        idx, forces, affected = self._load_nodes, self._forces, self._affected
         grad = np.zeros(self.n_dof)
         grad[self._joint_slice] += self.kappa * theta
         pts = np.concatenate((centers, nodes[idx])) if idx.size else centers
@@ -271,7 +249,7 @@ class _EnergyModel:
 
     def hessian(self, terms):
         nodes, q, rx, ry, spring_jac = terms
-        _, forces, affected = self._loads()
+        forces, affected = self._forces, self._affected
         # geometric curvature of constant forces: H_dl = F . (r - q_max(d,l))
         fdotr = np.where(affected, rx * forces[None, :, 0] + ry * forces[None, :, 1],
                          0.0).sum(axis=1)
@@ -338,31 +316,27 @@ def _minimize(model: _EnergyModel, x0: np.ndarray, tol_grad: float,
     raise NoConvergenceError("elastica solve", x, gnorm, len(history) - 1)
 
 
-def _solve(model: _EnergyModel, x0: np.ndarray, tol_grad: float, max_iters: int):
-    """Solve, restarting with a gravity/load ramp if the direct attempt fails.
+def _solve(model_at, x0: np.ndarray, tol_grad: float, max_iters: int):
+    """Solve model_at(1.0), restarting with a gravity/load ramp if the direct
+    attempt fails; model_at(frac) is the model with its gravity and point
+    loads scaled by frac. Returns `_minimize`'s tuple, with a ramp's
+    histories joined and its stages' steps summed.
 
     With no gravity and no point force there is nothing to ramp: every
     stage would be the failed solve again, so its error is raised as is.
     """
+    model = model_at(1.0)
     try:
         return _minimize(model, x0, tol_grad, max_iters)
     except NoConvergenceError:
         if model.gravity == 0.0 and not any(fx or fy for _, fx, fy in model.point_loads):
             raise
-    x = x0.copy()
-    history_all: list[float] = []
-    full = (model.gravity, model.point_loads)
-    try:
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            model.gravity = full[0] * frac
-            model.point_loads = tuple(
-                (n, fx * frac, fy * frac) for n, fx, fy in full[1]
-            )
-            x, hist, gnorm, its = _minimize(model, x, tol_grad, max_iters)
-            history_all.extend(hist)
-    finally:
-        model.gravity, model.point_loads = full
-    return x, history_all, gnorm, len(history_all)
+    x, history, steps = x0, [], 0
+    for frac in (0.25, 0.5, 0.75, 1.0):
+        x, hist, gnorm, its = _minimize(model_at(frac), x, tol_grad, max_iters)
+        history.extend(hist)
+        steps += its
+    return x, history, gnorm, steps
 
 
 def equilibrium_shape(
@@ -402,30 +376,31 @@ def equilibrium_shape(
     pinned = boundary == "simply-supported"
     if boundary not in ("clamped", "simply-supported"):
         raise ValidationError(f"unknown boundary {boundary!r}")
-    springs = []
-    if pinned:
-        springs.append((n_seg, SUPPORT_SPRING, 0.0))
-    model = _EnergyModel(
-        n_seg=n_seg,
-        seg_len=params.bead_thickness,
-        kappa=flex.ei / params.bead_thickness,
-        masses=masses,
-        gravity=load.gravity,
-        point_loads=load.point_loads,
-        springs=springs,
-        pinned=pinned,
-    )
+    springs = [(n_seg, SUPPORT_SPRING, 0.0)] if pinned else []
+    kappa = flex.ei / params.bead_thickness
+
+    def model_at(frac):
+        return _EnergyModel(
+            n_seg=n_seg,
+            seg_len=params.bead_thickness,
+            kappa=kappa,
+            masses=masses,
+            gravity=load.gravity * frac,
+            point_loads=tuple((n, fx * frac, fy * frac) for n, fx, fy in load.point_loads),
+            springs=springs,
+            pinned=pinned,
+        )
+
     if initial is not None:
         x0 = np.asarray(initial.joint_angles, dtype=float)
         if pinned:
             x0 = np.concatenate(([initial.base_orientation], x0))
     else:
-        x0 = np.zeros(model.n_dof)
-    x, history, gnorm, its = _solve(model, x0, 1e-9, max_iters)
-    phi0, theta = model.unpack(x)
+        x0 = np.zeros(n_seg - 1 + pinned)
+    x, history, gnorm, its = _solve(model_at, x0, 1e-9, max_iters)
     shape = BeamShape(
-        joint_angles=tuple(float(t) for t in theta),
-        base_orientation=float(phi0) if pinned else 0.0,
+        joint_angles=tuple(float(t) for t in (x[1:] if pinned else x)),
+        base_orientation=float(x[0]) if pinned else 0.0,
     )
     return EquilibriumResult(
         shape=shape,
@@ -472,7 +447,7 @@ def three_point_bend(
         ],
         pinned=True,
     )
-    x, _, _, _ = _solve(model, np.zeros(model.n_dof), 1e-10, 400)
+    x, _, _, _ = _minimize(model, np.zeros(model.n_dof), 1e-10, 400)
     _, nodes, _ = model.geometry(x)
     force = SUPPORT_SPRING * (nodes[center, 1] + indentation)
     return max(0.0, float(force))

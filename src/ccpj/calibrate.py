@@ -534,7 +534,8 @@ def _invert_cycle_efficiency(speed: float, period: float, s_stand: float,
     """
     d = speed * period
     if d <= 0.0:
-        raise ValidationError("operating point with zero speed is uninformative")
+        raise ValidationError(f"operating point speed {speed * 1e3:g} mm/s is not "
+                              "positive: a cycle that does not advance is uninformative")
     eta_both = (d + 2.0 * half) / (s_stand + s_sit)
     if eta_both * s_sit >= half - 1e-15:
         return eta_both

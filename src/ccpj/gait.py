@@ -854,16 +854,26 @@ class FeasibilityReport:
 
     mask_used: str
     all_legs_feasible: bool
-    min_gap_m: float
+    min_gap_m: float  # the smallest gap the path meets
+
+
+def _met_gap(scenario: Scenario) -> float:
+    """Smallest ceiling gap (m) of the regions the path meets (`_path`)."""
+    return scenario.terrain.gap_over(-scenario.robot.leg.leg_length / 2.0, math.inf)
 
 
 def _fit_error(scenario: Scenario) -> InfeasibleConfinementError | None:
-    """The flat-height or tunnel-width fault of the scenario's gait, or None."""
+    """The flat-height or tunnel-width fault of the scenario's gait, or None.
+
+    Only the ceiling the path meets counts: a region behind the envelope
+    at x = 0 never blocks the run.
+    """
     ter, offset = scenario.terrain, scenario.robot.height_offset
-    if ter.min_gap() < offset:
+    gap = _met_gap(scenario)
+    if gap < offset:
         return InfeasibleConfinementError(
             "gap below the fully-flat body height",
-            required_mm=offset * 1e3, available_mm=ter.min_gap() * 1e3)
+            required_mm=offset * 1e3, available_mm=gap * 1e3)
     # the all-leg gait sits flat every cycle, its widest posture
     width_need = (gait_width(scenario.robot, 0.0) if scenario.all_legs
                   else drag_width(scenario.robot))
@@ -972,7 +982,7 @@ def navigate_confined(scenario: Scenario) -> tuple[SimTrace, FeasibilityReport]:
     err = _fit_error(scenario)
     if err is not None:
         raise err
-    has = ter.gap_over(-scenario.robot.leg.leg_length / 2.0, math.inf)
+    has = _met_gap(scenario)
     if _advance_at(scenario)(has) <= 1e-12:
         raise InfeasibleConfinementError(
             f"{scenario.mask_name()} gait makes no progress under this ceiling",
@@ -984,7 +994,7 @@ def navigate_confined(scenario: Scenario) -> tuple[SimTrace, FeasibilityReport]:
     return trace, FeasibilityReport(
         mask_used=scenario.mask_name(),
         all_legs_feasible=_fit_error(all_sc) is None and _advance_at(all_sc)(has) > 1e-12,
-        min_gap_m=ter.min_gap(),
+        min_gap_m=has,
     )
 
 

@@ -163,7 +163,7 @@ def test_criterion_05_solver_against_oracles():
     flex = FlexuralModel.from_current(0.2, table, params)
     model = _EnergyModel(
         n_seg=params.n_beads, seg_len=params.bead_thickness,
-        kappa=flex.joint_stiffness,
+        kappa=flex.ei / params.bead_thickness,
         masses=np.full(params.n_beads, params.beam_mass / params.n_beads),
         gravity=GRAVITY,
         point_loads=((params.n_beads, 2e-3, -4e-3), (10, -1e-3, 1e-3)),
@@ -195,7 +195,7 @@ def test_criterion_05_solver_against_oracles():
 
     brute = _EnergyModel(
         n_seg=small.n_beads, seg_len=small.bead_thickness,
-        kappa=flex5.joint_stiffness,
+        kappa=flex5.ei / small.bead_thickness,
         masses=np.full(small.n_beads, small.beam_mass / small.n_beads),
         gravity=GRAVITY, point_loads=load5.point_loads, springs=[],
         pinned=False,

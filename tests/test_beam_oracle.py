@@ -5,8 +5,8 @@ search, then its gradient from that geometry, and its Hessian from the
 gradient's terms only where it takes a step. `reference_beam._EnergyModel`
 builds all of them from scratch in one `energy_grad_hess(x)` call. The
 energy, gradient and Hessian must be the same bits, at every state, on
-each model shape the package solves, and after the loads are reassigned as
-the load ramp does.
+each model shape the package solves, and on the model of each load-ramp
+stage.
 """
 
 import numpy as np
@@ -20,11 +20,12 @@ from ccpj.params import BeamParams
 PARAMS = BeamParams()
 
 
-def _models(shape, k_app, load):
+def _models(shape, k_app, load, frac=1.0):
     """(new, reference) models of one shape, built from the same arguments.
 
     `load` in [0, 1] scales gravity, a tip load of up to 50 mN, or the
-    indentation up to 4 mm.
+    indentation up to 4 mm. `frac` then scales gravity and the point loads
+    as `equilibrium_shape` builds a load-ramp stage's model.
     """
     n_seg, seg_len = PARAMS.n_beads, PARAMS.bead_thickness
     kwargs = dict(masses=np.full(n_seg, PARAMS.beam_mass / n_seg), gravity=0.0,
@@ -39,6 +40,9 @@ def _models(shape, k_app, load):
         kwargs.update(masses=np.zeros(n_seg), pinned=True, springs=[
             (n_seg, SUPPORT_SPRING, 0.0), (n_seg // 2, SUPPORT_SPRING, -4e-3 * load)])
     kappa = ei_from_apparent(k_app, PARAMS.span_3pb) / seg_len
+    kwargs["gravity"] = kwargs["gravity"] * frac
+    kwargs["point_loads"] = tuple((n, fx * frac, fy * frac)
+                                  for n, fx, fy in kwargs["point_loads"])
     return tuple(cls(n_seg=n_seg, seg_len=seg_len, kappa=kappa, **kwargs)
                  for cls in (_EnergyModel, reference_beam._EnergyModel))
 
@@ -59,7 +63,7 @@ def assert_kernel_exact(model, ref, x):
     assert _bits(grad) == _bits(grad_ref)
     assert _bits(hess) == _bits(hess_ref)
     assert model.energy(x) == e_ref
-    # a second evaluation from a fresh geometry: nothing the model caches
+    # a second evaluation from a fresh geometry: nothing the model keeps
     # between calls (its load arrays) moves a bit
     geo = model.geometry(x)
     grad, terms = model.gradient(*geo)
@@ -82,11 +86,7 @@ def test_kernel_matches_reference_at_rest_and_bent(shape):
        state=st.lists(st.floats(-1.0, 1.0), min_size=20, max_size=20),
        frac=st.sampled_from((0.25, 0.5, 0.75, 1.0)))
 def test_kernel_matches_reference_property(shape, k_app, load, state, frac):
-    model, ref = _models(shape, k_app, load)
-    x = np.array(state[:model.n_dof])
-    assert_kernel_exact(model, ref, x)
-    # a load-ramp stage reassigns the loads; the model's load arrays follow
-    for m in (model, ref):
-        m.gravity = m.gravity * frac
-        m.point_loads = tuple((n, fx * frac, fy * frac) for n, fx, fy in m.point_loads)
-    assert_kernel_exact(model, ref, x)
+    # the direct solve's model, then a load-ramp stage's, built at its fraction
+    for f in (1.0, frac):
+        model, ref = _models(shape, k_app, load, f)
+        assert_kernel_exact(model, ref, np.array(state[:model.n_dof]))

@@ -434,6 +434,26 @@ class TestCalibrate:
             "ccpj: error[2]: ValidationError: dataset 'speed_vs_period': "
             + message)
 
+    @pytest.mark.parametrize("speed", ["0", "-8.5"])
+    def test_non_positive_operating_speed(self, tmp_path, shipped_data_dir,
+                                          monkeypatch, capsys, speed):
+        # a negative speed was once rejected as "operating point with zero
+        # speed is uninformative"
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in shipped_data_dir.glob("*.csv"):
+            (data / path.name).write_text(path.read_text())
+        points = data / "operating_points.csv"
+        text = points.read_text()
+        assert "\n0,0,8.5\n" in text
+        points.write_text(text.replace("\n0,0,8.5\n", f"\n0,0,{speed}\n"))
+        monkeypatch.setenv("CCPJ_DATA_DIR", str(data))
+        assert main(["calibrate", "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"ccpj: error[2]: ValidationError: operating point speed "
+                        f"{speed} mm/s is not positive: a cycle that does not "
+                        "advance is uninformative")
+
     def test_missing_datasets(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CCPJ_DATA_DIR", str(tmp_path / "empty"))
         (tmp_path / "empty").mkdir()
@@ -607,6 +627,22 @@ class TestOptimize:
         assert main(["optimize", "--param", "mask", *argv]) == 0
         assert capsys.readouterr().out == (
             "select_mask: mask=front_only, transit_s=1040.87, speed_mm_s=0.650949\n")
+
+    def test_ceiling_behind_the_start(self, tmp_path, scenario_path, capsys):
+        # a 5 mm region behind the start once made simulate exit 3 and
+        # select_mask find no mask, though the run never meets it
+        text = scenario_path("gate_40mm").read_text()
+        cfg = tmp_path / "behind.scenario"
+        cfg.write_text(text.replace("ceiling_region_mm = 10:110:40",
+                                    "ceiling_region_mm = -200:-100:5 10:110:40"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        report = (out / "gate_40mm_report.txt").read_text()
+        assert report_metric(report, "min_gap_mm") == 40.0
+        assert report_metric(report, "average_speed_mm_s") == 1.77536
+        assert main(["optimize", "--param", "mask", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert "mask=all" in capsys.readouterr().out
 
     def test_mask_all_infeasible(self, tmp_path, capsys):
         cfg = tmp_path / "crush.config"

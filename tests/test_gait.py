@@ -572,6 +572,22 @@ class TestNavigateConfined:
         assert trace.average_speed == pytest.approx(1.775359e-3, abs=1e-8)
         assert trace.x[-1] == pytest.approx(106.5215e-3, abs=1e-6)
 
+    def test_region_behind_the_start_is_not_met(self):
+        # a 5 mm region ending behind the envelope at x = 0 once failed the
+        # flat-height check and set the reported gap, though the run never
+        # meets it
+        gate = Scenario(signal=GaitSignal(period=4.0, i_high=0.38),
+                        terrain=Terrain(ceiling=((10e-3, 110e-3, 40e-3),)),
+                        duration=60.0)
+        sc = replace(gate, terrain=Terrain(
+            ceiling=((-200e-3, -100e-3, 5e-3), (10e-3, 110e-3, 40e-3))))
+        trace, report = navigate_confined(sc)
+        assert trace.average_speed == run(gate).average_speed
+        assert f"{trace.average_speed * 1e3:.6f}" == "1.775359"
+        assert report.min_gap_m == 40e-3
+        assert report.all_legs_feasible
+        assert predicted_transit_time(sc) == predicted_transit_time(gate) < math.inf
+
     def test_gate_20mm_front_only(self):
         sc = Scenario(signal=GaitSignal(period=4.0, mask=(True, False)),
                       terrain=Terrain(ceiling=((10e-3, 110e-3, 20e-3),)),

@@ -10,10 +10,13 @@ change to `ccpj.beam` either reproduces every bit or has to regenerate
 The cases cover the solver's branches:
 - `jobs.seed0`: the benchmark's seed-0 `mechanics` job list, with the
   deployment sweep warm-started from the previous shape;
-- `clamped.0A.gravity`: a soft leg under its own weight, which fails the
-  direct solve and converges through the load-ramp restart;
+- `clamped.0A.gravity`: a soft leg under its own weight, which the
+  direct solve takes in 4 Newton steps;
 - `pinned.0A.point_load`: a simply-supported soft leg under a point load,
   which damps an indefinite Hessian before it factorizes;
+- `pinned.0.2A.ramp`: a simply-supported leg under a heavy point load,
+  which fails the direct solve and converges through the load-ramp
+  restart (`test_ramp_case_fails_the_direct_solve`);
 - `bend.2.106mm.0A`: a bend test that raises NoConvergenceError.
 
 Regenerate with `PYTHONPATH=src python tests/test_mechanics_golden.py`.
@@ -89,6 +92,13 @@ def _pinned_point_load(table, leg, robot):
                                                 boundary="simply-supported"))]
 
 
+def _ramped_point_load(table, leg, robot):
+    flex = beam.FlexuralModel.from_current(0.2, table, leg)
+    load = beam.LoadCase(gravity=0.0, point_loads=((5, 0.0, -0.5),))
+    return [_equilibrium(beam.equilibrium_shape(leg, flex, load,
+                                                boundary="simply-supported"))]
+
+
 def _failing_bend(table, leg, robot):
     flex = beam.FlexuralModel.from_current(0.0, table, leg)
     try:
@@ -102,6 +112,7 @@ CASES = {
     "jobs.seed0": _jobs_seed0,
     "clamped.0A.gravity": _clamped_gravity,
     "pinned.0A.point_load": _pinned_point_load,
+    "pinned.0.2A.ramp": _ramped_point_load,
     "bend.2.106mm.0A": _failing_bend,
 }
 
@@ -116,6 +127,31 @@ def test_mechanics_match_golden_digests():
     want = json.loads(GOLDEN.read_text())
     got = {case: case_digest(case) for case in CASES}
     assert got == want
+
+
+def test_ramp_case_fails_the_direct_solve(monkeypatch):
+    # `pinned.0.2A.ramp` reaches the restart: the direct solve spends its
+    # budget, then the four stages converge, and the result counts their
+    # Newton steps
+    outcomes = []
+    minimize = beam._minimize
+
+    def recording(*args):
+        try:
+            x, history, gnorm, steps = minimize(*args)
+        except NoConvergenceError as err:
+            outcomes.append(("failed", err.iterations))
+            raise
+        outcomes.append(("converged", steps))
+        return x, history, gnorm, steps
+
+    monkeypatch.setattr(beam, "_minimize", recording)
+    table = CalibrationTable.from_points(TABLE_POINTS)
+    [record] = _ramped_point_load(table, BeamParams(), RobotParams())
+    assert outcomes == [("failed", 400), ("converged", 139), ("converged", 52),
+                        ("converged", 30), ("converged", 19)]
+    assert record[-1] == 240
+    assert len(record[4]) == 240 + 4  # each stage's history opens with its start
 
 
 if __name__ == "__main__":
