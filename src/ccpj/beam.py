@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergenceError, OutOfRangeError, ValidationError
+from .errors import NoConvergenceError, OutOfRangeError, UnreachableError, ValidationError
 from .params import BeamParams, CalibrationTable
 
 GRAVITY = 9.81  # m/s^2
@@ -363,6 +363,9 @@ def equilibrium_shape(
     ------
     NoConvergenceError
         Budget exhausted; carries the last iterate and gradient norm.
+    UnreachableError
+        The solve converged with a joint folded past pi, which no chain
+        of beads can take; names the first such joint.
     """
     if not max_iters >= 1:
         raise OutOfRangeError("max_iters", max_iters, 1, math.inf)
@@ -398,8 +401,14 @@ def equilibrium_shape(
     else:
         x0 = np.zeros(n_seg - 1 + pinned)
     x, history, gnorm, its = _solve(model_at, x0, 1e-9, max_iters)
+    theta = x[1:] if pinned else x
+    folded = np.flatnonzero(~(np.abs(theta) < math.pi))
+    if folded.size:  # an equilibrium of the energy that no bead chain can take
+        i = int(folded[0])
+        raise UnreachableError(f"elastica solve folds joint_angle[{i}] past pi",
+                               float(theta[i]), math.pi)
     shape = BeamShape(
-        joint_angles=tuple(float(t) for t in (x[1:] if pinned else x)),
+        joint_angles=tuple(float(t) for t in theta),
         base_orientation=float(x[0]) if pinned else 0.0,
     )
     return EquilibriumResult(

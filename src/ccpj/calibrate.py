@@ -37,7 +37,7 @@ from .gait import (
     _net_advance,
     stroke_arcs,
 )
-from .params import CalibrationTable
+from .params import CalibrationTable, GaitSignal
 
 
 @dataclass(frozen=True)
@@ -622,8 +622,7 @@ def slip_fit_report(dataset: Dataset, template: Scenario) -> CalibrationResult:
 REQUIRED_DATASETS = ("stiffness_vs_current", "speed_vs_period", "operating_points")
 
 
-def run_calibration(directory: Path | None = None,
-                    template: Scenario | None = None) -> list[CalibrationResult]:
+def run_calibration(directory: Path | None = None) -> list[CalibrationResult]:
     """All three fits against a dataset directory.
 
     Returns the stiffness, thermal and slip results, in that order; each
@@ -637,9 +636,7 @@ def run_calibration(directory: Path | None = None,
         raise FileNotFoundError(
             "missing dataset files: "
             + ", ".join(f"{directory / (n + '.csv')}" for n in missing))
-    if template is None:
-        from .params import GaitSignal
-        template = Scenario(signal=GaitSignal(period=4.0))
+    template = Scenario(signal=GaitSignal(period=4.0))
 
     ds_stiff = load_dataset("stiffness_vs_current", directory)
     ds_speed = load_dataset("speed_vs_period", directory)

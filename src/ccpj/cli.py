@@ -22,6 +22,7 @@ import numpy as np
 from . import calibrate as cal
 from .config import (
     MASKS,
+    SCHEMA,
     SCHEMA_VERSION,
     EffectiveConfig,
     build_scenario,
@@ -206,18 +207,12 @@ def _simulate(args, cfg: EffectiveConfig, sc: Scenario) -> int:
     return EXIT_OK
 
 
+# each sweepable parameter's CSV column and default --range
 SWEEPABLE = {
-    "period": "period_s",
-    "slope": "slope_deg",
-    "payload": "payload_g",
-    "current": "current_a",
-}
-
-SWEEP_DEFAULT_RANGE = {
-    "period": "2:10:0.5",
-    "slope": "0:15:2.5",
-    "payload": "0:5:1",
-    "current": "0.3:0.4:0.02",
+    "period": ("period_s", "2:10:0.5"),
+    "slope": ("slope_deg", "0:15:2.5"),
+    "payload": ("payload_g", "0:5:1"),
+    "current": ("current_a", "0.3:0.4:0.02"),
 }
 
 
@@ -242,18 +237,15 @@ def _swept_speeds(param: str, values: list[float], sc: Scenario
 
 
 def cmd_sweep(args) -> int:
-    if args.param not in SWEEPABLE:
-        raise ConfigError(
-            f"--param must be one of {sorted(SWEEPABLE)}, got {args.param!r}")
     return _sweep(args, *_load(args))
 
 
 def _sweep(args, cfg: EffectiveConfig, sc: Scenario) -> int:
     out = _outdir(args)
-    values = _range_values(args.range, SWEEP_DEFAULT_RANGE[args.param])
+    col, default_range = SWEEPABLE[args.param]
+    values = _range_values(args.range, default_range)
     speeds = _swept_speeds(args.param, values, sc)
 
-    col = SWEEPABLE[args.param]
     csv_name = f"{cfg.name}_sweep_{args.param}.csv"
     lines = [f"{col},speed_mm_s"]
     lines += [f"{v:.6g},{s * 1e3:.6f}" for v, s in zip(values, speeds)]
@@ -292,18 +284,9 @@ def cmd_calibrate(args) -> int:
     write_config(out / "calibrated.config", {
         "meta": {"schema_version": str(SCHEMA_VERSION), "name": "calibrated"},
         "stiffness_table": {"points_a_n_m": points},
-        "actuator": {
-            "tau_heat_s": repr(act.tau_heat),
-            "tau_cool_s": repr(act.tau_cool),
-            "i_threshold_a": repr(act.i_threshold),
-            "a_on": repr(act.a_on),
-            "a_sat": repr(act.a_sat),
-        },
-        "slip": {
-            "eta0": repr(slip.eta0),
-            "c_slope": repr(slip.c_slope),
-            "c_load": repr(slip.c_load),
-        },
+        **{section: {key: repr(getattr(model, name))
+                     for key, (_, name) in SCHEMA[section].items()}
+           for section, model in (("actuator", act), ("slip", slip))},
         "signal": {"period_s": "4.0"},
     })
 
@@ -314,12 +297,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.param not in ("period", "current", "mask"):
-        raise ConfigError(
-            f"--param must be period, current, or mask, got {args.param!r}")
     cfg, sc = _load(args)
     out = _outdir(args)
-    lines = []
     if args.param == "period":
         lo, hi, tol = _parse_range(args.range, "2:10:0.05")
         spec = SearchSpec(lo=lo, hi=hi, tolerance=tol)
@@ -328,26 +307,15 @@ def cmd_optimize(args) -> int:
                 f"--range {lo}:{hi}:{tol}: resolution {tol} is within the float "
                 f"spacing of the bracket; need more than {finest_tolerance(lo, hi)!r}")
         t_star, v_star = optimize_period(spec, sc)
-        lines.append(f"optimize_period: period_s={t_star:.6g}, "
-                     f"speed_mm_s={v_star * 1e3:.6g}")
+        line = f"optimize_period: period_s={t_star:.6g}, speed_mm_s={v_star * 1e3:.6g}"
     elif args.param == "current":
-        gap = sc.terrain.min_gap()
-        if not math.isfinite(gap):
-            raise ConfigError(
-                "current optimization needs a ceiling gap in [terrain]")
-        if sc.table is None:
-            raise ConfigError(
-                "current optimization needs a [stiffness_table]")
-        res = max_feasible_current(gap, sc)
-        lines.append(res.summary())
+        line = max_feasible_current(sc).summary()
     else:
-        choice = select_mask(sc)
-        lines.append(choice.summary())
-    report = RunReport(name=cfg.name, digest=cfg.digest,
-                       metrics={"result": "; ".join(lines)})
+        line = select_mask(sc).summary()
+    report = RunReport(name=cfg.name, digest=cfg.digest, metrics={"result": line})
     _write(out / f"{cfg.name}_optimize_{args.param}_report.txt",
            report.render())
-    _emit(args, "\n".join(lines))
+    _emit(args, line)
     return EXIT_OK
 
 
@@ -393,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="speed vs one swept parameter")
     common(p)
-    p.add_argument("--param", required=True, help="period|slope|payload|current")
+    p.add_argument("--param", required=True, choices=SWEEPABLE)
     p.add_argument("--range", help="a:b:step sweep range")
     p.set_defaults(func=cmd_sweep)
 
@@ -405,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="search periods, currents, or masks")
     common(p)
-    p.add_argument("--param", required=True, help="period|current|mask")
+    p.add_argument("--param", required=True, choices=("period", "current", "mask"))
     p.add_argument("--range", help="lo:hi:tolerance for period search")
     p.set_defaults(func=cmd_optimize)
 

@@ -227,9 +227,6 @@ class Terrain:
             gap = np.where((x1 >= x_lo) & (x0 <= x_hi), np.minimum(gap, g), gap)
         return float(gap) if gap.ndim == 0 else gap
 
-    def min_gap(self) -> float:
-        return min((g for _, _, g in self.ceiling), default=math.inf)
-
 
 def gait_width(robot: RobotParams, beta: float) -> float:
     """Lateral extent (m) of the splayed rear pair at elevation angle beta.
@@ -350,6 +347,16 @@ def _gap_at(scenario: Scenario, x):
     return scenario.terrain.gap_over(x - leg / 2.0, x + leg + LOOKAHEAD)
 
 
+def _flat_error(scenario: Scenario, gap: float) -> InfeasibleConfinementError | None:
+    """The fault of a ceiling gap (m) below the fully-flat body height, or None."""
+    offset = scenario.robot.height_offset
+    if gap < offset:
+        return InfeasibleConfinementError(
+            "gap below the fully-flat body height",
+            required_mm=offset * 1e3, available_mm=gap * 1e3)
+    return None
+
+
 def _beta_caps(scenario: Scenario, gap: float,
                drive: tuple[float, float]) -> tuple[float, float]:
     """Standing-angle ceiling per group under a ceiling gap (m).
@@ -360,16 +367,12 @@ def _beta_caps(scenario: Scenario, gap: float,
     conservative envelope ahead of the body, so the robot ducks before
     its reach enters the region.
     """
-    robot = scenario.robot
-    if gap < robot.height_offset - 1e-12:
-        raise InfeasibleConfinementError(
-            "gap below the fully-flat body height",
-            required_mm=robot.height_offset * 1e3,
-            available_mm=gap * 1e3,
-        )
+    err = _flat_error(scenario, gap)
+    if err is not None:
+        raise err
     if not math.isfinite(gap):
         return drive
-    leg, offset = robot.leg.leg_length, robot.height_offset
+    leg, offset = scenario.robot.leg.leg_length, scenario.robot.height_offset
     beta_gap = beta_for_height(min(gap, standing_height(leg, BETA_MAX, offset)), leg, offset)
     return min(drive[0], beta_gap), min(drive[1], beta_gap)
 
@@ -730,7 +733,10 @@ def steady_cycle_displacement(scenario: Scenario) -> tuple[float, float, float]:
 
     Returns (displacement_m, beta_top, beta_bot) for the front group.
     Mirrors the simulator's steady cycle exactly, including the re-grip
-    rule, through `_net_advance`'s self-consistent re-seat losses.
+    rule, through `_net_advance`'s self-consistent re-seat losses. Kept
+    as the public closed form that the acceptance tests and the
+    benchmark's steady-cycle counter read; `_advance_at` at the gap over
+    x = 0 gives the same displacement bits.
     """
     s_stand, s_sit, b_top, b_bot = (
         float(v[0]) for v in stroke_arcs(scenario, (scenario.signal.period,)))
@@ -868,12 +874,10 @@ def _fit_error(scenario: Scenario) -> InfeasibleConfinementError | None:
     Only the ceiling the path meets counts: a region behind the envelope
     at x = 0 never blocks the run.
     """
-    ter, offset = scenario.terrain, scenario.robot.height_offset
-    gap = _met_gap(scenario)
-    if gap < offset:
-        return InfeasibleConfinementError(
-            "gap below the fully-flat body height",
-            required_mm=offset * 1e3, available_mm=gap * 1e3)
+    ter = scenario.terrain
+    err = _flat_error(scenario, _met_gap(scenario))
+    if err is not None:
+        return err
     # the all-leg gait sits flat every cycle, its widest posture
     width_need = (gait_width(scenario.robot, 0.0) if scenario.all_legs
                   else drag_width(scenario.robot))

@@ -23,6 +23,7 @@ from .gait import (
     MASKS,
     Scenario,
     _closed_sweep,
+    _met_gap,
     navigate_confined,
     predicted_transit_time,
     sweep_period,
@@ -168,42 +169,45 @@ def optimize_period(spec: SearchSpec, scenario: Scenario) -> tuple[float, float]
     return golden_section_max(objective, spec.lo, spec.hi, spec.tolerance)
 
 
+# Resolution (A) of the current search's bisection.
+CURRENT_RESOLUTION = 0.005
+
+
 @dataclass(frozen=True)
 class CurrentSearchResult:
     """Outcome of the confinement current search."""
 
-    current: float | None  # A; None when no engaged current fits
-    recommendation: str | None  # "front_only" when current is None
+    current: float | None  # A; None when no engaged current fits: crawl front_only
     gap_m: float
     height_m: float | None  # standing height at the returned current
 
     def summary(self) -> str:
         if self.current is None:
             return (f"max_feasible_current: none; gap_mm={self.gap_m * 1e3:.6g}; "
-                    f"recommend mask={self.recommendation}")
+                    "recommend mask=front_only")
         return (f"max_feasible_current: current_a={self.current:.6g}, "
                 f"height_mm={self.height_m * 1e3:.6g}; "
                 f"gap_mm={self.gap_m * 1e3:.6g}")
 
 
-def max_feasible_current(gap: float, scenario: Scenario, *,
-                         resolution: float = 0.005) -> CurrentSearchResult:
-    """Largest drive current whose standing height stays under `gap`.
+def max_feasible_current(scenario: Scenario) -> CurrentSearchResult:
+    """Largest drive current whose standing height stays under the smallest
+    ceiling gap the scenario's path meets, the gap navigate_confined judges.
 
-    Bisection over the scenario's calibration table's current range at the
-    given resolution, returning the feasible (low) end of the final
+    Bisection over the scenario's calibration table's current range to
+    CURRENT_RESOLUTION, returning the feasible (low) end of the final
     bracket. Heights come from the scenario's robot and current-to-angle
     map. Currents below the actuator's engagement threshold never stand up
     at all, so when even the threshold current is too tall the search
-    returns None and recommends the front-leg-only crawl instead.
+    returns None: the front-leg-only crawl is the way through.
     """
-    if gap <= 0.0:
-        raise OutOfRangeError("gap", gap, 0.0, math.inf)
-    if resolution <= 0.0:
-        raise OutOfRangeError("resolution", resolution, 0.0, math.inf)
+    gap = _met_gap(scenario)
+    if math.isinf(gap):
+        raise ValidationError(
+            "current optimization needs a ceiling gap that the path meets in [terrain]")
     table, robot = scenario.table, scenario.robot
     if table is None:
-        raise ValidationError("max_feasible_current needs a calibration table")
+        raise ValidationError("current optimization needs a [stiffness_table]")
     leg = robot.leg.leg_length
 
     def height(i_high: float) -> float:
@@ -212,21 +216,18 @@ def max_feasible_current(gap: float, scenario: Scenario, *,
 
     i_max = table.currents[-1]
     if height(i_max) <= gap:
-        return CurrentSearchResult(current=i_max, recommendation=None,
-                                   gap_m=gap, height_m=height(i_max))
+        return CurrentSearchResult(current=i_max, gap_m=gap, height_m=height(i_max))
     lo = max(scenario.actuator.i_threshold, table.currents[0])
     if height(lo) > gap:
-        return CurrentSearchResult(current=None, recommendation="front_only",
-                                   gap_m=gap, height_m=None)
+        return CurrentSearchResult(current=None, gap_m=gap, height_m=None)
     hi = i_max
-    while hi - lo > resolution:
+    while hi - lo > CURRENT_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if height(mid) <= gap:
             lo = mid
         else:
             hi = mid
-    return CurrentSearchResult(current=lo, recommendation=None,
-                               gap_m=gap, height_m=height(lo))
+    return CurrentSearchResult(current=lo, gap_m=gap, height_m=height(lo))
 
 
 @dataclass(frozen=True)

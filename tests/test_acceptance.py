@@ -288,7 +288,7 @@ def test_criterion_08_confined_navigation():
     assert report40.mask_used == "all"
 
     table = CalibrationTable.from_points(TABLE_POINTS)
-    res = max_feasible_current(40e-3, replace(gate40, table=table))
+    res = max_feasible_current(replace(gate40, table=table))
     print(f"criterion 8: gap 40 mm -> max current {res.current:.4f} A, "
           f"gap 20 mm -> front-only")
     assert res.current <= 0.38 + 1e-9

@@ -28,6 +28,7 @@ from ccpj.beam import (
 from ccpj.errors import (
     NoConvergenceError,
     OutOfRangeError,
+    UnreachableError,
     ValidationError,
 )
 from ccpj.gait import static_load_check
@@ -99,6 +100,16 @@ class TestEquilibrium:
         expected = -(p / kappa) * h * h * sum(
             (n - k) ** 2 for k in range(1, n))
         assert nodes[-1, 1] == pytest.approx(expected, rel=1e-3)
+
+    def test_fold_past_pi_is_a_simulation_error(self, table):
+        # the solve converges, but its shape folds joint 1 to about -5.548
+        # rad, which no bead chain takes: exit class 3, not a bad input
+        params = BeamParams()
+        flex = FlexuralModel.from_current(0.0, table, params)
+        with pytest.raises(UnreachableError, match=r"joint_angle\[1\] past pi") as exc:
+            equilibrium_shape(params, flex, LoadCase(point_loads=((5, 0.0, -2.0),)))
+        assert exc.value.exit_code == 3
+        assert exc.value.requested == pytest.approx(-5.548, abs=1e-3)
 
     def test_gradient_matches_finite_differences(self, table):
         params = BeamParams()

@@ -230,7 +230,7 @@ class TestTerrain:
     def test_gap_queries(self):
         ter = Terrain(ceiling=((0.10, 0.20, 0.05), (0.30, 0.40, 0.03)))
         assert ter.confined
-        assert ter.min_gap() == 0.03
+        assert ter.gap_over(-math.inf, math.inf) == 0.03
         assert ter.gap_over(0.0, 0.05) == math.inf
         assert ter.gap_over(0.15, 0.16) == 0.05
         assert ter.gap_over(0.25, 0.35) == 0.03
@@ -615,6 +615,24 @@ class TestNavigateConfined:
             navigate_confined(sc)
         assert exc.value.required_mm == pytest.approx(
             RobotParams().height_offset * 1e3, abs=1e-6)
+
+    @pytest.mark.parametrize("below", [5e-13, 2e-12, 0.0])
+    def test_run_and_navigate_share_the_flat_height_rule(self, below):
+        # a constant ceiling within 1e-12 m under the fully-flat height
+        # once failed run's kinematics (UnreachableError) while
+        # navigate_confined reported the flat-height fault
+        offset = RobotParams().height_offset
+        sc = Scenario(signal=GaitSignal(period=4.0), duration=8.0,
+                      terrain=Terrain(ceiling=((-math.inf, math.inf, offset - below),)))
+
+        def flat_fault(f):
+            try:
+                f(sc)
+            except InfeasibleConfinementError as err:
+                return err.reason == "gap below the fully-flat body height"
+            return False
+
+        assert flat_fault(run) == flat_fault(navigate_confined) == (below > 0.0)
 
     def test_tunnel_too_narrow_for_tripod(self, robot):
         sc = Scenario(signal=GaitSignal(period=4.0),

@@ -270,68 +270,82 @@ def gated(robot, table):
     return Scenario(signal=GaitSignal(period=4.0), robot=robot, table=table)
 
 
+def under(scenario, gap, region=(-math.inf, math.inf)):
+    """The scenario under one ceiling region (m) of the given gap (m)."""
+    return replace(scenario, terrain=Terrain(ceiling=((*region, gap),)))
+
+
 class TestMaxFeasibleCurrent:
     def test_40mm_gap(self, gated):
-        res = max_feasible_current(40e-3, gated)
+        res = max_feasible_current(under(gated, 40e-3))
         assert res.current == pytest.approx(0.3775, abs=1e-6)
-        assert res.recommendation is None
         assert res.height_m <= 40e-3
         assert res.height_m == pytest.approx(39.7475e-3, abs=1e-6)
+        assert res.gap_m == 40e-3
         assert "current_a=" in res.summary()
 
     def test_20mm_gap_needs_front_only(self, gated):
-        res = max_feasible_current(20e-3, gated)
+        res = max_feasible_current(under(gated, 20e-3))
         assert res.current is None
-        assert res.recommendation == "front_only"
         assert res.height_m is None
-        assert "front_only" in res.summary()
+        assert res.summary() == ("max_feasible_current: none; gap_mm=20; "
+                                 "recommend mask=front_only")
 
     def test_tall_gap_allows_full_current(self, gated):
-        res = max_feasible_current(63.5e-3, gated)
+        res = max_feasible_current(under(gated, 63.5e-3))
         assert res.current == gated.table.currents[-1] == 0.40
-        res2 = max_feasible_current(0.1, gated)
+        res2 = max_feasible_current(under(gated, 0.1))
         assert res2.current == 0.40
 
     def test_monotone_in_gap(self, gated):
         # start above the threshold-current standing height (about 29.4 mm),
         # below which no feasible current exists at all
         gaps = np.linspace(30e-3, 63e-3, 34)
-        currents = [max_feasible_current(g, gated).current for g in gaps]
+        currents = [max_feasible_current(under(gated, g)).current for g in gaps]
         assert all(c is not None for c in currents)
         assert all(b >= a - 1e-12 for a, b in zip(currents, currents[1:]))
 
     def test_height_at_result_fits(self, robot, gated):
         hmap = CurrentHeightMap.default(robot, ActuatorModel().i_threshold)
         for gap in (30e-3, 45e-3, 55e-3):
-            res = max_feasible_current(gap, gated)
+            res = max_feasible_current(under(gated, gap))
             h = standing_height(robot.leg.leg_length, hmap.beta_cap(res.current),
                                 robot.height_offset)
             assert h <= gap + 1e-12
 
     def test_validation(self, gated):
-        with pytest.raises(OutOfRangeError):
-            max_feasible_current(0.0, gated)
-        with pytest.raises(OutOfRangeError):
-            max_feasible_current(40e-3, gated, resolution=0.0)
-        with pytest.raises(ValidationError):
-            max_feasible_current(40e-3, replace(gated, table=None))
+        # no ceiling, or only one behind the envelope at x = 0: no gap is met
+        for sc in (gated, under(gated, 40e-3, (-0.2, -0.1))):
+            with pytest.raises(ValidationError, match="ceiling gap"):
+                max_feasible_current(sc)
+        with pytest.raises(ValidationError, match="stiffness_table"):
+            max_feasible_current(replace(under(gated, 40e-3), table=None))
+
+    def test_reads_the_gap_the_path_meets(self, gated):
+        # a 5 mm region behind the start is never met: the 40 mm gate
+        # ahead decides, as it does for navigate_confined
+        sc = replace(gated, terrain=Terrain(
+            ceiling=((-0.2, -0.1, 5e-3), (10e-3, 110e-3, 40e-3))))
+        assert gait._met_gap(sc) == 40e-3
+        assert max_feasible_current(sc) == max_feasible_current(under(gated, 40e-3))
 
     def test_map_and_threshold_from_scenario(self, gated):
         # a map that stands only 10 deg at a 0.33 A threshold fits under a
         # 25 mm gap, where the default map at 0.28 A does not; the search's
         # low end is the scenario's threshold
         robot = gated.robot
+        gated = under(gated, 25e-3)
         hmap = CurrentHeightMap(anchors=((0.33, math.radians(10.0)),
                                          (0.40, math.radians(60.0))))
         sc = replace(gated, height_map=hmap,
                      actuator=replace(gated.actuator, i_threshold=0.33))
-        assert max_feasible_current(25e-3, gated).current is None
-        res = max_feasible_current(25e-3, sc)
+        assert max_feasible_current(gated).current is None
+        res = max_feasible_current(sc)
         assert res.current == 0.334375
         assert res.height_m == standing_height(
             robot.leg.leg_length, hmap.beta_cap(res.current), robot.height_offset)
         assert res.height_m <= 25e-3
-        assert max_feasible_current(25e-3, replace(sc, actuator=gated.actuator)
+        assert max_feasible_current(replace(sc, actuator=gated.actuator)
                                     ).current == 0.33625000000000005
 
 
