@@ -130,11 +130,9 @@ def max_chord_deviation(shape: BeamShape, segment_length: float) -> float:
     return float(np.max(np.abs(cross)) / norm)
 
 
-def is_deployed(shape: BeamShape, params: BeamParams, tol_frac: float = 0.02) -> bool:
-    """True iff the shape deviates from straight by < tol_frac * leg length."""
-    if not 0.0 < tol_frac < math.inf:
-        raise OutOfRangeError("tol_frac", tol_frac, 0.0, math.inf)
-    return max_chord_deviation(shape, params.bead_thickness) < tol_frac * params.leg_length
+def is_deployed(shape: BeamShape, params: BeamParams) -> bool:
+    """True iff the shape deviates from straight by < 2% of the leg length."""
+    return max_chord_deviation(shape, params.bead_thickness) < 0.02 * params.leg_length
 
 
 @dataclass(frozen=True)

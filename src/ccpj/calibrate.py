@@ -29,6 +29,7 @@ from .errors import (
 from .config import data_dir
 from .gait import (
     SWEEP_CYCLES,
+    SWEEP_PERIODS,
     ActuatorModel,
     Scenario,
     SlipModel,
@@ -125,9 +126,11 @@ class Dataset:
 
 def load_dataset(name: str, directory: Path | None = None) -> Dataset:
     path = (directory or data_dir()) / f"{name}.csv"
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    return Dataset.from_csv(path.read_text(), fallback_name=name)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
+        raise EmptyDatasetError(f"cannot read dataset {path}: {err}") from err
+    return Dataset.from_csv(text, fallback_name=name)
 
 
 @dataclass(frozen=True)
@@ -437,10 +440,11 @@ def _thermal_grid_search(template: Scenario, periods: np.ndarray,
 
 
 def _speed_peak(fitted: Scenario, eta0: float, split_at: float) -> float:
-    """First argmax of the fit's speed curve (slip scale eta0) at 0.5..20 s
-    by 0.01 s, evaluated up to split_at, then only where most/T beats the
-    best: no stroke spans more than its cap (_arcs), so no cycle more than
-    `most` (1e-14 covers cos's rounding near the cap, 1e-12 the rest)."""
+    """First argmax of the fit's speed curve (slip scale eta0) on
+    SWEEP_PERIODS by 0.01 s, evaluated up to split_at, then only where
+    most/T beats the best: no stroke spans more than its cap (_arcs), so
+    no cycle more than `most` (1e-14 covers cos's rounding near the cap,
+    1e-12 the rest)."""
     ter, e = fitted.terrain, eta0 * fitted.terrain.anchor_efficiency
 
     def speed(periods):
@@ -448,7 +452,7 @@ def _speed_peak(fitted: Scenario, eta0: float, split_at: float) -> float:
         return (_net_advance(ter, e, stand, sit, True).sum(axis=-1)
                 / (SWEEP_CYCLES * periods))
 
-    fine = np.arange(0.5, 20.0 + 1e-9, 0.01)
+    fine = np.arange(SWEEP_PERIODS[0], SWEEP_PERIODS[1] + 1e-9, 0.01)
     split = int(np.searchsorted(fine, split_at, side="right"))
     v = speed(fine[:split])
     (cap_f, cap_r), leg = _drive_caps(fitted), fitted.robot.leg.leg_length
@@ -487,12 +491,12 @@ def thermal_fit_report(dataset: Dataset, template: Scenario,
     if len(periods) < 4:
         raise NoFeasibleFitError(
             f"thermal fit needs >= 4 (period, speed) points, got {len(periods)}")
-    # sweep_period's period range, checked before the search
-    outside = periods[(periods < 0.5) | (periods > 20.0)]
+    lo, hi = SWEEP_PERIODS  # sweep_period's range, checked before the search
+    outside = periods[(periods < lo) | (periods > hi)]
     if len(outside):
         raise ValidationError(
             f"dataset {dataset.name!r}: period_s {outside[0].item()!r} "
-            f"outside [0.5, 20.0]")
+            f"outside [{lo}, {hi}]")
     _check_power(dataset, "speed_mm_s", speeds)
     if (template.terrain.slope != 0.0 or template.payload_mass != 0.0
             or not _closed_sweep(template)):
@@ -626,14 +630,14 @@ def run_calibration(directory: Path | None = None) -> list[CalibrationResult]:
     """All three fits against a dataset directory.
 
     Returns the stiffness, thermal and slip results, in that order; each
-    holds its fitted model. Raises FileNotFoundError naming any missing
+    holds its fitted model. Raises EmptyDatasetError naming any missing
     dataset file.
     """
     directory = directory or data_dir()
     missing = [n for n in REQUIRED_DATASETS
                if not (directory / f"{n}.csv").exists()]
     if missing:
-        raise FileNotFoundError(
+        raise EmptyDatasetError(
             "missing dataset files: "
             + ", ".join(f"{directory / (n + '.csv')}" for n in missing))
     template = Scenario(signal=GaitSignal(period=4.0))

@@ -40,14 +40,13 @@ from .gait import (
 )
 from .optimize import (
     SearchSpec,
-    finest_tolerance,
     max_feasible_current,
     optimize_period,
     select_mask,
 )
 from .plotsvg import line_plot
 
-EXIT_OK, EXIT_DATA = 0, 4
+EXIT_OK = 0
 
 
 @dataclass
@@ -118,8 +117,7 @@ def _load(args) -> tuple[EffectiveConfig, Scenario]:
     return cfg, sc
 
 
-def _parse_range(spec: str | None, default: str) -> tuple[float, float, float]:
-    text = spec if spec else default
+def _parse_range(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--range must be a:b:step, got {text!r}")
@@ -135,8 +133,8 @@ def _parse_range(spec: str | None, default: str) -> tuple[float, float, float]:
 MAX_SWEEP_POINTS = 1000  # most values one --range may expand to
 
 
-def _range_values(spec: str | None, default: str) -> list[float]:
-    a, b, step = _parse_range(spec, default)
+def _range_values(text: str) -> list[float]:
+    a, b, step = _parse_range(text)
     if step <= 0.0 or b < a:
         raise ConfigError(
             f"empty sweep range {a}:{b}:{step} (need step > 0 and b >= a)")
@@ -243,7 +241,7 @@ def cmd_sweep(args) -> int:
 def _sweep(args, cfg: EffectiveConfig, sc: Scenario) -> int:
     out = _outdir(args)
     col, default_range = SWEEPABLE[args.param]
-    values = _range_values(args.range, default_range)
+    values = _range_values(args.range or default_range)
     speeds = _swept_speeds(args.param, values, sc)
 
     csv_name = f"{cfg.name}_sweep_{args.param}.csv"
@@ -300,12 +298,7 @@ def cmd_optimize(args) -> int:
     cfg, sc = _load(args)
     out = _outdir(args)
     if args.param == "period":
-        lo, hi, tol = _parse_range(args.range, "2:10:0.05")
-        spec = SearchSpec(lo=lo, hi=hi, tolerance=tol)
-        if not tol > finest_tolerance(lo, hi):
-            raise ConfigError(
-                f"--range {lo}:{hi}:{tol}: resolution {tol} is within the float "
-                f"spacing of the bracket; need more than {finest_tolerance(lo, hi)!r}")
+        spec = SearchSpec(*_parse_range(args.range)) if args.range else SearchSpec()
         t_star, v_star = optimize_period(spec, sc)
         line = f"optimize_period: period_s={t_star:.6g}, speed_mm_s={v_star * 1e3:.6g}"
     elif args.param == "current":
@@ -393,8 +386,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as err:  # a dataset file the loader cannot open
-        return _fail(EXIT_DATA, err)
     except CcpjError as err:
         return _fail(err.exit_code, err)
 

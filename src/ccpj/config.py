@@ -277,8 +277,9 @@ def load_config(path: str | Path) -> EffectiveConfig:
             f"{SCHEMA_VERSION})")
 
     name = values.get(("meta", "name")) or path.stem
-    if any(c in name for c in "/\\\0"):
-        # artifacts are named after the scenario: keep them inside --out
+    if not name.isprintable() or any(c in name for c in "/\\"):
+        # artifacts are named after the scenario: keep them inside --out,
+        # and keep the report's name on one line (no NUL or form feed)
         raise ConfigError(f"{path}: name {name!r} must be a plain file name")
     lines = sorted(f"{sect}.{key}={val}" for (sect, key), val in raw.items())
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -304,14 +305,7 @@ def build_scenario(cfg: EffectiveConfig) -> Scenario:
     cfg.require("signal", "period_s")
     signal = GaitSignal(**_fields(cfg, "signal"))
     leg = BeamParams(**_fields(cfg, "beam"))
-    robot = _fields(cfg, "robot")
-    if "height_offset" not in robot:
-        # body height above the leg tips when fully stood
-        tilt = robot.get("leg_tilt_deploy", RobotParams.leg_tilt_deploy)
-        robot["height_offset"] = (robot.get("freestanding_height",
-                                            RobotParams.freestanding_height)
-                                  - leg.leg_length * math.sin(math.radians(tilt)))
-    robot = RobotParams(leg=leg, **robot)
+    robot = RobotParams(leg=leg, **_fields(cfg, "robot"))
     terrain = _fields(cfg, "terrain")
     gap = cfg.get("terrain", "ceiling_gap_mm")
     if gap is not None:

@@ -147,7 +147,7 @@ class AllMasksInfeasibleError(InfeasibleConfinementError):
 
 
 class EmptyDatasetError(ValidationError):
-    """A calibration dataset contained no usable rows."""
+    """A calibration dataset was missing, unreadable or without usable rows."""
 
     exit_code = 4
 

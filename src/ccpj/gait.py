@@ -769,6 +769,7 @@ def _net_advance(terrain: Terrain, e, stand, sit, alternating: bool):
 
 
 SWEEP_CYCLES = 6  # cycles sweep_period runs at each period
+SWEEP_PERIODS = (0.5, 20.0)  # s, the periods sweep_period and the thermal fit take
 
 
 def _closed_sweep(scenario: Scenario) -> bool:
@@ -835,13 +836,13 @@ def sweep_period(scenario: Scenario, periods) -> list[tuple[float, float]]:
     Each point is the scenario run with period T, duration SWEEP_CYCLES*T
     and dt T/200. Where _closed_sweep holds, the whole sweep is one
     _closed_speeds call on the period array and builds no Scenario: a
-    period in [0.5, 20] s passes every check such a variant would run.
+    period in SWEEP_PERIODS passes every check such a variant would run.
     Otherwise each period is run by `run`, one after another.
     """
     periods = list(periods)
     for period in periods:
-        if not (0.5 <= period <= 20.0):
-            raise OutOfRangeError("period", period, 0.5, 20.0)
+        if not (SWEEP_PERIODS[0] <= period <= SWEEP_PERIODS[1]):
+            raise OutOfRangeError("period", period, *SWEEP_PERIODS)
     if not _closed_sweep(scenario):
         return [(period, run(replace(
             scenario, signal=replace(scenario.signal, period=period),
@@ -972,31 +973,36 @@ def _progress_gap_requirement(scenario: Scenario) -> float:
     return hi
 
 
-def navigate_confined(scenario: Scenario) -> tuple[SimTrace, FeasibilityReport]:
-    """Run a scenario with ceiling/tunnel limits and report feasibility.
-
-    Raises InfeasibleConfinementError when the scenario's own leg mask
-    cannot fit (height or width) or cannot advance at the smallest gap
-    its path meets (`_path`): whether a gait advances is monotone in the
-    gap, so that one gap answers for every piece of the path.
-    """
-    ter = scenario.terrain
-    if not ter.confined:
-        raise ValidationError("navigate_confined needs a ceiling or tunnel")
-    err = _fit_error(scenario)
-    if err is not None:
-        raise err
-    has = _met_gap(scenario)
-    if _advance_at(scenario)(has) <= 1e-12:
-        raise InfeasibleConfinementError(
+def _confinement_error(scenario: Scenario) -> InfeasibleConfinementError | None:
+    """Why the scenario's own leg mask cannot pass its confinement, or None:
+    it does not fit (height or width) or does not advance at the smallest
+    gap its path meets (`_path`). Whether a gait advances is monotone in
+    the gap, so that one gap answers for every piece of the path."""
+    err, has = _fit_error(scenario), _met_gap(scenario)
+    if err is None and _advance_at(scenario)(has) <= 1e-12:
+        err = InfeasibleConfinementError(
             f"{scenario.mask_name()} gait makes no progress under this ceiling",
             required_mm=_progress_gap_requirement(scenario) * 1e3,
             available_mm=has * 1e3)
+    return err
 
+
+def navigate_confined(scenario: Scenario) -> tuple[SimTrace, FeasibilityReport]:
+    """Run a scenario with ceiling/tunnel limits and report feasibility.
+
+    Raises the `_confinement_error` of the scenario's own leg mask.
+    """
+    if not scenario.terrain.confined:
+        raise ValidationError("navigate_confined needs a ceiling or tunnel")
+    err = _confinement_error(scenario)
+    if err is not None:
+        raise err
+    has = _met_gap(scenario)
     trace = run(scenario)
     all_sc = replace(scenario, signal=replace(scenario.signal, mask=MASKS["all"]))
     return trace, FeasibilityReport(
         mask_used=scenario.mask_name(),
+        # _confinement_error's verdict, without the gap bisection of its message
         all_legs_feasible=_fit_error(all_sc) is None and _advance_at(all_sc)(has) > 1e-12,
         min_gap_m=has,
     )

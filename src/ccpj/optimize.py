@@ -14,7 +14,6 @@ from typing import Callable
 
 from .errors import (
     AllMasksInfeasibleError,
-    InfeasibleConfinementError,
     NotUnimodalError,
     OutOfRangeError,
     ValidationError,
@@ -23,6 +22,7 @@ from .gait import (
     MASKS,
     Scenario,
     _closed_sweep,
+    _confinement_error,
     _met_gap,
     navigate_confined,
     predicted_transit_time,
@@ -35,7 +35,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Period bracket [lo, hi] (s) and resolution of the speed search."""
+    """Period bracket [lo, hi] (s) and resolution of the speed search,
+    checked before any sweep: the tolerance must exceed finest_tolerance."""
 
     lo: float = 2.0
     hi: float = 10.0
@@ -45,8 +46,9 @@ class SearchSpec:
         if not self.hi > self.lo:
             raise ValidationError(
                 f"degenerate bounds [{self.lo!r}, {self.hi!r}]")
-        if self.tolerance <= 0.0:
-            raise OutOfRangeError("tolerance", self.tolerance, 0.0, math.inf)
+        finest = finest_tolerance(self.lo, self.hi)
+        if not self.tolerance > finest:  # NaN fails too
+            raise OutOfRangeError("tolerance", self.tolerance, finest, math.inf)
 
 
 def finest_tolerance(lo: float, hi: float) -> float:
@@ -250,8 +252,8 @@ def select_mask(scenario: Scenario) -> MaskChoice:
     Ranks the all-legs gait and the front-leg-only crawl by
     predicted_transit_time (inf for a mask that does not fit or advance),
     the first on a tie, and runs only the winner through
-    navigate_confined. When neither passes, each is tried there to raise
-    AllMasksInfeasible with the per-mask failures.
+    navigate_confined. When neither passes, raises AllMasksInfeasible
+    with each mask's `_confinement_error`.
     """
     if not scenario.terrain.confined:
         raise ValidationError("select_mask needs a ceiling or tunnel")
@@ -260,13 +262,9 @@ def select_mask(scenario: Scenario) -> MaskChoice:
     times = {name: predicted_transit_time(sc) for name, sc in masked.items()}
     best = min(times, key=times.get)
     if math.isinf(times[best]):
-        failures: dict[str, InfeasibleConfinementError] = {}
-        for name, sc in masked.items():
-            try:
-                navigate_confined(sc)
-            except InfeasibleConfinementError as err:
-                failures[name] = err
-        raise AllMasksInfeasibleError(failures)
+        raise AllMasksInfeasibleError(
+            {name: err for name, sc in masked.items()
+             if (err := _confinement_error(sc)) is not None})
     trace, _ = navigate_confined(masked[best])
     return MaskChoice(name=best, transit_time_s=times[best],
                       average_speed=trace.average_speed)

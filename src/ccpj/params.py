@@ -112,12 +112,16 @@ class RobotParams:
 
     body_mass is derived (total minus the N_LEGS legs) unless total_mass
     is overridden; the build gives only total and per-beam masses.
+    height_offset, the fully-stood body height above the leg tips, is
+    derived unless given: freestanding_height less the leg's rise at
+    leg_tilt_deploy. `dataclasses.replace` keeps a derived offset: pass
+    `height_offset=None` to derive it again. Every size must be positive.
     """
 
     leg: BeamParams = field(default_factory=BeamParams)
     leg_tilt_deploy: float = 60.0  # degrees, fully-stood contact angle
     total_mass: float = 2.1e-3  # kg
-    height_offset: float = 63.5e-3 - 65e-3 * math.sin(math.radians(60.0))  # m
+    height_offset: float | None = None  # m
     freestanding_height: float = 63.5e-3  # m
     deployed_width: float = 66e-3  # m
     compact_box: tuple[float, float, float] = (15e-3, 17e-3, 73e-3)
@@ -126,6 +130,15 @@ class RobotParams:
     def __post_init__(self):
         if not (0.0 < self.leg_tilt_deploy <= 60.0):
             raise OutOfRangeError("leg_tilt_deploy", self.leg_tilt_deploy, 0.0, 60.0)
+        if self.height_offset is None:
+            object.__setattr__(self, "height_offset", self.freestanding_height
+                               - self.leg.leg_length * math.sin(math.radians(self.leg_tilt_deploy)))
+        for name in ("freestanding_height", "deployed_width", "height_offset",
+                     "compact_box", "deployed_box"):
+            size = getattr(self, name)
+            for dim in size if isinstance(size, tuple) else (size,):
+                if not dim > 0.0:  # NaN fails too
+                    raise ZeroDimensionError(name, dim)
         if self.total_mass <= N_LEGS * self.leg.beam_mass:
             raise ValidationError(
                 f"total_mass={self.total_mass!r} kg does not cover "
@@ -189,11 +202,6 @@ class GaitSignal:
 
 def compaction_ratio(params: RobotParams) -> float:
     """Deployed bounding-box volume over compacted volume (dimensionless)."""
-    for name, box in (("compact_box", params.compact_box),
-                      ("deployed_box", params.deployed_box)):
-        for dim in box:
-            if dim <= 0.0:
-                raise ZeroDimensionError(name, dim)
     vol_c = math.prod(params.compact_box)
     vol_d = math.prod(params.deployed_box)
     return vol_d / vol_c

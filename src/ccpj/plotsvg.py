@@ -21,7 +21,7 @@ WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 46
 
 
-def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] on the 1/2/5 ladder.
 
     An empty range, or one at most 8 float spacings wide at its larger
@@ -35,7 +35,7 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if hi - lo <= 8.0 * math.ulp(max(abs(lo), abs(hi))):
         hi = lo + (abs(lo) if abs(lo) >= 1e-300 else 1.0)
         lo, hi = (lo, hi) if math.isfinite(hi) else (0.0, lo)
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi - lo) / 5  # the step: the first rung at or above a fifth of the range
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -44,8 +44,8 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
     t = first
-    # at most target + 2 ticks fit; the cap bounds a step that cannot move t
-    for _ in range(4 * max(target, 2)):
+    # at most 7 ticks fit; the cap bounds a step that cannot move t
+    for _ in range(20):
         if t > hi + step * 1e-9 or not math.isfinite(t):
             break
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)

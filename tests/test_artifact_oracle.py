@@ -196,6 +196,7 @@ def traces(draw):
     return make_trace(*cols, *flags)
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=300, deadline=None)
 @given(trace=traces())
 def test_csv_matches_row_formatter(trace):
@@ -241,6 +242,7 @@ def plots(draw):
     return xs, ys, marker
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=200, deadline=None)
 @given(plot=plots())
 def test_svg_matches_point_formatter(plot):

@@ -236,11 +236,6 @@ class TestNonFiniteInputs:
         with pytest.raises(OutOfRangeError):
             FlexuralModel(ei=bad)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_deployment_tolerance(self, bad):
-        with pytest.raises(OutOfRangeError):
-            is_deployed(BeamShape(joint_angles=(0.0,)), BeamParams(), tol_frac=bad)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_load_case(self, table, bad):
         params = BeamParams()
@@ -280,10 +275,6 @@ class TestDeployment:
             flex = FlexuralModel.from_current(current, table, params)
             res = equilibrium_shape(params, flex)
             assert is_deployed(res.shape, params) is expected
-
-    def test_is_deployed_tol_validation(self):
-        with pytest.raises(OutOfRangeError):
-            is_deployed(BeamShape(joint_angles=(0.0,)), BeamParams(), tol_frac=0.0)
 
 
 class TestThreePointBend:

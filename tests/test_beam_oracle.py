@@ -80,6 +80,7 @@ def test_kernel_matches_reference_at_rest_and_bent(shape):
 
 # Inherits the active profile: derandomized under CI's "ci" profile, and
 # drawn afresh by the fresh-seed step, which names the default profile.
+@pytest.mark.fresh_seed
 @settings(max_examples=150, deadline=None)
 @given(shape=st.sampled_from(["clamped_gravity", "clamped_tip_load", "pinned_springs"]),
        k_app=st.floats(0.5, 80.0), load=st.floats(0.0, 1.0),

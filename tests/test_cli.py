@@ -9,13 +9,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 from xml.dom import minidom
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from config_text import SHAPED_TEXT, SMALL, joined
-from ccpj import cli, errors
+from ccpj import cli, errors, gait, optimize
 from ccpj.cli import main
 from ccpj.config import (
     SCHEMA,
@@ -187,7 +188,12 @@ class TestSimulate:
         ("actuator", "i_threshold_a", "-1e308"),  # every current would heat
         ("actuator", "i_threshold_a", "0"),
         ("meta", "name", "a\0b"),
+        ("meta", "name", "0\x0c0"),  # a form feed once split the report's name line
         ("meta", "name", "../escaped"),
+        # non-positive robot sizes once gave a report with status = ok
+        ("robot", "compact_box_mm", "15:-17:73"),
+        ("robot", "deployed_width_mm", "-500"),
+        ("robot", "freestanding_height_mm", "-500"),  # once exit 3, UnreachableError
     ])
     def test_overflowing_or_unsafe_value_rejected(self, tmp_path, capsys,
                                                   section, key, value):
@@ -459,8 +465,29 @@ class TestCalibrate:
         (tmp_path / "empty").mkdir()
         assert main(["calibrate", "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("ccpj: error[4]: FileNotFoundError:")
+        assert err.startswith("ccpj: error[4]: EmptyDatasetError: missing dataset files:")
         assert "stiffness_vs_current" in err
+
+    @pytest.mark.parametrize("name, fault", [
+        ("speed_vs_period", "directory"), ("operating_points", "not_utf8")])
+    def test_unreadable_dataset(self, tmp_path, shipped_data_dir, monkeypatch, capsys,
+                                name, fault):
+        # a dataset that exists but cannot be read is a data fault, not a crash
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in shipped_data_dir.glob("*.csv"):
+            (data / path.name).write_bytes(path.read_bytes())
+        bad = data / f"{name}.csv"
+        if fault == "directory":
+            bad.unlink()
+            bad.mkdir()
+        else:
+            bad.write_bytes(bad.read_bytes() + b"\xff\xfe")
+        monkeypatch.setenv("CCPJ_DATA_DIR", str(data))
+        assert main(["calibrate", "--out", str(tmp_path / "out")]) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            f"ccpj: error[4]: EmptyDatasetError: cannot read dataset {bad}: ")
 
 
     def test_one_row_stiffness_dataset(self, tmp_path, shipped_data_dir,
@@ -518,6 +545,7 @@ def odd_dataset(draw, text):
     return "\n".join(meta + body) + "\n"
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_calibrate_dataset_directory_property(data):
@@ -666,23 +694,35 @@ class TestOptimize:
                      "--out", str(out)]) == 0
         assert "mask=all" in capsys.readouterr().out
 
-    def test_mask_all_infeasible(self, tmp_path, capsys):
-        cfg = tmp_path / "crush.config"
-        cfg.write_text("[signal]\nperiod_s = 4\n"
-                       "[terrain]\nceiling_gap_mm = 5\n")
-        assert main(["optimize", "--param", "mask", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 3
-        assert "error[3]: AllMasksInfeasibleError" in capsys.readouterr().err
+    def test_mask_all_infeasible(self, tmp_path, scenario_path, capsys):
+        # each mask's verdict is gait._confinement_error: nothing is run or
+        # navigated to learn why both fail
+        cfg = tmp_path / "flat_ratchet_T4.scenario"
+        cfg.write_text(scenario_path("flat_ratchet_T4").read_text()
+                       + "\n[terrain]\nceiling_gap_mm = 5\n")
+        with mock.patch.object(optimize, "navigate_confined") as nav, \
+                mock.patch.object(gait, "run") as engine:
+            assert main(["optimize", "--param", "mask", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 3
+        assert (nav.call_count, engine.call_count) == (0, 0)
+        assert capsys.readouterr().err == (
+            "ccpj: error[3]: AllMasksInfeasibleError: no leg mask fits the confinement ("
+            "all: gap below the fully-flat body height (needs 7.21 mm, has 5.00 mm); "
+            "front_only: gap below the fully-flat body height (needs 7.21 mm, has 5.00 mm))\n")
 
-    def test_period_resolution_within_float_spacing(self, tmp_path, scenario_path):
+    def test_period_resolution_within_float_spacing(self, tmp_path, scenario_path, capsys):
         # the golden-section bracket cannot shrink below the float spacing,
-        # so this search once never returned
-        done = run_capped(["optimize", "--param", "period", "--range", "2:10:1e-300",
-                           "--config", str(scenario_path("flat_ratchet_T4")),
-                           "--out", str(tmp_path), "--quiet"])
-        assert done.returncode == 2, done.stderr
-        assert done.stderr.startswith("ccpj: error[2]: ConfigError:")
-        assert "Traceback" not in done.stderr
+        # so this search once never returned; SearchSpec refuses the
+        # tolerance before the coarse sweep runs
+        with mock.patch.object(optimize, "sweep_period",
+                               wraps=optimize.sweep_period) as sweep:
+            assert main(["optimize", "--param", "period", "--range", "2:10:1e-300",
+                         "--config", str(scenario_path("flat_ratchet_T4")),
+                         "--out", str(tmp_path), "--quiet"]) == 2
+        assert sweep.call_count == 0
+        assert capsys.readouterr().err == (
+            "ccpj: error[2]: OutOfRangeError: tolerance=1e-300 "
+            "outside [7.105427357601002e-15, inf]\n")
 
     def test_bad_param(self, tmp_path, scenario_path, capsys):
         for param in ("phase", "voltage"):
@@ -839,6 +879,7 @@ REPORT_TEXT = {"name", "digest", "status", "error", "artifact", "feasible",
 
 # Inherits the active profile: derandomized under CI's "ci" profile, and
 # drawn afresh by the fresh-seed step, which names the default profile.
+@pytest.mark.fresh_seed
 @settings(deadline=None, max_examples=500)
 @_threshold_edges
 @example(drawn=(("terrain", "ceiling_region_mm"), "-200:-100:30"), seed=0, slip_noise="0")
@@ -908,7 +949,7 @@ def test_sweep_any_range_exits_cleanly(param, name, spec):
         if code != 0:
             return
         rows = (Path(tmp) / f"{name}_sweep_{param}.csv").read_text().splitlines()[1:]
-    assert len(rows) == len(cli._range_values(spec, ""))
+    assert len(rows) == len(cli._range_values(spec))
     for row in rows:
         assert all(math.isfinite(float(v)) for v in row.split(",")), row
 

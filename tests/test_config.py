@@ -190,11 +190,14 @@ class TestBuilders:
         assert sc.table.currents == (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
 
     def test_height_offset_derived_from_tilt(self, tmp_path):
+        # RobotParams derives the offset for a config and a caller alike:
+        # 13.707 mm at 50 degrees, not the 7.208 mm of the 60 degree default
         p = write(tmp_path, "[signal]\nperiod_s = 4\n"
-                            "[robot]\nleg_tilt_deploy_deg = 45\n")
+                            "[robot]\nleg_tilt_deploy_deg = 50\n")
         robot = build_scenario(load_config(p)).robot
-        want = 63.5e-3 - 65e-3 * math.sin(math.radians(45.0))
+        want = 63.5e-3 - 65e-3 * math.sin(math.radians(50.0))
         assert robot.height_offset == pytest.approx(want)
+        assert robot.height_offset == RobotParams(leg_tilt_deploy=50.0).height_offset
 
     @pytest.mark.parametrize("section, key", [
         (section, key) for section, keys in SCHEMA.items() if section != "meta"
@@ -298,7 +301,7 @@ def oracle_load(path: Path) -> tuple:
             f"{path}: schema_version {version} unsupported (expected "
             f"{SCHEMA_VERSION})")
     name = values.get(("meta", "name")) or path.stem
-    if any(c in name for c in "/\\\0"):
+    if not name.isprintable() or any(c in name for c in "/\\"):
         raise ConfigError(f"{path}: name {name!r} must be a plain file name")
     lines = sorted(f"{sect}.{key}={val}" for (sect, key), val in raw.items())
     return values, raw, hashlib.sha256("\n".join(lines).encode()).hexdigest(), name
@@ -398,6 +401,7 @@ ENTRY = st.sampled_from(
     JUNK)))
 
 
+@pytest.mark.fresh_seed
 @settings(deadline=None, max_examples=200)
 @given(entries=st.lists(ENTRY, max_size=8),
        line=st.sampled_from([None, None, None, "n_beads = 20", "n_beads = 21",

@@ -151,6 +151,7 @@ def test_infeasible_gap_raises_at_same_time(x0):
 
 # No shrinking: each shrink step reruns the per-dt reference stepper, so a
 # failure took ~5 minutes to report; the first failing example is kept.
+@pytest.mark.fresh_seed
 @settings(max_examples=40, deadline=None,
           phases=tuple(p for p in Phase if p is not Phase.shrink))
 @given(period=st.floats(1.0, 7.0), duty=st.floats(0.3, 0.7),

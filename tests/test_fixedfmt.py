@@ -78,6 +78,7 @@ def tables(draw):
 # No shrinking: the bulk of each column comes from a seeded generator, so
 # a shrunk seed re-draws every value; a failure took minutes to shrink
 # without getting simpler. The message shows where the texts part.
+@pytest.mark.fresh_seed
 @settings(max_examples=200, deadline=None,
           phases=tuple(p for p in Phase if p is not Phase.shrink))
 @given(table=tables())

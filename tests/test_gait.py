@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from reference_gait import advance, simulated_sweep
 from ccpj import cli, gait
-from ccpj.calibrate import load_dataset
+from ccpj.calibrate import Dataset, load_dataset, thermal_fit_report
 from ccpj.config import build_scenario, load_config
 from ccpj.errors import (
     InfeasibleConfinementError,
@@ -82,6 +82,7 @@ class TestActuatorModel:
         assert advance(act, 0.0, act.i_threshold, 1.0) > 0.0
         assert advance(act, 0.5, act.i_threshold - 1e-3, 1.0) < 0.5
 
+    @pytest.mark.fresh_seed
     def test_activation_stays_bounded(self):
         # the extreme lag constants overflow elapsed/tau to inf, or
         # underflow it to 0, in the reference update and in gait.run
@@ -456,6 +457,7 @@ class TestSteadyCycle:
                 assert run(sc).average_speed <= ideal + 1e-12
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=150, deadline=None)
 @given(mask=st.sampled_from(sorted(MASKS)), surface=st.sampled_from(["ratchet", "smooth"]),
        pitch_mm=st.floats(0.5, 8.0),
@@ -501,10 +503,16 @@ class TestSweepPeriod:
             assert speed == pytest.approx(34e-3 / period, rel=1e-9)
 
     def test_period_range_validated(self, flat_scenario):
-        with pytest.raises(OutOfRangeError):
-            sweep_period(flat_scenario, [0.4])
-        with pytest.raises(OutOfRangeError):
-            sweep_period(flat_scenario, [21.0])
+        for period in (0.4, 0.49, 21.0):
+            with pytest.raises(OutOfRangeError):
+                sweep_period(flat_scenario, [period])
+        assert len(sweep_period(flat_scenario, list(gait.SWEEP_PERIODS))) == 2
+        # the thermal fit checks its periods against the same range
+        ds = Dataset(name="short_periods", columns=("period_s", "speed_mm_s"),
+                     rows=np.array([[0.49, 1.0], [2.0, 3.0], [4.0, 8.0], [8.0, 4.0]]),
+                     source="synthetic: a period below the range", uncertainty=0.05)
+        with pytest.raises(ValidationError, match=r"period_s 0\.49 outside \[0\.5, 20\.0\]$"):
+            thermal_fit_report(ds, flat_scenario)
 
     @pytest.mark.parametrize("scenario, digest", [
         (Scenario(signal=GaitSignal(period=4.0)),
@@ -700,6 +708,7 @@ def _confined_outcome(scenario):
         return err.reason, err.required_mm, err.available_mm
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=60, deadline=None)
 @given(x0=st.floats(0.0, 300.0), length=st.floats(1.0, 100.0),
        gap=st.floats(7.3, 70.0), mask=st.sampled_from(sorted(MASKS)))
@@ -756,6 +765,7 @@ ANCHOR_ANGLES = st.one_of(
                      math.nextafter(0.0, -1.0), math.radians(80.0), math.nan]))
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=200, deadline=None)
 @example(anchors=[(0.01146691517706755, 0.03184170929887864),
                   (0.058501775339803365, BETA_MAX)],
@@ -814,6 +824,7 @@ OFF_CLOSED_FORM = {
 }
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=40, deadline=None)
 @given(periods=st.lists(st.floats(0.5, 20.0), min_size=1, max_size=3),
        duty=st.floats(0.2, 0.8), tau_heat=st.floats(0.1, 3.0),
@@ -861,6 +872,7 @@ def _period_edges(test):
     return test
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=100, deadline=None)
 @_period_edges
 @given(period=st.one_of(st.sampled_from([0.5, 20.0, math.nextafter(0.5, 1.0),
@@ -907,6 +919,7 @@ RUN_CYCLES = st.one_of(
 )
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=60, deadline=None)
 @given(param=st.sampled_from(["slope", "payload", "current"]),
        us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
@@ -951,10 +964,11 @@ def test_closed_sweep_values_property(param, us, period, duty, tau_heat, tau_coo
         assert got == want
 
 
+@pytest.mark.fresh_seed
 def test_closed_sweep_current_straddles_threshold(flat_scenario):
     # 0.20 to 0.26 A never heat: the engine runs them and they stand still;
     # the rest come from the closed form
-    values = cli._range_values("0.20:0.40:0.02", "")
+    values = cli._range_values("0.20:0.40:0.02")
     below = [v for v in values if v < flat_scenario.actuator.i_threshold - 1e-12]
     assert len(below) == 4
     with mock.patch.object(gait, "run", wraps=gait.run) as engine:
@@ -966,6 +980,7 @@ def test_closed_sweep_current_straddles_threshold(flat_scenario):
     assert np.max(np.abs(np.array(got[4:]) - want)) <= 1e-12
 
 
+@pytest.mark.fresh_seed
 def test_closed_sweep_of_long_runs_split_into_passes(flat_scenario):
     # runs of 5000.2 cycles: 26 runs fit in one pass's 2**17 (run, cycle)
     # pairs, so 30 runs take two, whose ends still match the engine

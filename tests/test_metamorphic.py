@@ -8,6 +8,7 @@ fresh-seed step, which names the default profile.
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccpj import gait
@@ -20,6 +21,7 @@ def _scenario(period, i_high, mask="all"):
                     dt=period / 100.0)
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=60, deadline=None)
 @given(mask=st.sampled_from(sorted(MASKS)), period=st.floats(2.0, 10.0),
        i_high=st.floats(0.28, 0.5),
@@ -33,6 +35,7 @@ def test_progress_flag_nondecreasing_in_gap_property(mask, period, i_high, gaps)
     assert flags == sorted(flags)
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=60, deadline=None)
 @given(period=st.floats(2.0, 10.0),
        currents=st.lists(st.floats(0.28, 0.5), min_size=2, max_size=20))

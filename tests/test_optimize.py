@@ -47,8 +47,15 @@ class TestSearchSpec:
     def test_validation(self):
         with pytest.raises(ValidationError):
             SearchSpec(lo=5.0, hi=5.0)
-        with pytest.raises(OutOfRangeError):
-            SearchSpec(tolerance=0.0)
+        with pytest.raises(ValidationError):
+            SearchSpec(lo=math.nan)
+        # a tolerance within the float spacing of the bracket could never
+        # be met by the search: the spec refuses it before any sweep
+        finest = finest_tolerance(2.0, 10.0)
+        for tol in (0.0, math.nan, 1e-300, finest):
+            with pytest.raises(OutOfRangeError, match="^tolerance="):
+                SearchSpec(2.0, 10.0, tol)
+        SearchSpec(2.0, 10.0, math.nextafter(finest, math.inf))
 
 
 def each(f):
@@ -145,6 +152,7 @@ def searches(draw):
     return lo, hi, tol, lambda t: g((t - lo) / (hi - lo))
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=300, deadline=None)
 @given(search=searches(), first_only=st.booleans())
 def test_batched_search_property(search, first_only):

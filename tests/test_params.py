@@ -131,13 +131,39 @@ class TestRobotParams:
         assert robot.body_mass == pytest.approx(2.1e-3 - 3 * 0.46e-3)
 
     def test_height_offset_default(self, robot):
-        # stands 63.5 mm tall at the 60 degree deploy tilt
-        assert robot.height_offset + 65e-3 * math.sin(math.radians(60.0)) \
-            == pytest.approx(63.5e-3)
+        # stands 63.5 mm tall at the 60 degree deploy tilt, to the bit
+        assert robot.height_offset == 63.5e-3 - 65e-3 * math.sin(math.radians(60.0))
+        assert robot.height_offset == 0.0072083487540114885
+
+    def test_height_offset_derived_from_the_tilt(self):
+        # 63.5 mm less the 65 mm leg's rise at 50 degrees
+        tilted = RobotParams(leg_tilt_deploy=50.0)
+        assert tilted.height_offset == 63.5e-3 - 65e-3 * math.sin(math.radians(50.0))
+        assert f"{tilted.height_offset * 1e3:.6g}" == "13.7071"
+        # replace keeps a derived offset; None derives it again
+        assert replace(tilted, leg_tilt_deploy=60.0).height_offset == tilted.height_offset
+        assert replace(tilted, leg_tilt_deploy=60.0,
+                       height_offset=None) == RobotParams()
 
     def test_total_mass_must_cover_legs(self):
         with pytest.raises(ValidationError):
             RobotParams(total_mass=1.0e-3)  # 3 legs alone weigh 1.38 g
+
+    @pytest.mark.parametrize("field, value", [
+        ("freestanding_height", -0.5), ("freestanding_height", math.nan),
+        ("deployed_width", -0.5), ("deployed_width", 0.0), ("deployed_width", math.nan),
+        ("height_offset", 0.0), ("height_offset", -1e-3), ("height_offset", math.nan),
+        ("compact_box", (15e-3, -17e-3, 73e-3)), ("compact_box", (15e-3, math.nan, 73e-3)),
+        ("deployed_box", (0.0, 120e-3, 64e-3)),
+    ])
+    def test_non_positive_sizes(self, field, value):
+        with pytest.raises(ZeroDimensionError, match=f"^{field}="):
+            RobotParams(**{field: value})
+
+    def test_derived_height_offset_must_be_positive(self):
+        # a body lower than the leg's rise would stand below its own feet
+        with pytest.raises(ZeroDimensionError, match="^height_offset="):
+            RobotParams(freestanding_height=50e-3)
 
 
 class TestGaitSignal:
@@ -201,9 +227,9 @@ class TestRatios:
         assert compaction_ratio(robot) == pytest.approx(43.31990330378726, abs=1e-9)
 
     def test_compaction_zero_dimension(self, robot):
-        bad = replace(robot, compact_box=(0.0, 17e-3, 73e-3))
-        with pytest.raises(ZeroDimensionError):
-            compaction_ratio(bad)
+        # a box with a zero side is refused where it is built
+        with pytest.raises(ZeroDimensionError, match="compact_box=0.0"):
+            replace(robot, compact_box=(0.0, 17e-3, 73e-3))
 
     def test_weight_bearing_ratio(self, robot):
         assert weight_bearing_ratio(19.8, robot) == pytest.approx(

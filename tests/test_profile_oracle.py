@@ -289,6 +289,7 @@ def test_minimum_at_a_kink(lean):
 TAU_PAIRS = st.tuples(st.floats(0.2, 3.0), st.floats(0.1, 2.0))
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=60, deadline=None)
 @given(taus=st.lists(TAU_PAIRS, min_size=1, max_size=4),
        terrain=st.sampled_from(sorted(TERRAINS)),
@@ -351,6 +352,7 @@ def test_margin_keeps_a_rounding_tie():
     assert eta0 == cal.ETA0_GRID[1849]
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_profile_below_the_last_knot_matches_grid(data):
@@ -384,6 +386,7 @@ def test_profile_below_the_last_knot_matches_grid(data):
 NEAR_FIT_TERRAINS = {**TERRAINS, "pitch_30mm": Terrain(pitch=30e-3)}
 
 
+@pytest.mark.fresh_seed
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_profile_at_a_near_zero_sse(data):
@@ -473,6 +476,7 @@ def test_grid_search_all_stalled_keeps_the_first_candidate(terrain):
     assert best[1:] == (0.2, 0.1, 0.0)
 
 
+@pytest.mark.fresh_seed
 @pytest.mark.parametrize("terrain", sorted(TERRAINS))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
@@ -508,6 +512,7 @@ SHIPPED_FIT = (1.2693351745605468, 0.5710022517613002, 0.7635000000000001)
 
 # the shipped fit (peak 4.02 s) split at its window's edge, below its peak,
 # below the grid and past it; eta0 = 0, a flat curve peaking at 0.5 s
+@pytest.mark.fresh_seed
 @example(terrain="ratchet", fit=SHIPPED_FIT, cap=None, split_at=4.5)
 @example(terrain="ratchet", fit=SHIPPED_FIT, cap=None, split_at=4.0)
 @example(terrain="ratchet", fit=SHIPPED_FIT, cap=None, split_at=0.3)
@@ -554,6 +559,7 @@ def resweep_rmse(fitted, eta0, periods, speeds):
 
 # Inherits the active profile: derandomized under CI's "ci" profile, and
 # drawn afresh by the fresh-seed step, which names the default profile.
+@pytest.mark.fresh_seed
 @settings(max_examples=40, deadline=None)
 @given(taus=TAU_PAIRS, eta=st.floats(0.2, 1.0),
        periods=st.lists(st.floats(1.0, 10.0), min_size=4, max_size=8, unique=True),
